@@ -1,17 +1,21 @@
 """Exact solving of zero-dimensional polynomial systems over Q.
 
-Buchberger (sugar strategy) in degree-reverse-lexicographic order, a
-Seidenberg radical step from per-variable eliminants, FGLM conversion to
-lexicographic order, and a shape-basis read-off with a deterministic
-shear fallback when the last coordinate fails to separate the points.
-Real roots are isolated with Sturm sequences; every emitted point is
-re-certified by substituting its coordinate parametrization into every
-original generator.
+One Groebner basis (Buchberger, sugar strategy) in degree-reverse-
+lexicographic order gives the quotient algebra.  Per-variable eliminants
+decide radicality (Seidenberg); otherwise the nilradical is divided out
+as the kernel of the trace form.  On that radical quotient the linear
+forms u_t = sum_k t^(n-1-k) x_k, t = 0, 1, 2, ..., are tried in turn
+until one separates the points; its minimal polynomial g and the
+coordinates x_i = h_i(u) form a shape-position lex basis (the
+shape-lemma case of FGLM, as in Rouillier's rational univariate
+representation).  Real roots of g are isolated with Sturm sequences;
+every emitted point is re-certified by substituting its coordinate
+parametrization into every original generator.
 """
 
 from __future__ import annotations
 
-import heapq
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -23,7 +27,6 @@ from .polynomials import (
     grevlex_key,
     iv_add,
     iv_mul,
-    lex_key,
     monomial_div,
     monomial_divides,
     monomial_lcm,
@@ -592,21 +595,7 @@ class _Quotient:
 
     def variable_min_poly(self, var):
         """Monic generator of (ideal) intersected with QQ[x_var], ascending."""
-        ech = _Echelon()
-        vec = self.nf_vec(Poly.const(self.nvars, 1))
-        k = 0
-        while True:
-            combo = ech.insert(vec, k)
-            if combo is not None:
-                deg = max(combo)
-                coeffs = [QZERO] * (deg + 1)
-                for kk, v in combo.items():
-                    coeffs[kk] = v
-                inv = 1 / coeffs[deg]
-                return [c * inv for c in coeffs]
-            vec = self.mult_apply(var, vec)
-            k += 1
-            assert k <= self.dim + 1
+        return _first_dependency(self, lambda vec: self.mult_apply(var, vec))[1]
 
 
 class _ReducedQuotient:
@@ -730,48 +719,54 @@ def _nullspace(matrix):
     return out
 
 
-def fglm_lex(quot):
-    """Reduced lex basis of a zero-dimensional ideal from its quotient."""
-    n = quot.nvars
+def _first_dependency(quot, times_u):
+    """Run 1, u, u^2, ... through an echelon until the first dependency.
+
+    times_u multiplies a quotient vector by u.  Returns the echelon, which
+    holds the independent powers, and the monic minimal polynomial of u as
+    an ascending coefficient list."""
     ech = _Echelon()
-    heap = [(0,) * n]
-    seen = {(0,) * n}
-    processed = {}  # lex staircase monomial -> nf vector
-    lex_lms = []
-    out = []
-    while heap:
-        m = heapq.heappop(heap)
-        if any(monomial_divides(lm, m) for lm in lex_lms):
-            continue
-        if sum(m) == 0:
-            vec = quot.nf_vec(Poly.const(n, 1))
-        else:
-            # split off one variable whose parent was processed
-            for i in range(n):
-                if m[i]:
-                    parent = m[:i] + (m[i] - 1,) + m[i + 1:]
-                    if parent in processed:
-                        vec = quot.mult_apply(i, processed[parent])
-                        break
-            else:
-                raise AssertionError("unreachable monomial %s" % (m,))
-        combo = ech.insert(vec, m)
-        if combo is None:
-            processed[m] = vec
-            for i in range(n):
-                child = m[:i] + (m[i] + 1,) + m[i + 1:]
-                if child not in seen:
-                    seen.add(child)
-                    heapq.heappush(heap, child)
-        else:
-            terms = dict(combo)
-            scale = 1 / terms[m]
-            poly = Poly(n, {mm: c * scale for mm, c in terms.items()})
-            out.append(poly)
-            lex_lms.append(m)
-    assert len(processed) == quot.dim
-    out.sort(key=lambda p: lex_key(max(p.terms, key=lex_key)))
-    return out
+    vec = quot.nf_vec(Poly.const(quot.nvars, 1))
+    k = 0
+    while True:
+        combo = ech.insert(vec, k)
+        if combo is not None:
+            return ech, [combo.get(j, QZERO) for j in range(k + 1)]
+        vec = times_u(vec)
+        k += 1
+        assert k <= quot.dim, "no dependency within the quotient dimension"
+
+
+def fglm_lex(quot, form):
+    """Shape-position lex basis of I + (z - u), z lowest, u = sum form[k] x_k.
+
+    quot must be radical.  Returns (g, [h_1..h_n]) as ascending coefficient
+    lists: g(z) is the minimal polynomial of u and x_i = h_i(u) on the
+    quotient.  Returns None when u does not separate the points, which is
+    exactly when deg g < quot.dim."""
+    def times_u(vec):
+        out = {}
+        for var, c in enumerate(form):
+            if not c:
+                continue
+            for k, v in quot.mult_apply(var, vec).items():
+                s = out.get(k, QZERO) + c * v
+                if s:
+                    out[k] = s
+                else:
+                    out.pop(k, None)
+        return out
+
+    ech, g = _first_dependency(quot, times_u)
+    deg = len(g) - 1
+    if deg < quot.dim:
+        return None
+    h_polys = []
+    for i in range(quot.nvars):
+        # the powers span the quotient, so x_i always reduces to zero
+        combo = ech.insert(quot.nf_vec(Poly.variable(quot.nvars, i)), "x")
+        h_polys.append(upoly_trim([-combo.get(j, QZERO) for j in range(deg)]))
+    return g, h_polys
 
 
 # ---------------------------------------------------------------------------
@@ -1030,9 +1025,6 @@ class AlgebraicPoint:
 # ---------------------------------------------------------------------------
 # the zero-dimensional solver
 
-_SHEAR_LIMIT = 6
-
-
 def solve_zero_dim(ideal, pair_cap=200_000):
     """All real points of a zero-dimensional system, certified exactly."""
     ideal = Ideal.of(ideal.nvars, ideal.gens, "grevlex")
@@ -1055,83 +1047,21 @@ def solve_zero_dim(ideal, pair_cap=200_000):
             repeated[i] = upoly_primitive_int(g)
     # squarefree eliminants in every variable already certify radicality;
     # otherwise quotient out the nilradical (trace-form kernel) so the lex
-    # conversion below sees one basis vector per distinct point
+    # shape read-off below sees one basis vector per distinct point
     work = _ReducedQuotient(quot) if needs_radical else quot
 
-    shape = _try_shape(work)
-    if shape is None:
-        shape = _shear_shape(ideal, gb, pair_cap, needs_radical)
+    # u_0 = x_last.  Two distinct points agree on u_t for at most n - 1
+    # values of t, so some t <= (n - 1) * C(work.dim, 2) separates them all.
+    n = ideal.nvars
+    for t in itertools.count():
+        shape = fglm_lex(work, [qq(t ** (n - 1 - k)) for k in range(n)])
+        if shape is not None:
+            break
     g_poly, h_polys = shape
 
     points = _assemble_points(ideal, g_poly, h_polys, repeated)
     points.sort(key=lambda p: p.sort_key())
     return points
-
-
-def _try_shape(quot):
-    """Lex basis in shape position: (g(x_n), x_i - h_i(x_n))."""
-    n = quot.nvars
-    lexgb = fglm_lex(quot)
-    last = n - 1
-    g_poly = None
-    h_polys = [None] * n
-    for p in lexgb:
-        used = p.used_vars()
-        if used <= {last}:
-            if g_poly is not None:
-                return None
-            g_poly = [p.coeff(_mono(n, last, e)) for e in range(p.degree_in(last) + 1)]
-            continue
-        lm = max(p.terms, key=lex_key)
-        i = next(k for k in range(n) if lm[k])
-        if lm != _mono_t(n, i, 1) or not (used <= {i, last}):
-            return None
-        if p.coeff(lm) != 1:
-            return None
-        h = [-p.coeff(_mono(n, last, e)) for e in range(p.degree_in(last) + 1)]
-        if h_polys[i] is not None:
-            return None
-        h_polys[i] = h
-    if g_poly is None:
-        return None
-    for i in range(n - 1):
-        if h_polys[i] is None:
-            return None
-    h_polys[last] = [QZERO, QONE]  # x_last = the parameter itself
-    return g_poly, h_polys
-
-
-def _mono(n, i, e):
-    m = [0] * n
-    m[i] = e
-    return tuple(m)
-
-
-def _mono_t(n, i, e):
-    return _mono(n, i, e)
-
-
-def _shear_shape(orig_ideal, gb, pair_cap, needs_radical):
-    """Append z = x_last + sum c_k x_k as a new last variable and retry."""
-    n = orig_ideal.nvars
-    for t in range(1, _SHEAR_LIMIT + 1):
-        coeffs = [qq(t ** (n - 1 - k)) for k in range(n - 1)] + [QONE]
-        gens = []
-        for g in gb.gens:
-            gens.append(Poly(n + 1, {m + (0,): c for m, c in g.terms.items()}))
-        zdef = {(0,) * n + (1,): QONE}
-        for k in range(n):
-            zdef[_mono(n + 1, k, 1)] = -coeffs[k]
-        gens.append(Poly(n + 1, zdef))
-        gb2 = groebner(Ideal.of(n + 1, gens, "grevlex"), pair_cap=pair_cap)
-        quot2 = _Quotient(gb2)
-        work2 = _ReducedQuotient(quot2) if needs_radical else quot2
-        shape = _try_shape(work2)
-        if shape is None:
-            continue
-        g_poly, h_polys = shape
-        return g_poly, h_polys[:n]
-    raise SolveError("no separating linear form found (%d attempts)" % _SHEAR_LIMIT)
 
 
 def _assemble_points(orig_ideal, g_poly, h_polys, repeated):

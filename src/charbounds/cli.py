@@ -29,7 +29,7 @@ from .charring import (
     FundamentalPolynomial,
     OrbitCapError,
 )
-from .compactcert import adjoint_objective, extremum
+from .compactcert import NonRealObjectiveError, adjoint_objective, extremum
 from .invder import derivation_matrix
 from .polynomials import Poly, qq, qq_str
 from .rootdata import (
@@ -747,7 +747,7 @@ def run(config):
         if handler is None:
             raise UsageError("unknown command %r" % config.command)
         return EXIT_OK, handler(config)
-    except UsageError as e:
+    except (UsageError, NonRealObjectiveError) as e:
         return EXIT_USAGE, "usage error: %s\n" % e
     except (UndecidedSignError, ConditioningError) as e:
         return EXIT_UNDECIDED, "undecided: %s\n" % e

@@ -20,6 +20,7 @@ from .algsolve import (
     solve_zero_dim,
 )
 from .charring import (
+    FundamentalPolynomial,
     OrbitCapError,
     decompose,
     expand,
@@ -27,8 +28,24 @@ from .charring import (
     to_fundamental_polynomial,
 )
 from .invder import derivation_matrix, evaluate_matrix, sigma_matrix
-from .polynomials import Cyc, qq
+from .polynomials import Cyc, Poly, qq
 from .rootdata import corners
+
+
+class NonRealObjectiveError(ValueError):
+    """The objective is not fixed by -w0, so it is not real on the group."""
+
+
+def real_part(objective):
+    """(f + f o sigma) / 2, where sigma permutes the f_i by -w0."""
+    perm = objective.datum.minus_w0
+    poly = objective.poly
+    conj = Poly(
+        poly.nvars,
+        {tuple(m[perm[j]] for j in range(poly.nvars)): c
+         for m, c in poly.terms.items()},
+    )
+    return FundamentalPolynomial(objective.datum, (poly + conj).scale(qq(1, 2)))
 
 
 def critical_ideal(m, objective):
@@ -227,7 +244,19 @@ def extremum(
     pair_cap=200_000,
     expand_cap=2_000_000,
 ):
-    """Certified minimum and maximum of an invariant objective."""
+    """Certified minimum and maximum of an invariant objective.
+
+    Raises NonRealObjectiveError for an objective that -w0 does not fix:
+    it takes complex values on the group, so it has no extrema there.
+    """
+    real = real_part(objective)
+    if real.poly != objective.poly:
+        raise NonRealObjectiveError(
+            "objective %s is not real-valued on the compact form of %s "
+            "(-w0 does not fix it); its real part is %s"
+            % (objective.to_str().replace(" ", ""), datum.name(),
+               real.to_str().replace(" ", ""))
+        )
     m = derivation_matrix(
         datum,
         cache_dir=cache_dir,

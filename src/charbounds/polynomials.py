@@ -12,7 +12,7 @@ from functools import lru_cache
 
 try:
     from gmpy2 import mpq as QQ
-except ImportError:  # pragma: no cover
+except ImportError:
     from fractions import Fraction as QQ
 
 QZERO = QQ(0)
@@ -368,10 +368,6 @@ def iv_add(a, b):
     return (a[0] + b[0], a[1] + b[1])
 
 
-def iv_sub(a, b):
-    return (a[0] - b[1], a[1] - b[0])
-
-
 def iv_mul(a, b):
     vals = (a[0] * b[0], a[0] * b[1], a[1] * b[0], a[1] * b[1])
     return (min(vals), max(vals))
@@ -384,17 +380,6 @@ def iv_pow(a, e):
     for _ in range(e - 1):
         out = iv_mul(out, a)
     return out
-
-
-def iv_scale(a, c):
-    c = qq(c)
-    if c >= 0:
-        return (a[0] * c, a[1] * c)
-    return (a[1] * c, a[0] * c)
-
-
-def iv_contains_zero(a):
-    return a[0] <= 0 <= a[1]
 
 
 def poly_interval(poly, boxes):

@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from charbounds import algsolve
 from charbounds.algsolve import (
     AlgValue,
     Ideal,
@@ -141,14 +142,55 @@ def test_triangular_system_with_irrational_coordinate():
     assert sign_of(y * y - 2, pts[0]) == 0
 
 
-def test_shear_fallback_on_shared_last_coordinate():
-    # both solutions have y = 0, so the last variable cannot separate them
-    x, y = var(2, 0), var(2, 1)
-    pts = solve_zero_dim(Ideal.of(2, [x * x - 1, y]))
+def _shared_last(x, y):
+    # both solutions have y = 0, so u_0 = y cannot separate them
+    return [x * x - 1, y]
+
+
+def _shared_last_nonradical(x, y):
+    # the same points, but the ideal is not radical
+    return [(x * x - 1) ** 2, y]
+
+
+def _two_forms_fail(x, y, z):
+    # u_0 = z and u_1 = x + y + z agree on both points; u_2 = 4x + 2y + z
+    # does not
+    return [x * x - x, x + y - 1, z]
+
+
+@pytest.mark.parametrize(
+    "system, nvars, coords, forms_tried",
+    [
+        (_shared_last, 2, [(-1, 0), (1, 0)], 2),
+        (_shared_last_nonradical, 2, [(-1, 0), (1, 0)], 2),
+        (_two_forms_fail, 3, [(0, 1, 0), (1, 0, 0)], 3),
+    ],
+    ids=["shared-last-coordinate", "shared-last-nonradical", "two-forms-fail"],
+)
+def test_separating_form(monkeypatch, system, nvars, coords, forms_tried):
+    calls = []
+    real = algsolve.fglm_lex
+    monkeypatch.setattr(
+        algsolve, "fglm_lex", lambda quot, form: calls.append(form) or real(quot, form)
+    )
+    gens = system(*(var(nvars, i) for i in range(nvars)))
+    pts = solve_zero_dim(Ideal.of(nvars, gens))
     assert [p.rational_coords() for p in pts] == [
-        (qq(-1), qq(0)),
-        (qq(1), qq(0)),
+        tuple(qq(c) for c in pt) for pt in coords
     ]
+    assert len(calls) == forms_tried
+
+
+def test_one_groebner_basis_per_solve(monkeypatch):
+    calls = []
+    real = algsolve.groebner
+    monkeypatch.setattr(
+        algsolve, "groebner", lambda *a, **k: calls.append(a) or real(*a, **k)
+    )
+    x, y, z = var(3, 0), var(3, 1), var(3, 2)
+    pts = solve_zero_dim(Ideal.of(3, _two_forms_fail(x, y, z)))
+    assert len(pts) == 2
+    assert len(calls) == 1
 
 
 def test_points_sorted_by_midpoints():

@@ -51,6 +51,26 @@ def test_g2_minimize_text(capsys, tmp_path):
     assert out == "min = -2 at corner (-1, -2)\n"
 
 
+@pytest.mark.parametrize("command", ["minimize", "maximize"])
+def test_non_real_objective_is_a_usage_error(capsys, tmp_path, command):
+    code, out, err = run_main(
+        capsys, command, "--type", "A2", "--objective", "f1",
+        "--cache", str(tmp_path),
+    )
+    assert code == 4
+    assert out == ""
+    assert "its real part is 1/2*f1+1/2*f2" in err
+
+
+def test_real_a2_objective_still_solves(capsys, tmp_path):
+    code, out, _ = run_main(
+        capsys, "minimize", "--type", "A2", "--objective", "f1+f2",
+        "--cache", str(tmp_path),
+    )
+    assert code == 0
+    assert out.startswith("min = -3 ")
+
+
 def test_g2_adjoint_json_report(capsys, tmp_path):
     code, out, _ = run_main(
         capsys, "minimize", "--type", "G2", "--format", "json",

@@ -2,10 +2,12 @@ import pytest
 
 from charbounds.algsolve import AlgValue, rational_point, solve_zero_dim
 from charbounds.compactcert import (
+    NonRealObjectiveError,
     adjoint_objective,
     critical_ideal,
     extremum,
     is_compact_point,
+    real_part,
     sigma_reality,
 )
 from charbounds.charring import FundamentalPolynomial
@@ -66,6 +68,17 @@ def test_sigma_reality_a2():
 def test_sigma_reality_trivial_when_minus_one_in_weyl(g2):
     m = derivation_matrix(g2, use_cache=False)
     assert sigma_reality(m, rational_point([3, 4])) is True
+
+
+def test_non_real_objective_rejected_with_its_real_part():
+    a3 = build_root_datum("A", 3)  # -w0 swaps f1 and f3, fixes f2
+    f1, f2, f3 = (Poly.variable(3, i) for i in range(3))
+    objective = FundamentalPolynomial(a3, f1 * f2 * f2 + f2)
+    want = (f1 * f2 * f2 + f3 * f2 * f2).scale(qq(1, 2)) + f2
+    assert real_part(objective).poly == want
+    with pytest.raises(NonRealObjectiveError, match="real part is"):
+        extremum(a3, objective, use_cache=False)
+    assert issubclass(NonRealObjectiveError, ValueError)
 
 
 # -- compactness probes -----------------------------------------------------
