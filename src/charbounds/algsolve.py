@@ -1,20 +1,34 @@
 """Exact solving of zero-dimensional polynomial systems over Q.
 
 One Groebner basis (Buchberger, sugar strategy) in degree-reverse-
-lexicographic order gives the quotient algebra.  Per-variable eliminants
-decide radicality (Seidenberg); otherwise the nilradical is divided out
-as the kernel of the trace form.  On that radical quotient the linear
-forms u_t = sum_k t^(n-1-k) x_k, t = 0, 1, 2, ..., are tried in turn
-until one separates the points; its minimal polynomial g and the
-coordinates x_i = h_i(u) form a shape-position lex basis (the
-shape-lemma case of FGLM, as in Rouillier's rational univariate
-representation).  Real roots of g are isolated with Sturm sequences;
-every emitted point is re-certified by substituting its coordinate
-parametrization into every original generator.
+lexicographic order gives the quotient algebra.  Normal forms take their
+next monomial from a heap, and the basis keeps each leading monomial.
+
+All linear algebra on the quotient runs on integer rows.  Multiplication
+by x_i is an integer matrix N_i times one rational scale, built once from
+the normal forms.  A vector is a primitive integer list carried with a
+separate rational scale; every matrix product and every elimination step
+divides out the row's content with one gcd, and the echelon eliminates
+fraction-free (a * vec - b * row).  Rationals appear only where results
+leave this layer: the minimal polynomial g, the h_i, and the scales.
+
+The nilradical is the kernel of the trace form Tr(M_uv), whose rows are
+integer row vectors tau * M_b along the staircase; the ideal is radical
+exactly when that kernel is zero; otherwise the repeated parts of the
+per-variable eliminants flag the coordinates of multiple points.  On the
+radical quotient the linear forms u_t = sum_k t^(n-1-k) x_k, t = 0, 1,
+2, ..., are tried in turn until one separates the points; its minimal
+polynomial g and the coordinates x_i = h_i(u) form a shape-position lex
+basis (the shape-lemma case of FGLM, as in Rouillier's rational
+univariate representation).  Real roots of g are isolated with Sturm
+sequences; every emitted point is re-certified by substituting its
+coordinate parametrization into every original generator, and a failed
+certificate raises CertificateError.
 """
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import math
 from dataclasses import dataclass
@@ -50,6 +64,10 @@ class PairCapError(SolveError):
 
 class UndecidedSignError(SolveError):
     pass
+
+
+class CertificateError(SolveError):
+    """An exact check of a computed result failed."""
 
 
 # ---------------------------------------------------------------------------
@@ -327,13 +345,23 @@ def _normalize(p):
     return prim
 
 
-def normal_form(p, basis, key):
-    """Full reduction; basis entries are (lm, lc, poly)."""
+def normal_form(p, basis, order):
+    """Full reduction; basis entries are (lm, lc, poly).
+
+    The largest remaining monomial comes off a heap.  A monomial that
+    cancels stays queued and is skipped when popped; if a later step
+    brings it back it is queued again, and the extra entry is skipped the
+    same way."""
+    hkey = _HEAP_KEYS[order]
     work = dict(p.terms)
+    heap = [(hkey(m), m) for m in work]
+    heapq.heapify(heap)
     rem = {}
-    while work:
-        m = max(work, key=key)
-        c = work.pop(m)
+    while heap:
+        m = heapq.heappop(heap)[1]
+        c = work.pop(m, None)
+        if c is None:
+            continue
         hit = None
         for lm, lc, q in basis:
             if monomial_divides(lm, m):
@@ -349,17 +377,27 @@ def normal_form(p, basis, key):
             if mq == lm:
                 continue
             mm = monomial_mul(mq, shift)
-            s = work.get(mm, QZERO) - factor * cq
-            if s:
-                work[mm] = s
+            old = work.get(mm)
+            if old is None:
+                work[mm] = -factor * cq
+                heapq.heappush(heap, (hkey(mm), mm))
             else:
-                work.pop(mm, None)
+                s = old - factor * cq
+                if s:
+                    work[mm] = s
+                else:
+                    del work[mm]
     return Poly(p.nvars, rem, _trusted=True)
 
 
-def _spoly(f, g, key):
-    lmf = max(f.terms, key=key)
-    lmg = max(g.terms, key=key)
+# min-heap keys whose order is the reverse of ORDER_KEYS
+_HEAP_KEYS = {
+    "grevlex": lambda m: (-sum(m), m[::-1]),
+    "lex": lambda m: tuple(-e for e in m),
+}
+
+
+def _spoly(f, g, lmf, lmg):
     l = monomial_lcm(lmf, lmg)
     mf = monomial_div(l, lmf)
     mg = monomial_div(l, lmg)
@@ -436,7 +474,7 @@ def groebner(ideal, pair_cap=200_000):
         if skip:
             continue
         basis = [(lms[t], G[t].terms[lms[t]], G[t]) for t in range(len(G))]
-        r = normal_form(_spoly(G[i], G[j], key), basis, key)
+        r = normal_form(_spoly(G[i], G[j], lms[i], lms[j]), basis, ideal.order)
         if r:
             r = _normalize(r)
             t = len(G)
@@ -444,7 +482,8 @@ def groebner(ideal, pair_cap=200_000):
             for u in range(t):
                 push_pair(u, t)
 
-    # minimalize and inter-reduce
+    # minimalize and inter-reduce; no kept leading monomial divides
+    # another, so each element keeps its leading monomial
     keep = []
     for i, lm in enumerate(lms):
         if not any(
@@ -454,32 +493,24 @@ def groebner(ideal, pair_cap=200_000):
         ):
             keep.append(i)
     reduced = []
-    keep_set = list(keep)
-    for i in keep_set:
-        others = [
-            (lms[j], G[j].terms[lms[j]], G[j]) for j in keep_set if j != i
-        ]
-        r = normal_form(G[i], others, key)
+    for i in keep:
+        others = [(lms[j], G[j].terms[lms[j]], G[j]) for j in keep if j != i]
+        r = normal_form(G[i], others, ideal.order)
         assert r, "minimal basis element reduced away"
-        reduced.append(_normalize(r))
-    reduced.sort(key=lambda p: key(max(p.terms, key=key)))
+        r = _normalize(r)
+        reduced.append((lms[i], r.terms[lms[i]], r))
+    reduced.sort(key=lambda e: key(e[0]))
 
-    basis = [(max(p.terms, key=key), p.terms[max(p.terms, key=key)], p) for p in reduced]
     for g in ideal.gens:
-        assert not normal_form(g, basis, key), "generator fails membership"
-    return Ideal(ideal.nvars, tuple(reduced), ideal.order)
+        if normal_form(g, reduced, ideal.order):
+            raise CertificateError("generator fails membership in its basis")
+    return Ideal(ideal.nvars, tuple(r for _, _, r in reduced), ideal.order)
 
 
-def _leading_monomials(basis_ideal):
-    key = ORDER_KEYS[basis_ideal.order]
-    return [max(g.terms, key=key) for g in basis_ideal.gens]
-
-
-def staircase(basis_ideal):
-    """Monomials below the staircase; None when infinite."""
-    lms = _leading_monomials(basis_ideal)
-    n = basis_ideal.nvars
-    bounds = [None] * n
+def staircase(lms, nvars):
+    """Monomials below the staircase of these leading monomials, in
+    ascending grevlex order; None when infinite."""
+    bounds = [None] * nvars
     for lm in lms:
         nz = [i for i, e in enumerate(lm) if e]
         if len(nz) == 0:
@@ -493,7 +524,7 @@ def staircase(basis_ideal):
     out = []
 
     def descend(i, mono):
-        if i == n:
+        if i == nvars:
             m = tuple(mono)
             if not any(monomial_divides(lm, m) for lm in lms):
                 out.append(m)
@@ -507,56 +538,123 @@ def staircase(basis_ideal):
 
 
 # ---------------------------------------------------------------------------
-# linear algebra over QQ for FGLM-style vector sequences
+# exact linear algebra on integer rows
+#
+# A rational vector is a primitive integer list together with a rational
+# scale: the vector is scale * ints.  Every product or elimination step
+# divides out the content with one math.gcd over the row, so no entry
+# ever carries a denominator of its own.
+
+def _primitive(ints):
+    """(ints / content, content); the zero vector has content 1."""
+    g = math.gcd(*ints)
+    if g > 1:
+        ints = [c // g for c in ints]
+    return ints, g or 1
+
+
+def _times_den(c, den):
+    """The rational c times den, a multiple of its denominator, as an int."""
+    return int(c.numerator) * (den // int(c.denominator))
+
+
+def _int_row(vals):
+    """A rational list as (primitive integer list, rational scale)."""
+    den = math.lcm(*(int(c.denominator) for c in vals))
+    ints, g = _primitive([_times_den(c, den) for c in vals])
+    return ints, qq(g, den)
+
+
+def _eliminate(vec, row, piv):
+    """Clear vec[piv] with row (row[piv] != 0), dividing out the content.
+
+    Returns (new, c, a) with vec - (vec[piv] / row[piv]) * row = (c / a) * new."""
+    a, b = row[piv], vec[piv]
+    g = math.gcd(a, b)
+    a, b = a // g, b // g
+    new, content = _primitive([a * x - b * y for x, y in zip(vec, row)])
+    return new, content, a
+
 
 class _Echelon:
-    """Incremental row reduction with dependency extraction."""
+    """Incremental fraction-free row reduction with dependency extraction.
 
-    def __init__(self):
-        self.rows = {}  # pivot index -> (vector dict, combo dict)
+    A row is an integer vector followed by its combo: one slot per tag
+    0 .. ntags - 1 giving the row as a combination of the inserted
+    vectors.  The pivot is the row's first nonzero vector entry; each
+    elimination divides the whole row by its content."""
+
+    def __init__(self, ntags):
+        self.ntags = ntags
+        self.rows = {}  # pivot index -> row
 
     def insert(self, vec, tag):
-        """Reduce vec; returns None if independent (row stored under tag),
-        else the dependency combo {tag: coeff}."""
-        vec = dict(vec)
-        combo = {tag: QONE}
-        while vec:
-            piv = min(vec)
-            if piv not in self.rows:
-                c = vec[piv]
-                inv = 1 / c
-                vec = {k: v * inv for k, v in vec.items()}
-                combo = {k: v * inv for k, v in combo.items()}
-                self.rows[piv] = (vec, combo)
+        """Reduce the integer vector vec; returns None if independent (row
+        stored), else the dependency combo, a list with
+        sum combo[t] * (vector inserted under tag t) = 0."""
+        dim = len(vec)
+        row = vec + [0] * self.ntags
+        row[dim + tag] = 1
+        for piv in range(dim):
+            b = row[piv]
+            if not b:
+                continue
+            other = self.rows.get(piv)
+            if other is None:
+                self.rows[piv] = row
                 return None
-            rvec, rcombo = self.rows[piv]
-            c = vec[piv]
-            for k, v in rvec.items():
-                s = vec.get(k, QZERO) - c * v
-                if s:
-                    vec[k] = s
-                else:
-                    vec.pop(k, None)
-            for k, v in rcombo.items():
-                s = combo.get(k, QZERO) - c * v
-                if s:
-                    combo[k] = s
-                else:
-                    combo.pop(k, None)
-        return combo
+            row = _eliminate(row, other, piv)[0]
+        return row[dim:]
+
+
+class _Reducer:
+    """A fully reduced integer echelon: rows maps pivot -> primitive row
+    that is zero at every other pivot, so projecting along the span is one
+    elimination per pivot that the vector touches."""
+
+    def __init__(self):
+        self.rows = {}
+
+    def project(self, vec, scale=QONE):
+        """(ints, scale') with scale' * ints the reduction of scale * vec."""
+        for piv, row in self.rows.items():
+            if vec[piv]:
+                vec, c, a = _eliminate(vec, row, piv)
+                scale *= qq(c, a)
+        return vec, scale
+
+    def add(self, vec):
+        vec = self.project(vec)[0]
+        piv = next((i for i, c in enumerate(vec) if c), None)
+        if piv is None:
+            return
+        for p, other in self.rows.items():
+            if other[piv]:
+                self.rows[p] = _eliminate(other, vec, piv)[0]
+        self.rows[piv] = vec
+
+
+def _row_times(row, cols):
+    """row * N for an integer row vector and N given by sparse columns."""
+    return [sum(c * row[k] for k, c in col) for col in cols]
 
 
 class _Quotient:
-    """Multiplication structure of a zero-dimensional quotient algebra."""
+    """Multiplication structure of a zero-dimensional quotient algebra.
+
+    M_{x_i} is held as an integer matrix N_i and a rational scale,
+    M_{x_i} = scale_i * N_i, built once from the normal forms of
+    x_i * b_j for the staircase monomials b_j."""
 
     def __init__(self, basis_ideal):
-        self.nvars = basis_ideal.nvars
-        self.key = ORDER_KEYS[basis_ideal.order]
-        self.basis = [
-            (max(g.terms, key=self.key), g.terms[max(g.terms, key=self.key)], g)
-            for g in basis_ideal.gens
-        ]
-        mons = staircase(basis_ideal)
+        self.nvars = n = basis_ideal.nvars
+        self.order = basis_ideal.order
+        key = ORDER_KEYS[self.order]
+        self.basis = []
+        for g in basis_ideal.gens:
+            lm = max(g.terms, key=key)
+            self.basis.append((lm, g.terms[lm], g))
+        mons = staircase([lm for lm, _, _ in self.basis], n)
         if mons is None:
             raise NotZeroDimensionalError(
                 "leading terms admit no pure power in some variable"
@@ -564,177 +662,157 @@ class _Quotient:
         self.monomials = mons
         self.index = {m: i for i, m in enumerate(mons)}
         self.dim = len(mons)
-        self._mult_cache = {}
+        # sparse columns [(row, coeff), ...] and scale of each N_i
+        self.cols = []
+        self.scales = []
+        for i in range(n):
+            qcols = []
+            for m in mons:
+                shifted = m[:i] + (m[i] + 1,) + m[i + 1:]
+                if shifted in self.index:
+                    qcols.append({self.index[shifted]: QONE})
+                else:
+                    qcols.append(self._nf(Poly(n, {shifted: QONE}, _trusted=True)))
+            den = math.lcm(*(int(c.denominator) for col in qcols for c in col.values()))
+            self.cols.append([
+                [(k, _times_den(c, den)) for k, c in col.items()] for col in qcols
+            ])
+            self.scales.append(qq(1, den))
+
+    def _nf(self, poly):
+        r = normal_form(poly, self.basis, self.order)
+        return {self.index[m]: c for m, c in r.terms.items()}
 
     def nf_vec(self, poly):
-        r = normal_form(poly, self.basis, self.key)
-        out = {}
-        for m, c in r.terms.items():
-            out[self.index[m]] = c
-        return out
+        """Normal form as (primitive integer vector, rational scale)."""
+        vec = [QZERO] * self.dim
+        for k, c in self._nf(poly).items():
+            vec[k] = c
+        return _int_row(vec)
 
-    def mult_column(self, var, j):
-        got = self._mult_cache.get((var, j))
-        if got is None:
-            m = self.monomials[j]
-            shifted = m[:var] + (m[var] + 1,) + m[var + 1:]
-            got = self.nf_vec(Poly(self.nvars, {shifted: QONE}, _trusted=True))
-            self._mult_cache[(var, j)] = got
-        return got
+    def matrix(self, form):
+        """M_u for u = sum form[i] x_i, as (sparse integer rows, scale)."""
+        terms = [(i, qq(c) * self.scales[i]) for i, c in enumerate(form) if c]
+        den = math.lcm(*(int(c.denominator) for _, c in terms))
+        rows = [{} for _ in range(self.dim)]
+        for i, c in terms:
+            f = _times_den(c, den)
+            for j, col in enumerate(self.cols[i]):
+                for k, v in col:
+                    rows[k][j] = rows[k].get(j, 0) + f * v
+        rows = [[(j, v) for j, v in r.items() if v] for r in rows]
+        g = math.gcd(*(v for r in rows for _, v in r)) or 1
+        rows = [[(j, v // g) for j, v in r] for r in rows]
+        return rows, qq(g, den)
 
-    def mult_apply(self, var, vec):
-        out = {}
-        for j, c in vec.items():
-            for k, v in self.mult_column(var, j).items():
-                s = out.get(k, QZERO) + c * v
-                if s:
-                    out[k] = s
-                else:
-                    out.pop(k, None)
-        return out
+    def times(self, mat, vec, scale):
+        """u * (scale * vec) as (primitive integer vector, scale)."""
+        rows, mscale = mat
+        out, g = _primitive([sum(c * vec[j] for j, c in r) for r in rows])
+        return out, scale * mscale * g
 
     def variable_min_poly(self, var):
         """Monic generator of (ideal) intersected with QQ[x_var], ascending."""
-        return _first_dependency(self, lambda vec: self.mult_apply(var, vec))[1]
+        form = [int(i == var) for i in range(self.nvars)]
+        return _first_dependency(self, self.matrix(form))[2]
 
 
 class _ReducedQuotient:
     """The quotient algebra modulo its nilradical.
 
     In characteristic zero the nilradical is the kernel of the trace form
-    B(u, v) = Tr(M_uv), so it falls out of exact linear algebra on the
-    multiplication tensor; no second Groebner run is needed.  The reduced
-    dimension equals the number of distinct complex points.
+    B(u, v) = Tr(M_uv).  With tau(f) = Tr(M_f), row m of B is the row
+    vector tau * M_{b_m}, and tau itself is sum_j e_j^T M_{b_j}, since
+    M_f e_j = M_{b_j} f.  Both come from integer row-times-N_i products
+    along the staircase, so no multiplication tensor is built and no
+    second Groebner run is needed.  The reduced dimension equals the
+    number of distinct complex points.
     """
 
     def __init__(self, quot):
         self.base = quot
         self.nvars = quot.nvars
         D = quot.dim
-        # multiplication tensor T[m][j] = NF(b_m * b_j), built by walking
-        # the staircase (divisors of staircase monomials stay inside it)
-        index = quot.index
-        T = [None] * D
-        assert (0,) * self.nvars in index, "staircase lacks the unit monomial"
-        T[index[(0,) * self.nvars]] = [{j: QONE} for j in range(D)]
-        order = sorted(range(D), key=lambda m: sum(quot.monomials[m]))
-        for mi in order:
-            mono = quot.monomials[mi]
-            if sum(mono) == 0:
+        mons = quot.monomials
+        # tau = sum_j scale_j * row_j with row_j = e_j^T prod N_i^{m_i}
+        parts = []
+        for j, mono in enumerate(mons):
+            row = [0] * D
+            row[j] = 1
+            scale = QONE
+            for i, e in enumerate(mono):
+                for _ in range(e):
+                    row, g = _primitive(_row_times(row, quot.cols[i]))
+                    scale *= g * quot.scales[i]
+            parts.append((scale, row))
+        den = math.lcm(*(int(s.denominator) for s, _ in parts))
+        weights = [_times_den(s, den) for s, _ in parts]
+        tau = _primitive([
+            sum(w * row[k] for w, (_, row) in zip(weights, parts))
+            for k in range(D)
+        ])[0]
+        # rows of B, each up to a nonzero factor, which the kernel ignores;
+        # staircase monomials ascend by degree, so parents come first
+        brows = [None] * D
+        for m, mono in enumerate(mons):
+            if not any(mono):
+                brows[m] = tau
                 continue
             i = next(k for k in range(self.nvars) if mono[k])
-            parent = mono[:i] + (mono[i] - 1,) + mono[i + 1:]
-            pj = index[parent]
-            T[mi] = [quot.mult_apply(i, T[pj][j]) for j in range(D)]
-        traces = [
-            sum((T[m][j].get(j, QZERO) for j in range(D)), QZERO)
-            for m in range(D)
-        ]
-        # trace form and its kernel
-        kernel_rows = _nullspace(
-            [
-                [
-                    sum(
-                        (c * traces[m] for m, c in T[j][k].items()),
-                        QZERO,
-                    )
-                    for k in range(D)
-                ]
-                for j in range(D)
-            ]
-        )
-        # echelonize the nilradical fully (no stored row contains another
-        # row's pivot) so projection is a single elimination pass
-        self._nil = {}
-        for row in kernel_rows:
-            vec = {i: c for i, c in enumerate(row) if c}
-            vec = self._project(vec)
-            if not vec:
-                continue
-            piv = min(vec)
-            inv = 1 / vec[piv]
-            vec = {k: v * inv for k, v in vec.items()}
-            for other in self._nil.values():
-                c = other.get(piv)
-                if not c:
-                    continue
-                for k, v in vec.items():
-                    s = other.get(k, QZERO) - c * v
-                    if s:
-                        other[k] = s
-                    else:
-                        other.pop(k, None)
-            self._nil[piv] = vec
-        self.dim = D - len(self._nil)
-
-    def _project(self, vec):
-        vec = dict(vec)
-        for piv in sorted(set(vec) & set(self._nil)):
-            c = vec.get(piv)
-            if not c:
-                continue
-            for k, v in self._nil[piv].items():
-                s = vec.get(k, QZERO) - c * v
-                if s:
-                    vec[k] = s
-                else:
-                    vec.pop(k, None)
-        return vec
+            parent = quot.index[mono[:i] + (mono[i] - 1,) + mono[i + 1:]]
+            brows[m] = _primitive(_row_times(brows[parent], quot.cols[i]))[0]
+        self._nil = _kernel(brows, D)
+        self.dim = D - len(self._nil.rows)
 
     def nf_vec(self, poly):
-        return self._project(self.base.nf_vec(poly))
+        return self._nil.project(*self.base.nf_vec(poly))
 
-    def mult_apply(self, var, vec):
-        return self._project(self.base.mult_apply(var, vec))
+    def matrix(self, form):
+        return self.base.matrix(form)
+
+    def times(self, mat, vec, scale):
+        return self._nil.project(*self.base.times(mat, vec, scale))
 
 
-def _nullspace(matrix):
-    """Kernel basis of an exact rational matrix (rows of the kernel)."""
-    n = len(matrix)
-    rows = [list(r) for r in matrix]
-    pivots = {}
-    for col in range(n):
-        hit = None
-        for i in range(len(rows)):
-            if i not in pivots.values() and rows[i][col]:
-                hit = i
-                break
-        if hit is None:
+def _kernel(rows, n):
+    """Kernel of an integer matrix with n columns, as a _Reducer.
+
+    The basis vector for a free column is nonzero there and at no other
+    free column, so the free columns serve as its pivots."""
+    pivots = _Reducer()
+    for r in rows:
+        pivots.add(r)
+    lcm = math.lcm(*(row[p] for p, row in pivots.rows.items()))
+    ker = _Reducer()
+    for fc in range(n):
+        if fc in pivots.rows:
             continue
-        pivots[col] = hit
-        inv = 1 / rows[hit][col]
-        rows[hit] = [c * inv for c in rows[hit]]
-        for i in range(len(rows)):
-            if i != hit and rows[i][col]:
-                c = rows[i][col]
-                rows[i] = [a - c * b for a, b in zip(rows[i], rows[hit])]
-    out = []
-    free_cols = [c for c in range(n) if c not in pivots]
-    for fc in free_cols:
-        v = [QZERO] * n
-        v[fc] = QONE
-        for col, i in pivots.items():
-            v[col] = -rows[i][fc]
-        out.append(v)
-    return out
+        v = [0] * n
+        v[fc] = lcm
+        for p, row in pivots.rows.items():
+            v[p] = -row[fc] * (lcm // row[p])
+        ker.rows[fc] = _primitive(v)[0]
+    return ker
 
 
-def _first_dependency(quot, times_u):
+def _first_dependency(quot, mat):
     """Run 1, u, u^2, ... through an echelon until the first dependency.
 
-    times_u multiplies a quotient vector by u.  Returns the echelon, which
-    holds the independent powers, and the monic minimal polynomial of u as
-    an ascending coefficient list."""
-    ech = _Echelon()
-    vec = quot.nf_vec(Poly.const(quot.nvars, 1))
-    k = 0
-    while True:
+    mat is M_u from quot.matrix.  Returns the echelon, which holds the
+    independent powers, the scale of each power's integer vector, and the
+    monic minimal polynomial of u as an ascending coefficient list."""
+    # tags 0 .. dim for the powers, one more for fglm_lex's x_i
+    ech = _Echelon(quot.dim + 2)
+    vec, scale = quot.nf_vec(Poly.const(quot.nvars, 1))
+    scales = []
+    for k in range(quot.dim + 1):
+        scales.append(scale)
         combo = ech.insert(vec, k)
         if combo is not None:
-            return ech, [combo.get(j, QZERO) for j in range(k + 1)]
-        vec = times_u(vec)
-        k += 1
-        assert k <= quot.dim, "no dependency within the quotient dimension"
+            g = [qq(combo[j]) / scales[j] for j in range(k + 1)]
+            return ech, scales, [c / g[-1] for c in g]
+        vec, scale = quot.times(mat, vec, scale)
+    raise AssertionError("no dependency within the quotient dimension")
 
 
 def fglm_lex(quot, form):
@@ -744,28 +822,20 @@ def fglm_lex(quot, form):
     lists: g(z) is the minimal polynomial of u and x_i = h_i(u) on the
     quotient.  Returns None when u does not separate the points, which is
     exactly when deg g < quot.dim."""
-    def times_u(vec):
-        out = {}
-        for var, c in enumerate(form):
-            if not c:
-                continue
-            for k, v in quot.mult_apply(var, vec).items():
-                s = out.get(k, QZERO) + c * v
-                if s:
-                    out[k] = s
-                else:
-                    out.pop(k, None)
-        return out
-
-    ech, g = _first_dependency(quot, times_u)
+    ech, scales, g = _first_dependency(quot, quot.matrix(form))
     deg = len(g) - 1
     if deg < quot.dim:
         return None
     h_polys = []
     for i in range(quot.nvars):
-        # the powers span the quotient, so x_i always reduces to zero
-        combo = ech.insert(quot.nf_vec(Poly.variable(quot.nvars, i)), "x")
-        h_polys.append(upoly_trim([-combo.get(j, QZERO) for j in range(deg)]))
+        # the powers span the quotient, so x_i always reduces to zero:
+        # c_x * x_i / s_x + sum_j c_j * u^j / s_j = 0
+        vec, s_x = quot.nf_vec(Poly.variable(quot.nvars, i))
+        combo = ech.insert(vec, quot.dim + 1)
+        lead = qq(combo[-1]) / s_x
+        h_polys.append(upoly_trim(
+            [-qq(combo[j]) / (scales[j] * lead) for j in range(deg)]
+        ))
     return g, h_polys
 
 
@@ -1035,20 +1105,19 @@ def solve_zero_dim(ideal, pair_cap=200_000):
     if quot.dim == 0:
         return []
 
-    # per-variable eliminants; repeats force a pass to the reduced algebra
+    # quotient out the nilradical (trace-form kernel) so the lex shape
+    # read-off below sees one basis vector per distinct point.  The ideal
+    # is radical exactly when nothing is divided out, and then (Seidenberg)
+    # every eliminant is squarefree; otherwise the repeated part of each
+    # eliminant marks the coordinates of multiple points.
+    work = _ReducedQuotient(quot)
     repeated = {}
-    needs_radical = False
-    for i in range(ideal.nvars):
-        mp = quot.variable_min_poly(i)
-        sq = upoly_squarefree(mp)
-        if len(sq) != len(mp):
-            needs_radical = True
+    if work.dim < quot.dim:
+        for i in range(ideal.nvars):
+            mp = quot.variable_min_poly(i)
             g = upoly_gcd(mp, upoly_deriv(mp))
-            repeated[i] = upoly_primitive_int(g)
-    # squarefree eliminants in every variable already certify radicality;
-    # otherwise quotient out the nilradical (trace-form kernel) so the lex
-    # shape read-off below sees one basis vector per distinct point
-    work = _ReducedQuotient(quot) if needs_radical else quot
+            if len(g) > 1:
+                repeated[i] = upoly_primitive_int(g)
 
     # u_0 = x_last.  Two distinct points agree on u_t for at most n - 1
     # values of t, so some t <= (n - 1) * C(work.dim, 2) separates them all.
@@ -1091,7 +1160,10 @@ def _assemble_points(orig_ideal, g_poly, h_polys, repeated):
             # certificate: every original generator vanishes identically
             for gen in orig_ideal.gens:
                 val = gen.evaluate(coords, convert=field.from_rational)
-                assert val.is_zero(), "solution fails generator certificate"
+                if not val.is_zero():
+                    raise CertificateError(
+                        "solution fails generator certificate"
+                    )
             info = [
                 _coordinate_info(field, coords[i], repeated.get(i))
                 for i in range(n)
@@ -1117,21 +1189,19 @@ def _minpoly_of_value(value):
     if all(not c for c in value.vec[1:]):
         c = value.vec[0]
         return upoly_primitive_int([-c, QONE])
-    ech = _Echelon()
+    ech = _Echelon(field.degree + 1)
     power = field.from_rational(1)
-    k = 0
-    while True:
-        vec = {i: c for i, c in enumerate(power.vec) if c}
+    scales = []
+    for k in range(field.degree + 1):
+        vec, scale = _int_row(power.vec)
+        scales.append(scale)
         combo = ech.insert(vec, k)
         if combo is not None:
-            deg = max(combo)
-            coeffs = [QZERO] * (deg + 1)
-            for kk, c in combo.items():
-                coeffs[kk] = c
-            return upoly_primitive_int(coeffs)
+            return upoly_primitive_int(
+                [qq(combo[j]) / scales[j] for j in range(k + 1)]
+            )
         power = power * value
-        k += 1
-        assert k <= field.degree, "no dependence within the field degree"
+    raise AssertionError("no dependence within the field degree")
 
 
 def _isolate_among(cand, chain, value):

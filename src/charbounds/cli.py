@@ -7,7 +7,7 @@ row and fixed line endings, and the derivation-matrix cache is keyed by
 datum content hash (directory from --cache or CHARBOUNDS_CACHE).
 
 Exit codes: 0 ok, 2 infeasible or over a cap, 3 undecided numerical or
-sign result, 4 usage.
+sign result, 4 usage, 5 critical locus not zero-dimensional.
 """
 
 import argparse
@@ -53,6 +53,7 @@ EXIT_OK = 0
 EXIT_INFEASIBLE = 2
 EXIT_UNDECIDED = 3
 EXIT_USAGE = 4
+EXIT_NOT_ZERO_DIM = 5
 
 
 class UsageError(Exception):
@@ -751,10 +752,11 @@ def run(config):
         return EXIT_USAGE, "usage error: %s\n" % e
     except (UndecidedSignError, ConditioningError) as e:
         return EXIT_UNDECIDED, "undecided: %s\n" % e
+    except NotZeroDimensionalError as e:
+        return EXIT_NOT_ZERO_DIM, "not zero-dimensional: %s\n" % e
     except (
         EnumerationCapError,
         OrbitCapError,
-        NotZeroDimensionalError,
         SolveError,
         OverflowError,
     ) as e:

@@ -1,0 +1,236 @@
+"""Reference quotient-algebra linear algebra with one rational per entry.
+
+This is the straightforward exact method the solver's integer-row path
+must agree with: multiplication by x_i applied column by column to
+sparse rational vectors, a rational echelon normalised to pivot 1, the
+full multiplication tensor for the trace form, and a rational
+Gauss-Jordan kernel.  Every quantity it returns (eliminants, the reduced
+dimension, g and the h_i) is unique, so the two paths must agree exactly.
+"""
+
+from charbounds.algsolve import normal_form, staircase, upoly_trim
+from charbounds.polynomials import ORDER_KEYS, Poly, QONE, QZERO, qq
+
+
+class Echelon:
+    """Incremental row reduction with dependency extraction."""
+
+    def __init__(self):
+        self.rows = {}  # pivot index -> (vector dict, combo dict)
+
+    def insert(self, vec, tag):
+        """Reduce vec; returns None if independent (row stored under tag),
+        else the dependency combo {tag: coeff}."""
+        vec = dict(vec)
+        combo = {tag: QONE}
+        while vec:
+            piv = min(vec)
+            if piv not in self.rows:
+                inv = 1 / vec[piv]
+                vec = {k: v * inv for k, v in vec.items()}
+                combo = {k: v * inv for k, v in combo.items()}
+                self.rows[piv] = (vec, combo)
+                return None
+            rvec, rcombo = self.rows[piv]
+            c = vec[piv]
+            for k, v in rvec.items():
+                s = vec.get(k, QZERO) - c * v
+                if s:
+                    vec[k] = s
+                else:
+                    vec.pop(k, None)
+            for k, v in rcombo.items():
+                s = combo.get(k, QZERO) - c * v
+                if s:
+                    combo[k] = s
+                else:
+                    combo.pop(k, None)
+        return combo
+
+
+class Quotient:
+    """Multiplication structure of a zero-dimensional quotient algebra."""
+
+    def __init__(self, basis_ideal):
+        self.nvars = basis_ideal.nvars
+        self.order = basis_ideal.order
+        key = ORDER_KEYS[self.order]
+        self.basis = []
+        for g in basis_ideal.gens:
+            lm = max(g.terms, key=key)
+            self.basis.append((lm, g.terms[lm], g))
+        self.monomials = staircase([lm for lm, _, _ in self.basis], self.nvars)
+        self.index = {m: i for i, m in enumerate(self.monomials)}
+        self.dim = len(self.monomials)
+        self._mult_cache = {}
+
+    def nf_vec(self, poly):
+        r = normal_form(poly, self.basis, self.order)
+        return {self.index[m]: c for m, c in r.terms.items()}
+
+    def mult_column(self, var, j):
+        got = self._mult_cache.get((var, j))
+        if got is None:
+            m = self.monomials[j]
+            shifted = m[:var] + (m[var] + 1,) + m[var + 1:]
+            got = self.nf_vec(Poly(self.nvars, {shifted: QONE}, _trusted=True))
+            self._mult_cache[(var, j)] = got
+        return got
+
+    def mult_apply(self, var, vec):
+        out = {}
+        for j, c in vec.items():
+            for k, v in self.mult_column(var, j).items():
+                s = out.get(k, QZERO) + c * v
+                if s:
+                    out[k] = s
+                else:
+                    out.pop(k, None)
+        return out
+
+    def variable_min_poly(self, var):
+        """Monic generator of (ideal) intersected with QQ[x_var], ascending."""
+        return first_dependency(self, lambda vec: self.mult_apply(var, vec))[1]
+
+
+class ReducedQuotient:
+    """The quotient modulo the kernel of the trace form B(u, v) = Tr(M_uv),
+    from the full multiplication tensor T[m][j] = NF(b_m * b_j)."""
+
+    def __init__(self, quot):
+        self.base = quot
+        self.nvars = quot.nvars
+        D = quot.dim
+        index = quot.index
+        T = [None] * D
+        T[index[(0,) * self.nvars]] = [{j: QONE} for j in range(D)]
+        for mi in sorted(range(D), key=lambda m: sum(quot.monomials[m])):
+            mono = quot.monomials[mi]
+            if sum(mono) == 0:
+                continue
+            i = next(k for k in range(self.nvars) if mono[k])
+            pj = index[mono[:i] + (mono[i] - 1,) + mono[i + 1:]]
+            T[mi] = [quot.mult_apply(i, T[pj][j]) for j in range(D)]
+        traces = [
+            sum((T[m][j].get(j, QZERO) for j in range(D)), QZERO)
+            for m in range(D)
+        ]
+        kernel_rows = nullspace([
+            [
+                sum((c * traces[m] for m, c in T[j][k].items()), QZERO)
+                for k in range(D)
+            ]
+            for j in range(D)
+        ])
+        # fully reduced echelon of the nilradical
+        self._nil = {}
+        for row in kernel_rows:
+            vec = self._project({i: c for i, c in enumerate(row) if c})
+            if not vec:
+                continue
+            piv = min(vec)
+            inv = 1 / vec[piv]
+            vec = {k: v * inv for k, v in vec.items()}
+            for other in self._nil.values():
+                c = other.get(piv)
+                if not c:
+                    continue
+                for k, v in vec.items():
+                    s = other.get(k, QZERO) - c * v
+                    if s:
+                        other[k] = s
+                    else:
+                        other.pop(k, None)
+            self._nil[piv] = vec
+        self.dim = D - len(self._nil)
+
+    def _project(self, vec):
+        vec = dict(vec)
+        for piv in sorted(set(vec) & set(self._nil)):
+            c = vec.get(piv)
+            if not c:
+                continue
+            for k, v in self._nil[piv].items():
+                s = vec.get(k, QZERO) - c * v
+                if s:
+                    vec[k] = s
+                else:
+                    vec.pop(k, None)
+        return vec
+
+    def nf_vec(self, poly):
+        return self._project(self.base.nf_vec(poly))
+
+    def mult_apply(self, var, vec):
+        return self._project(self.base.mult_apply(var, vec))
+
+
+def nullspace(matrix):
+    """Kernel basis of an exact rational matrix (rows of the kernel)."""
+    n = len(matrix)
+    rows = [list(r) for r in matrix]
+    pivots = {}
+    for col in range(n):
+        hit = None
+        for i in range(len(rows)):
+            if i not in pivots.values() and rows[i][col]:
+                hit = i
+                break
+        if hit is None:
+            continue
+        pivots[col] = hit
+        inv = 1 / rows[hit][col]
+        rows[hit] = [c * inv for c in rows[hit]]
+        for i in range(len(rows)):
+            if i != hit and rows[i][col]:
+                c = rows[i][col]
+                rows[i] = [a - c * b for a, b in zip(rows[i], rows[hit])]
+    out = []
+    for fc in (c for c in range(n) if c not in pivots):
+        v = [QZERO] * n
+        v[fc] = QONE
+        for col, i in pivots.items():
+            v[col] = -rows[i][fc]
+        out.append(v)
+    return out
+
+
+def first_dependency(quot, times_u):
+    """Run 1, u, u^2, ... through an echelon until the first dependency;
+    returns the echelon and the monic minimal polynomial of u."""
+    ech = Echelon()
+    vec = quot.nf_vec(Poly.const(quot.nvars, 1))
+    k = 0
+    while True:
+        combo = ech.insert(vec, k)
+        if combo is not None:
+            return ech, [combo.get(j, QZERO) for j in range(k + 1)]
+        vec = times_u(vec)
+        k += 1
+        assert k <= quot.dim, "no dependency within the quotient dimension"
+
+
+def fglm_lex(quot, form):
+    """(g, [h_1..h_n]) for u = sum form[k] x_k, or None when deg g < dim."""
+    def times_u(vec):
+        out = {}
+        for var, c in enumerate(form):
+            if not c:
+                continue
+            for k, v in quot.mult_apply(var, vec).items():
+                s = out.get(k, QZERO) + qq(c) * v
+                if s:
+                    out[k] = s
+                else:
+                    out.pop(k, None)
+        return out
+
+    ech, g = first_dependency(quot, times_u)
+    deg = len(g) - 1
+    if deg < quot.dim:
+        return None
+    h_polys = []
+    for i in range(quot.nvars):
+        combo = ech.insert(quot.nf_vec(Poly.variable(quot.nvars, i)), "x")
+        h_polys.append(upoly_trim([-combo.get(j, QZERO) for j in range(deg)]))
+    return g, h_polys

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from charbounds import algsolve
 from charbounds.algsolve import (
     AlgValue,
+    CertificateError,
     Ideal,
     NotZeroDimensionalError,
     PairCapError,
@@ -191,6 +192,17 @@ def test_one_groebner_basis_per_solve(monkeypatch):
     pts = solve_zero_dim(Ideal.of(3, _two_forms_fail(x, y, z)))
     assert len(pts) == 2
     assert len(calls) == 1
+
+
+def test_generator_certificate_rejects_a_perturbed_coordinate():
+    x, y = var(2, 0), var(2, 1)
+    ideal = Ideal.of(2, [x * x - 2, y - x - 1])
+    quot = algsolve._Quotient(groebner(ideal))
+    g, h = algsolve.fglm_lex(quot, [qq(0), qq(1)])
+    assert len(algsolve._assemble_points(ideal, g, h, {})) == 2
+    h[0][0] += 1
+    with pytest.raises(CertificateError):
+        algsolve._assemble_points(ideal, g, h, {})
 
 
 def test_points_sorted_by_midpoints():

@@ -1,6 +1,10 @@
 """End-to-end checks of the command-line surface and its exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -157,6 +161,33 @@ def test_infeasible_exit_codes(capsys):
     # E8 restricted trace has too many free variables without pins
     code, out, err = run_main(capsys, "branch-minimize", "--type", "E8")
     assert code == 2 and "pin" in err
+
+
+def test_not_zero_dimensional_has_its_own_exit_code(capsys, tmp_path):
+    code, out, err = run_main(
+        capsys, "minimize", "--type", "A3", "--objective", "adjoint",
+        "--cache", str(tmp_path),
+    )
+    assert code == 5 and out == ""
+    assert err.startswith("not zero-dimensional: ")
+
+
+def test_optimized_interpreter_gives_the_same_report(tmp_path):
+    # python -O strips assert statements, so no check a report relies on
+    # may be one
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    runs = [
+        subprocess.run(
+            [sys.executable, *flags, "-m", "charbounds.cli", "minimize",
+             "--type", "G2", "--cache", str(tmp_path)],
+            capture_output=True, text=True, env=env, timeout=300,
+        )
+        for flags in ([], ["-O"])
+    ]
+    assert [r.returncode for r in runs] == [0, 0]
+    assert runs[1].stdout == runs[0].stdout != ""
 
 
 def test_e8_adjoint_column_works(capsys):
