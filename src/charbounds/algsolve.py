@@ -1,29 +1,31 @@
 """Exact solving of zero-dimensional polynomial systems over Q.
 
 One Groebner basis (Buchberger, sugar strategy) in degree-reverse-
-lexicographic order gives the quotient algebra.  Normal forms take their
-next monomial from a heap, and the basis keeps each leading monomial.
+lexicographic order gives the quotient algebra A of dimension D.  Normal
+forms take their next monomial from a heap, and the basis keeps each
+leading monomial.
 
-All linear algebra on the quotient runs on integer rows.  Multiplication
-by x_i is an integer matrix N_i times one rational scale, built once from
-the normal forms.  A vector is a primitive integer list carried with a
+All linear algebra on A runs on integer rows.  Multiplication by x_i is
+an integer matrix N_i times one rational scale, built once from the
+normal forms.  A vector is a primitive integer list carried with a
 separate rational scale; every matrix product and every elimination step
 divides out the row's content with one gcd, and the echelon eliminates
-fraction-free (a * vec - b * row).  Rationals appear only where results
-leave this layer: the minimal polynomial g, the h_i, and the scales.
+fraction-free (a * vec - b * row).
 
-The nilradical is the kernel of the trace form Tr(M_uv), whose rows are
-integer row vectors tau * M_b along the staircase; the ideal is radical
-exactly when that kernel is zero; otherwise the repeated parts of the
-per-variable eliminants flag the coordinates of multiple points.  On the
-radical quotient the linear forms u_t = sum_k t^(n-1-k) x_k, t = 0, 1,
-2, ..., are tried in turn until one separates the points; its minimal
-polynomial g and the coordinates x_i = h_i(u) form a shape-position lex
-basis (the shape-lemma case of FGLM, as in Rouillier's rational
-univariate representation).  Real roots of g are isolated with Sturm
-sequences; every emitted point is re-certified by substituting its
-coordinate parametrization into every original generator, and a failed
-certificate raises CertificateError.
+The points are read off a rational univariate representation (Rouillier,
+AAECC 1999), which needs only traces on A, radical or not.  The trace
+functional tau(v) = Tr(M_v) is one integer row; the rank of the trace
+form Tr(M_uv) is d, the number of distinct points.  For the linear forms
+u_t = sum_k t^(n-1-k) x_k, t = 0, 1, 2, ..., the power sums Tr(u^k) give
+the characteristic polynomial of u by Newton's identities, and u
+separates the points exactly when its squarefree part f has degree d.
+Then g_v(T) = sum_k Tr(v u^k) Q_k(T) gives every coordinate as
+x_i = g_{x_i}(u) / g_1(u) at each root of f.  Each irreducible factor of
+f is one number field; its coordinates are certified by substituting
+them into every original generator, and a failed certificate raises
+CertificateError.  Real roots are isolated with Sturm sequences.  When
+d < D, the repeated parts of the per-variable eliminants flag the
+coordinates of multiple points.
 """
 
 from __future__ import annotations
@@ -111,18 +113,24 @@ def upoly_sub(a, b):
     return upoly_trim(out)
 
 
-def upoly_rem(a, b):
-    """Remainder of a by b over QQ."""
+def _upoly_divmod(a, b):
     a = list(a)
+    q = [QZERO] * max(len(a) - len(b) + 1, 0)
     db = len(b) - 1
     inv = 1 / b[-1]
-    while len(a) - 1 >= db and a:
+    while a and len(a) - 1 >= db:
         c = a[-1] * inv
         shift = len(a) - 1 - db
+        q[shift] = c
         for j in range(db + 1):
             a[shift + j] -= c * b[j]
         upoly_trim(a)
-    return a
+    return upoly_trim(q), a
+
+
+def upoly_rem(a, b):
+    """Remainder of a by b over QQ."""
+    return _upoly_divmod(a, b)[1]
 
 
 def upoly_gcd(a, b):
@@ -172,21 +180,10 @@ def upoly_squarefree(p):
     g = upoly_gcd(p, upoly_deriv(p))
     if len(g) <= 1:
         return list(p)
-    # exact division p / g
-    q = []
-    rem = list(p)
-    dg = len(g) - 1
-    inv = 1 / g[-1]
-    out = [QZERO] * (len(p) - dg)
-    while len(rem) - 1 >= dg and rem:
-        c = rem[-1] * inv
-        out[len(rem) - 1 - dg] = c
-        shift = len(rem) - 1 - dg
-        for j in range(dg + 1):
-            rem[shift + j] -= c * g[j]
-        upoly_trim(rem)
-    assert not rem
-    return upoly_trim(out)
+    q, rem = _upoly_divmod(p, g)
+    if rem:
+        raise CertificateError("gcd does not divide its polynomial")
+    return q
 
 
 def sturm_chain(p):
@@ -566,14 +563,12 @@ def _int_row(vals):
 
 
 def _eliminate(vec, row, piv):
-    """Clear vec[piv] with row (row[piv] != 0), dividing out the content.
-
-    Returns (new, c, a) with vec - (vec[piv] / row[piv]) * row = (c / a) * new."""
+    """vec - (vec[piv] / row[piv]) * row (row[piv] != 0), up to a nonzero
+    factor, with the content divided out."""
     a, b = row[piv], vec[piv]
     g = math.gcd(a, b)
     a, b = a // g, b // g
-    new, content = _primitive([a * x - b * y for x, y in zip(vec, row)])
-    return new, content, a
+    return _primitive([a * x - b * y for x, y in zip(vec, row)])[0]
 
 
 class _Echelon:
@@ -588,50 +583,24 @@ class _Echelon:
         self.ntags = ntags
         self.rows = {}  # pivot index -> row
 
-    def insert(self, vec, tag):
+    def insert(self, vec, tag=None):
         """Reduce the integer vector vec; returns None if independent (row
         stored), else the dependency combo, a list with
-        sum combo[t] * (vector inserted under tag t) = 0."""
+        sum combo[t] * (vector inserted under tag t) = 0.  An untagged
+        vector carries no combo."""
         dim = len(vec)
         row = vec + [0] * self.ntags
-        row[dim + tag] = 1
+        if tag is not None:
+            row[dim + tag] = 1
         for piv in range(dim):
-            b = row[piv]
-            if not b:
+            if not row[piv]:
                 continue
             other = self.rows.get(piv)
             if other is None:
                 self.rows[piv] = row
                 return None
-            row = _eliminate(row, other, piv)[0]
+            row = _eliminate(row, other, piv)
         return row[dim:]
-
-
-class _Reducer:
-    """A fully reduced integer echelon: rows maps pivot -> primitive row
-    that is zero at every other pivot, so projecting along the span is one
-    elimination per pivot that the vector touches."""
-
-    def __init__(self):
-        self.rows = {}
-
-    def project(self, vec, scale=QONE):
-        """(ints, scale') with scale' * ints the reduction of scale * vec."""
-        for piv, row in self.rows.items():
-            if vec[piv]:
-                vec, c, a = _eliminate(vec, row, piv)
-                scale *= qq(c, a)
-        return vec, scale
-
-    def add(self, vec):
-        vec = self.project(vec)[0]
-        piv = next((i for i, c in enumerate(vec) if c), None)
-        if piv is None:
-            return
-        for p, other in self.rows.items():
-            if other[piv]:
-                self.rows[p] = _eliminate(other, vec, piv)[0]
-        self.rows[piv] = vec
 
 
 def _row_times(row, cols):
@@ -640,11 +609,17 @@ def _row_times(row, cols):
 
 
 class _Quotient:
-    """Multiplication structure of a zero-dimensional quotient algebra.
+    """Multiplication structure and trace of a zero-dimensional quotient.
 
     M_{x_i} is held as an integer matrix N_i and a rational scale,
     M_{x_i} = scale_i * N_i, built once from the normal forms of
-    x_i * b_j for the staircase monomials b_j."""
+    x_i * b_j for the staircase monomials b_j; b_0 = 1.
+
+    tau, the trace functional v -> Tr(M_v), is sum_j e_j^T M_{b_j}, since
+    M_v e_j = M_{b_j} v; it is kept as a primitive integer row and the
+    scale that makes tau(1) = dim.  The rows tau * M_{b_m} make up the
+    trace form Tr(M_{b_m b_k}), whose rank npoints is the number of
+    distinct complex points (Stickelberger)."""
 
     def __init__(self, basis_ideal):
         self.nvars = n = basis_ideal.nvars
@@ -661,7 +636,7 @@ class _Quotient:
             )
         self.monomials = mons
         self.index = {m: i for i, m in enumerate(mons)}
-        self.dim = len(mons)
+        self.dim = D = len(mons)
         # sparse columns [(row, coeff), ...] and scale of each N_i
         self.cols = []
         self.scales = []
@@ -672,23 +647,47 @@ class _Quotient:
                 if shifted in self.index:
                     qcols.append({self.index[shifted]: QONE})
                 else:
-                    qcols.append(self._nf(Poly(n, {shifted: QONE}, _trusted=True)))
+                    r = normal_form(Poly(n, {shifted: QONE}, _trusted=True),
+                                    self.basis, self.order)
+                    qcols.append({self.index[mm]: c for mm, c in r.terms.items()})
             den = math.lcm(*(int(c.denominator) for col in qcols for c in col.values()))
             self.cols.append([
                 [(k, _times_den(c, den)) for k, c in col.items()] for col in qcols
             ])
             self.scales.append(qq(1, den))
-
-    def _nf(self, poly):
-        r = normal_form(poly, self.basis, self.order)
-        return {self.index[m]: c for m, c in r.terms.items()}
-
-    def nf_vec(self, poly):
-        """Normal form as (primitive integer vector, rational scale)."""
-        vec = [QZERO] * self.dim
-        for k, c in self._nf(poly).items():
-            vec[k] = c
-        return _int_row(vec)
+        self.npoints = 0
+        if not D:
+            return
+        # tau = sum_j scale_j * row_j with row_j = e_j^T prod N_i^{m_i}
+        parts = []
+        for j, mono in enumerate(mons):
+            row = [0] * D
+            row[j] = 1
+            scale = QONE
+            for i, e in enumerate(mono):
+                for _ in range(e):
+                    row, g = _primitive(_row_times(row, self.cols[i]))
+                    scale *= g * self.scales[i]
+            parts.append((scale, row))
+        den = math.lcm(*(int(s.denominator) for s, _ in parts))
+        weights = [_times_den(s, den) for s, _ in parts]
+        tau = _primitive([
+            sum(w * row[k] for w, (_, row) in zip(weights, parts))
+            for k in range(D)
+        ])[0]
+        self.tau = (tau, qq(D, tau[0]))
+        # rows of the trace form, each up to a nonzero factor, which the
+        # rank ignores; staircase monomials ascend by degree, so parents
+        # come first
+        ech = _Echelon(0)
+        brows = [tau]
+        for mono in mons[1:]:
+            i = next(k for k in range(n) if mono[k])
+            parent = self.index[mono[:i] + (mono[i] - 1,) + mono[i + 1:]]
+            brows.append(_primitive(_row_times(brows[parent], self.cols[i]))[0])
+        for row in brows:
+            ech.insert(row)
+        self.npoints = len(ech.rows)
 
     def matrix(self, form):
         """M_u for u = sum form[i] x_i, as (sparse integer rows, scale)."""
@@ -705,6 +704,10 @@ class _Quotient:
         rows = [[(j, v // g) for j, v in r] for r in rows]
         return rows, qq(g, den)
 
+    def one(self):
+        """The unit 1 = b_0 as (integer vector, scale)."""
+        return [1] + [0] * (self.dim - 1), QONE
+
     def times(self, mat, vec, scale):
         """u * (scale * vec) as (primitive integer vector, scale)."""
         rows, mscale = mat
@@ -712,131 +715,66 @@ class _Quotient:
         return out, scale * mscale * g
 
     def variable_min_poly(self, var):
-        """Monic generator of (ideal) intersected with QQ[x_var], ascending."""
-        form = [int(i == var) for i in range(self.nvars)]
-        return _first_dependency(self, self.matrix(form))[2]
+        """Monic generator of (ideal) intersected with QQ[x_var], ascending:
+        the first dependency among 1, x_var, x_var^2, ..."""
+        mat = self.matrix([int(i == var) for i in range(self.nvars)])
+        ech = _Echelon(self.dim + 1)
+        vec, scale = self.one()
+        scales = []
+        for k in range(self.dim + 1):
+            scales.append(scale)
+            combo = ech.insert(vec, k)
+            if combo is not None:
+                g = [qq(combo[j]) / scales[j] for j in range(k + 1)]
+                return [c / g[-1] for c in g]
+            vec, scale = self.times(mat, vec, scale)
+        raise AssertionError("no dependency within the quotient dimension")
 
 
-class _ReducedQuotient:
-    """The quotient algebra modulo its nilradical.
-
-    In characteristic zero the nilradical is the kernel of the trace form
-    B(u, v) = Tr(M_uv).  With tau(f) = Tr(M_f), row m of B is the row
-    vector tau * M_{b_m}, and tau itself is sum_j e_j^T M_{b_j}, since
-    M_f e_j = M_{b_j} f.  Both come from integer row-times-N_i products
-    along the staircase, so no multiplication tensor is built and no
-    second Groebner run is needed.  The reduced dimension equals the
-    number of distinct complex points.
-    """
-
-    def __init__(self, quot):
-        self.base = quot
-        self.nvars = quot.nvars
-        D = quot.dim
-        mons = quot.monomials
-        # tau = sum_j scale_j * row_j with row_j = e_j^T prod N_i^{m_i}
-        parts = []
-        for j, mono in enumerate(mons):
-            row = [0] * D
-            row[j] = 1
-            scale = QONE
-            for i, e in enumerate(mono):
-                for _ in range(e):
-                    row, g = _primitive(_row_times(row, quot.cols[i]))
-                    scale *= g * quot.scales[i]
-            parts.append((scale, row))
-        den = math.lcm(*(int(s.denominator) for s, _ in parts))
-        weights = [_times_den(s, den) for s, _ in parts]
-        tau = _primitive([
-            sum(w * row[k] for w, (_, row) in zip(weights, parts))
-            for k in range(D)
-        ])[0]
-        # rows of B, each up to a nonzero factor, which the kernel ignores;
-        # staircase monomials ascend by degree, so parents come first
-        brows = [None] * D
-        for m, mono in enumerate(mons):
-            if not any(mono):
-                brows[m] = tau
-                continue
-            i = next(k for k in range(self.nvars) if mono[k])
-            parent = quot.index[mono[:i] + (mono[i] - 1,) + mono[i + 1:]]
-            brows[m] = _primitive(_row_times(brows[parent], quot.cols[i]))[0]
-        self._nil = _kernel(brows, D)
-        self.dim = D - len(self._nil.rows)
-
-    def nf_vec(self, poly):
-        return self._nil.project(*self.base.nf_vec(poly))
-
-    def matrix(self, form):
-        return self.base.matrix(form)
-
-    def times(self, mat, vec, scale):
-        return self._nil.project(*self.base.times(mat, vec, scale))
-
-
-def _kernel(rows, n):
-    """Kernel of an integer matrix with n columns, as a _Reducer.
-
-    The basis vector for a free column is nonzero there and at no other
-    free column, so the free columns serve as its pivots."""
-    pivots = _Reducer()
-    for r in rows:
-        pivots.add(r)
-    lcm = math.lcm(*(row[p] for p, row in pivots.rows.items()))
-    ker = _Reducer()
-    for fc in range(n):
-        if fc in pivots.rows:
-            continue
-        v = [0] * n
-        v[fc] = lcm
-        for p, row in pivots.rows.items():
-            v[p] = -row[fc] * (lcm // row[p])
-        ker.rows[fc] = _primitive(v)[0]
-    return ker
-
-
-def _first_dependency(quot, mat):
-    """Run 1, u, u^2, ... through an echelon until the first dependency.
-
-    mat is M_u from quot.matrix.  Returns the echelon, which holds the
-    independent powers, the scale of each power's integer vector, and the
-    monic minimal polynomial of u as an ascending coefficient list."""
-    # tags 0 .. dim for the powers, one more for fglm_lex's x_i
-    ech = _Echelon(quot.dim + 2)
-    vec, scale = quot.nf_vec(Poly.const(quot.nvars, 1))
-    scales = []
-    for k in range(quot.dim + 1):
-        scales.append(scale)
-        combo = ech.insert(vec, k)
-        if combo is not None:
-            g = [qq(combo[j]) / scales[j] for j in range(k + 1)]
-            return ech, scales, [c / g[-1] for c in g]
-        vec, scale = quot.times(mat, vec, scale)
-    raise AssertionError("no dependency within the quotient dimension")
-
-
+# The name predates the RUR; the benchmark's per-layer timer wraps it by name.
 def fglm_lex(quot, form):
-    """Shape-position lex basis of I + (z - u), z lowest, u = sum form[k] x_k.
+    """Rational univariate representation for u = sum form[k] x_k.
 
-    quot must be radical.  Returns (g, [h_1..h_n]) as ascending coefficient
-    lists: g(z) is the minimal polynomial of u and x_i = h_i(u) on the
-    quotient.  Returns None when u does not separate the points, which is
-    exactly when deg g < quot.dim."""
-    ech, scales, g = _first_dependency(quot, quot.matrix(form))
-    deg = len(g) - 1
-    if deg < quot.dim:
+    Returns (f, g_1, [g_{x_1}..g_{x_n}]) as ascending coefficient lists:
+    f is the monic squarefree part of the characteristic polynomial of u,
+    and x_i = g_{x_i}(u) / g_1(u) at every point, where g_1 is a unit
+    modulo f.  Returns None when u does not separate the points, which is
+    exactly when deg f < quot.npoints."""
+    D = quot.dim
+    tau, tscale = quot.tau
+    # v -> Tr(v), and v -> Tr(x_i v) = tau * M_{x_i} v
+    funcs = [(tau, tscale)] + [
+        (_row_times(tau, cols), tscale * s)
+        for cols, s in zip(quot.cols, quot.scales)
+    ]
+    mat = quot.matrix(form)
+    vec, scale = quot.one()
+    # traces[k] = [Tr(u^k), Tr(x_1 u^k), ...]; the x_i only for k < npoints
+    traces = []
+    for k in range(D + 1):
+        if k:
+            vec, scale = quot.times(mat, vec, scale)
+        traces.append([
+            s * scale * sum(a * b for a, b in zip(row, vec))
+            for row, s in (funcs if k < quot.npoints else funcs[:1])
+        ])
+    # characteristic polynomial sum_k c_k T^(D - k), by Newton's identities
+    chi = [QONE]
+    for k in range(1, D + 1):
+        chi.append(-sum(chi[k - i] * traces[i][0] for i in range(1, k + 1)) / k)
+    f = upoly_squarefree(chi[::-1])
+    deg = len(f) - 1
+    if deg < quot.npoints:
         return None
-    h_polys = []
-    for i in range(quot.nvars):
-        # the powers span the quotient, so x_i always reduces to zero:
-        # c_x * x_i / s_x + sum_j c_j * u^j / s_j = 0
-        vec, s_x = quot.nf_vec(Poly.variable(quot.nvars, i))
-        combo = ech.insert(vec, quot.dim + 1)
-        lead = qq(combo[-1]) / s_x
-        h_polys.append(upoly_trim(
-            [-qq(combo[j]) / (scales[j] * lead) for j in range(deg)]
-        ))
-    return g, h_polys
+
+    def g(v):
+        # sum_{k < deg} Tr(v u^k) Q_k(T), Q_k(T) = sum_{j > k} f_j T^(j-1-k)
+        return upoly_trim([
+            sum(traces[k][v] * f[m + 1 + k] for k in range(deg - m))
+            for m in range(deg)
+        ])
+
+    return f, g(0), [g(1 + i) for i in range(quot.nvars)]
 
 
 # ---------------------------------------------------------------------------
@@ -1023,21 +961,6 @@ class FieldElement:
         return "FieldElement(%s)" % ([qq_str(c) for c in self.vec],)
 
 
-def _upoly_divmod(a, b):
-    a = list(a)
-    q = [QZERO] * max(len(a) - len(b) + 1, 0)
-    db = len(b) - 1
-    inv = 1 / b[-1]
-    while a and len(a) - 1 >= db:
-        c = a[-1] * inv
-        shift = len(a) - 1 - db
-        q[shift] = c
-        for j in range(db + 1):
-            a[shift + j] -= c * b[j]
-        upoly_trim(a)
-    return upoly_trim(q), a
-
-
 @dataclass
 class CoordinateInfo:
     minpoly: tuple      # primitive integer coefficients, squarefree
@@ -1105,14 +1028,11 @@ def solve_zero_dim(ideal, pair_cap=200_000):
     if quot.dim == 0:
         return []
 
-    # quotient out the nilradical (trace-form kernel) so the lex shape
-    # read-off below sees one basis vector per distinct point.  The ideal
-    # is radical exactly when nothing is divided out, and then (Seidenberg)
-    # every eliminant is squarefree; otherwise the repeated part of each
-    # eliminant marks the coordinates of multiple points.
-    work = _ReducedQuotient(quot)
+    # the ideal is radical exactly when every point is simple, and then
+    # (Seidenberg) every eliminant is squarefree; otherwise the repeated
+    # part of each eliminant marks the coordinates of multiple points
     repeated = {}
-    if work.dim < quot.dim:
+    if quot.npoints < quot.dim:
         for i in range(ideal.nvars):
             mp = quot.variable_min_poly(i)
             g = upoly_gcd(mp, upoly_deriv(mp))
@@ -1120,55 +1040,53 @@ def solve_zero_dim(ideal, pair_cap=200_000):
                 repeated[i] = upoly_primitive_int(g)
 
     # u_0 = x_last.  Two distinct points agree on u_t for at most n - 1
-    # values of t, so some t <= (n - 1) * C(work.dim, 2) separates them all.
+    # values of t, so some t <= (n - 1) * C(npoints, 2) separates them all.
     n = ideal.nvars
     for t in itertools.count():
-        shape = fglm_lex(work, [qq(t ** (n - 1 - k)) for k in range(n)])
-        if shape is not None:
+        rur = fglm_lex(quot, [qq(t ** (n - 1 - k)) for k in range(n)])
+        if rur is not None:
             break
-    g_poly, h_polys = shape
 
-    points = _assemble_points(ideal, g_poly, h_polys, repeated)
+    points = _assemble_points(ideal, rur, repeated)
     points.sort(key=lambda p: p.sort_key())
     return points
 
 
-def _assemble_points(orig_ideal, g_poly, h_polys, repeated):
+def _assemble_points(orig_ideal, rur, repeated):
+    """The real points of a rational univariate representation
+    (f, g_1, [g_{x_i}]), worked out once per irreducible factor of f."""
     import sympy
 
+    f, g_one, g_coords = rur
     n = orig_ideal.nvars
-    g_int = upoly_primitive_int(upoly_squarefree(g_poly))
     x = sympy.Symbol("x")
-    g_sym = sympy.Poly(list(reversed(g_int)), x)
+    f_sym = sympy.Poly(list(reversed(upoly_primitive_int(f))), x)
     factors = [
-        [int(c) for c in reversed(f.all_coeffs())]
-        for f, _ in g_sym.factor_list()[1]
+        [int(c) for c in reversed(fac.all_coeffs())]
+        for fac, _ in f_sym.factor_list()[1]
     ]
 
     points = []
     for fac in factors:
         roots = isolate_real_roots([qq(c) for c in fac])
+        if not roots:
+            continue
+        # x_i = g_{x_i}(alpha) / g_1(alpha) in QQ[alpha]/(fac)
+        field = NumberField(fac, None)
+        inv = field.reduce(g_one).inverse()
+        coords = [field.reduce(g) * inv for g in g_coords]
+        # certificate: every original generator vanishes identically
+        for gen in orig_ideal.gens:
+            if not gen.evaluate(coords, convert=field.from_rational).is_zero():
+                raise CertificateError("solution fails generator certificate")
         for root in roots:
-            if len(fac) == 2:
-                field = NumberField(fac, None)
-            else:
-                field = NumberField(fac, root.clone())
-            param = field.generator()
-            coords = [
-                _eval_upoly_in_field(h, param) for h in h_polys
-            ]
-            # certificate: every original generator vanishes identically
-            for gen in orig_ideal.gens:
-                val = gen.evaluate(coords, convert=field.from_rational)
-                if not val.is_zero():
-                    raise CertificateError(
-                        "solution fails generator certificate"
-                    )
+            at = NumberField(fac, root.clone() if len(fac) > 2 else None)
+            at_coords = [FieldElement(at, c.vec) for c in coords]
             info = [
-                _coordinate_info(field, coords[i], repeated.get(i))
+                _coordinate_info(at, at_coords[i], repeated.get(i))
                 for i in range(n)
             ]
-            points.append(AlgebraicPoint(n, field, coords, info))
+            points.append(AlgebraicPoint(n, at, at_coords, info))
     return points
 
 
@@ -1229,17 +1147,10 @@ def _coordinate_info(field, value, repeated_part):
     cand = _minpoly_of_value(value)
     chain = sturm_chain([qq(c) for c in cand])
     interval = _isolate_among(cand, chain, value)
-    multiple = False
-    if repeated_part and len(repeated_part) > 1:
-        multiple = _vanishes_on(field, [qq(c) for c in repeated_part], value)
+    multiple = repeated_part is not None and (
+        _eval_upoly_in_field(repeated_part, value).is_zero()
+    )
     return CoordinateInfo(tuple(cand), interval, multiple)
-
-
-def _vanishes_on(field, coeffs, value):
-    acc = field.from_rational(0)
-    for c in reversed(coeffs):
-        acc = acc * value + field.from_rational(c)
-    return acc.is_zero()
 
 
 def rational_point(values):

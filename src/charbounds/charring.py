@@ -1,9 +1,9 @@
 """Exact arithmetic in the W-invariant weight-lattice ring.
 
 Characters are stored by dominant-weight multiplicities; conversion to
-polynomials in the fundamental characters runs either by literal
-leading-term subtraction or by an exact q-evaluation of the same
-subtraction (the default; identical output, far faster).
+polynomials in the fundamental characters runs leading-term subtraction
+on exact q-evaluations, which gives the literal subtraction's output far
+faster.
 """
 
 from __future__ import annotations
@@ -539,18 +539,15 @@ def _cone_monomials(datum, tops):
 _QCTX_CACHE = {}
 
 
-def to_fundamental_polynomial(c, strategy="qeval", cap=DEFAULT_ORBIT_CAP):
+def to_fundamental_polynomial(c, cap=DEFAULT_ORBIT_CAP):
     """Express an invariant element as a polynomial in f_1..f_r.
 
-    Both strategies realize repeated leading-dominant-term subtraction;
-    "subtract" does it literally in the character ring, "qeval" does the
-    same elimination on exact q-evaluations (identical result).
+    Repeated leading-dominant-term subtraction, done on exact
+    q-evaluations.
     """
     datum = c.datum
     if c.is_zero():
         return FundamentalPolynomial(datum, Poly.zero(datum.rank))
-    if strategy == "subtract":
-        return _convert_subtract(c, cap)
     tops = tuple(c.tops())
     key = (datum.content_hash(), tops)
     ctx = _QCTX_CACHE.get(key)
@@ -560,35 +557,6 @@ def to_fundamental_polynomial(c, strategy="qeval", cap=DEFAULT_ORBIT_CAP):
     coeffs = ctx.solve(ctx.char_qpoly(c))
     poly = Poly(datum.rank, coeffs)
     return FundamentalPolynomial(datum, poly)
-
-
-def _convert_subtract(c, cap):
-    datum = c.datum
-    funds = fundamental_characters(datum)
-    work = dict(c.mult)
-    out = {}
-    power_cache = {}
-
-    def height(w):
-        return sum(datum.root_coords(w))
-
-    while work:
-        lam = max(work, key=lambda w: (height(w), w))
-        coeff = work[lam]
-        out[lam] = coeff
-        if lam not in power_cache:
-            prod = trivial_character(datum)
-            for i, e in enumerate(lam):
-                for _ in range(e):
-                    prod = multiply(prod, funds[i], cap=cap)
-            power_cache[lam] = prod
-        for w, c2 in power_cache[lam].mult.items():
-            s = work.get(w, 0) - coeff * c2
-            if s:
-                work[w] = s
-            else:
-                work.pop(w, None)
-    return FundamentalPolynomial(datum, Poly(datum.rank, out))
 
 
 # ---------------------------------------------------------------------------

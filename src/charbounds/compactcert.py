@@ -16,6 +16,7 @@ from itertools import combinations
 
 from .algsolve import (
     AlgValue,
+    CertificateError,
     Ideal,
     solve_zero_dim,
 )
@@ -108,7 +109,8 @@ def is_compact_point(m, point):
     neg = [[-grid[i][j] for j in range(r)] for i in range(r)]
     for i in range(r):
         for j in range(i):
-            assert not (neg[i][j] - neg[j][i]), "matrix not symmetric here"
+            if neg[i][j] - neg[j][i]:
+                raise CertificateError("matrix not symmetric here")
     for size in range(1, r + 1):
         for rows in combinations(range(r), size):
             d = _det([[neg[i][j] for j in rows] for i in rows])
@@ -204,7 +206,7 @@ def _cyc_to_algvalue(v):
     )
     mp = sympy.minimal_polynomial(expr, sympy.Symbol("x"))
     coeffs = [int(c) for c in reversed(sympy.Poly(mp).all_coeffs())]
-    from .algsolve import RootInterval, isolate_real_roots
+    from .algsolve import isolate_real_roots
 
     roots = isolate_real_roots([qq(c) for c in coeffs])
     target = v.approx().real
@@ -212,9 +214,11 @@ def _cyc_to_algvalue(v):
     for r in roots:
         r.refine_to(qq(1, 2**48))
         if abs(float(r.mid()) - target) < 1e-9:
-            assert best is None, "ambiguous cyclotomic root match"
+            if best is not None:
+                raise CertificateError("ambiguous cyclotomic root match")
             best = r
-    assert best is not None, "no root matches the cyclotomic value"
+    if best is None:
+        raise CertificateError("no root matches the cyclotomic value")
     return AlgValue(tuple(coeffs), best)
 
 
@@ -332,8 +336,10 @@ def extremum(
             candidates.append((rec.value, rec.point))
             if window is not None:
                 # characters never escape [-f(1), f(1)] on the compact form
-                assert rec.value.cmp(window[0]) >= 0
-                assert rec.value.cmp(window[1]) <= 0
+                if rec.value.cmp(window[0]) < 0 or rec.value.cmp(window[1]) > 0:
+                    raise CertificateError(
+                        "compact critical value outside [-f(1), f(1)]"
+                    )
 
     min_value, min_witness = candidates[0]
     max_value, max_witness = candidates[0]

@@ -6,8 +6,8 @@ polynomial in the fundamental characters, and the matrix of M_A on those
 characters generates all W-invariant derivations.  Entries are computed
 in a q-evaluation shadow: M(f_i, f_j) = sum_kl A[k][l] G_k^i G_l^j with
 G_k^i the nu_k-weighted image of f_i, then converted by leading-term
-elimination.  A literal character-ring route and a Casimir route are
-kept alongside as cross-checks.
+elimination.  The literal character-ring route and the Casimir route
+live in the tests, as cross-checks.
 """
 
 from __future__ import annotations
@@ -18,68 +18,13 @@ import os
 import tempfile
 from dataclasses import dataclass
 
-from . import charring
-from .charring import (
-    CharacterElement,
-    FundamentalPolynomial,
-    QevalContext,
-    fundamental_characters,
-    multiply,
-    qconv,
-    to_fundamental_polynomial,
-)
-from .polynomials import Cyc, Poly, QZERO, qq
+from .charring import QevalContext, fundamental_characters, qconv
+from .polynomials import Cyc, Poly, qq
 from .rootdata import EnumerationCapError, RootDatum
 
 CACHE_ENV = "CHARBOUNDS_CACHE"
 CACHE_VERSION = "charbounds-matrix/1"
 DEFAULT_RANK_CAP = 6
-
-
-def apply_DA(datum, c):
-    """D_A: scale each weight by its square length (orbit-constant)."""
-    out = {}
-    for w, m in c.mult.items():
-        v = m * datum.norm2(w)
-        if v:
-            out[w] = v
-    return CharacterElement(datum, out)
-
-
-def apply_CA(datum, combo):
-    """Casimir on an irreducible-basis combination {lambda: coeff}.
-
-    Eigenvalue on chi_lambda is A(lambda+rho) - A(rho).
-    """
-    rho = datum.rho
-    n_rho = datum.norm2(rho)
-    out = {}
-    for lam, coeff in combo.items():
-        shifted = tuple(a + b for a, b in zip(lam, rho))
-        eig = datum.norm2(shifted) - n_rho
-        v = coeff * eig
-        if v:
-            out[lam] = v
-    return out
-
-
-def _ca_element(datum, c):
-    """C_A applied to a CharacterElement, back in weight coordinates."""
-    combo = apply_CA(datum, charring.decompose(c))
-    acc = CharacterElement(datum, {})
-    for lam, coeff in combo.items():
-        acc = acc.add(charring.irreducible_character(datum, lam).scale(coeff))
-    return acc
-
-
-def biderivation(datum, f, g, strategy="qeval", operator="DA"):
-    """M_A(f, g) as a polynomial in the fundamental characters."""
-    op = apply_DA if operator == "DA" else lambda d, c: _ca_element(d, c)
-    fg = multiply(f, g)
-    m = op(datum, fg).sub(multiply(f, op(datum, g))).sub(
-        multiply(op(datum, f), g)
-    )
-    return to_fundamental_polynomial(m, strategy=strategy)
 
 
 @dataclass(frozen=True)
@@ -165,7 +110,6 @@ def derivation_matrix(
     use_cache=True,
     rank_cap=DEFAULT_RANK_CAP,
     allow_large=False,
-    strategy="qeval",
 ):
     """The full matrix M[i][j] = M_A(f_i, f_j), disk-cached by datum hash."""
     if datum.rank > rank_cap and not allow_large:
@@ -187,9 +131,7 @@ def derivation_matrix(
                 created=created,
                 cache_hit=True,
             )
-    entries = (
-        _entries_qeval(datum) if strategy == "qeval" else _entries_ring(datum, strategy)
-    )
+    entries = _entries_qeval(datum)
     r = datum.rank
     for i in range(r):
         for j in range(r):
@@ -244,18 +186,6 @@ def _entries_qeval(datum):
                             acc.pop(p, None)
             coeffs = ctx.solve(acc)
             poly = Poly(r, coeffs)
-            grid[i][j] = poly
-            grid[j][i] = poly
-    return tuple(tuple(row) for row in grid)
-
-
-def _entries_ring(datum, strategy):
-    r = datum.rank
-    funds = fundamental_characters(datum)
-    grid = [[None] * r for _ in range(r)]
-    for i in range(r):
-        for j in range(i, r):
-            poly = biderivation(datum, funds[i], funds[j], strategy=strategy).poly
             grid[i][j] = poly
             grid[j][i] = poly
     return tuple(tuple(row) for row in grid)

@@ -258,21 +258,6 @@ class Poly:
                     out.pop(key, None)
         return Poly(self.nvars, out, _trusted=True)
 
-    def extract_vars(self, indices):
-        """Project onto the listed variables; others must not occur."""
-        index_map = {v: k for k, v in enumerate(indices)}
-        out = {}
-        for m, c in self.terms.items():
-            newm = [0] * len(indices)
-            for i, e in enumerate(m):
-                if not e:
-                    continue
-                if i not in index_map:
-                    raise ValueError("variable %d still present" % i)
-                newm[index_map[i]] = e
-            out[tuple(newm)] = c
-        return Poly(len(indices), out, _trusted=True)
-
     def evaluate(self, values, convert=None):
         """Evaluate at a point; works for QQ, float, complex or ring elements."""
         acc = None

@@ -1,0 +1,118 @@
+"""Literal character-ring routes, kept as references for the fast paths.
+
+The library converts characters to polynomials in the fundamental
+characters by an exact q-evaluation, and builds the derivation matrix in
+that q-evaluation shadow.  The routes here do the same work literally in
+the character ring: leading-dominant-term subtraction, the biderivation
+M_A(f, g) = D(fg) - f D(g) - D(f) g of the pseudo-Casimir D_A, and the
+Casimir C_A, which induces the same biderivation.  They are slow, and
+every result they give is unique, so the fast paths must agree exactly.
+"""
+
+from charbounds import charring
+from charbounds.charring import (
+    CharacterElement,
+    DEFAULT_ORBIT_CAP,
+    FundamentalPolynomial,
+    fundamental_characters,
+    multiply,
+    trivial_character,
+)
+from charbounds.polynomials import Poly
+
+
+def to_fundamental_polynomial(c, strategy="qeval", cap=DEFAULT_ORBIT_CAP):
+    """The library's q-evaluation ("qeval") or literal subtraction
+    ("subtract")."""
+    if strategy == "subtract" and not c.is_zero():
+        return convert_subtract(c, cap)
+    return charring.to_fundamental_polynomial(c, cap=cap)
+
+
+def convert_subtract(c, cap=DEFAULT_ORBIT_CAP):
+    """Repeated leading-dominant-term subtraction in the character ring."""
+    datum = c.datum
+    funds = fundamental_characters(datum)
+    work = dict(c.mult)
+    out = {}
+    power_cache = {}
+
+    def height(w):
+        return sum(datum.root_coords(w))
+
+    while work:
+        lam = max(work, key=lambda w: (height(w), w))
+        coeff = work[lam]
+        out[lam] = coeff
+        if lam not in power_cache:
+            prod = trivial_character(datum)
+            for i, e in enumerate(lam):
+                for _ in range(e):
+                    prod = multiply(prod, funds[i], cap=cap)
+            power_cache[lam] = prod
+        for w, c2 in power_cache[lam].mult.items():
+            s = work.get(w, 0) - coeff * c2
+            if s:
+                work[w] = s
+            else:
+                work.pop(w, None)
+    return FundamentalPolynomial(datum, Poly(datum.rank, out))
+
+
+def apply_DA(datum, c):
+    """D_A: scale each weight by its square length (orbit-constant)."""
+    out = {}
+    for w, m in c.mult.items():
+        v = m * datum.norm2(w)
+        if v:
+            out[w] = v
+    return CharacterElement(datum, out)
+
+
+def apply_CA(datum, combo):
+    """Casimir on an irreducible-basis combination {lambda: coeff}.
+
+    Eigenvalue on chi_lambda is A(lambda+rho) - A(rho).
+    """
+    rho = datum.rho
+    n_rho = datum.norm2(rho)
+    out = {}
+    for lam, coeff in combo.items():
+        shifted = tuple(a + b for a, b in zip(lam, rho))
+        eig = datum.norm2(shifted) - n_rho
+        v = coeff * eig
+        if v:
+            out[lam] = v
+    return out
+
+
+def ca_element(datum, c):
+    """C_A applied to a CharacterElement, back in weight coordinates."""
+    combo = apply_CA(datum, charring.decompose(c))
+    acc = CharacterElement(datum, {})
+    for lam, coeff in combo.items():
+        acc = acc.add(charring.irreducible_character(datum, lam).scale(coeff))
+    return acc
+
+
+def biderivation(datum, f, g, strategy="qeval", operator="DA"):
+    """M_A(f, g) as a polynomial in the fundamental characters."""
+    op = apply_DA if operator == "DA" else ca_element
+    m = op(datum, multiply(f, g)).sub(multiply(f, op(datum, g))).sub(
+        multiply(op(datum, f), g)
+    )
+    return to_fundamental_polynomial(m, strategy=strategy)
+
+
+def derivation_entries(datum, strategy):
+    """The entries M_A(f_i, f_j) of the derivation matrix, one biderivation
+    at a time."""
+    r = datum.rank
+    funds = fundamental_characters(datum)
+    grid = [[None] * r for _ in range(r)]
+    for i in range(r):
+        for j in range(i, r):
+            poly = biderivation(datum, funds[i], funds[j], strategy=strategy).poly
+            grid[i][j] = poly
+            grid[j][i] = poly
+    return tuple(tuple(row) for row in grid)

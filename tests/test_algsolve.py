@@ -153,6 +153,11 @@ def _shared_last_nonradical(x, y):
     return [(x * x - 1) ** 2, y]
 
 
+def _unequal_multiplicities(x, y):
+    # a double point at (1, 1) and a simple one at (-2, -2)
+    return [(x - 1) ** 2 * (x + 2), y - x]
+
+
 def _two_forms_fail(x, y, z):
     # u_0 = z and u_1 = x + y + z agree on both points; u_2 = 4x + 2y + z
     # does not
@@ -165,8 +170,10 @@ def _two_forms_fail(x, y, z):
         (_shared_last, 2, [(-1, 0), (1, 0)], 2),
         (_shared_last_nonradical, 2, [(-1, 0), (1, 0)], 2),
         (_two_forms_fail, 3, [(0, 1, 0), (1, 0, 0)], 3),
+        (_unequal_multiplicities, 2, [(-2, -2), (1, 1)], 1),
     ],
-    ids=["shared-last-coordinate", "shared-last-nonradical", "two-forms-fail"],
+    ids=["shared-last-coordinate", "shared-last-nonradical", "two-forms-fail",
+         "unequal-multiplicities"],
 )
 def test_separating_form(monkeypatch, system, nvars, coords, forms_tried):
     calls = []
@@ -198,11 +205,11 @@ def test_generator_certificate_rejects_a_perturbed_coordinate():
     x, y = var(2, 0), var(2, 1)
     ideal = Ideal.of(2, [x * x - 2, y - x - 1])
     quot = algsolve._Quotient(groebner(ideal))
-    g, h = algsolve.fglm_lex(quot, [qq(0), qq(1)])
-    assert len(algsolve._assemble_points(ideal, g, h, {})) == 2
-    h[0][0] += 1
+    rur = algsolve.fglm_lex(quot, [qq(0), qq(1)])
+    assert len(algsolve._assemble_points(ideal, rur, {})) == 2
+    rur[2][0][0] += 1
     with pytest.raises(CertificateError):
-        algsolve._assemble_points(ideal, g, h, {})
+        algsolve._assemble_points(ideal, rur, {})
 
 
 def test_points_sorted_by_midpoints():

@@ -1,8 +1,15 @@
 import pytest
 
-from charbounds.algsolve import AlgValue, rational_point, solve_zero_dim
+from charbounds import algsolve
+from charbounds.algsolve import (
+    AlgValue,
+    CertificateError,
+    rational_point,
+    solve_zero_dim,
+)
 from charbounds.compactcert import (
     NonRealObjectiveError,
+    _cyc_to_algvalue,
     adjoint_objective,
     critical_ideal,
     extremum,
@@ -12,7 +19,7 @@ from charbounds.compactcert import (
 )
 from charbounds.charring import FundamentalPolynomial
 from charbounds.invder import derivation_matrix, sigma_matrix
-from charbounds.polynomials import Poly, qq
+from charbounds.polynomials import Cyc, Poly, qq
 from charbounds.rootdata import build_root_datum, weyl_min_trace
 
 
@@ -98,6 +105,19 @@ def test_g2_interior_point_certificate(g2):
     assert is_compact_point(msig, rational_point([7, 14]))
     # far outside the moment polytope
     assert not is_compact_point(msig, rational_point([100, 0]))
+
+
+# -- exact corner values ----------------------------------------------------
+
+def test_irrational_corner_value_is_certified(monkeypatch):
+    # zeta_5 + zeta_5^-1 = (sqrt(5) - 1) / 2
+    v = Cyc.zeta_power(5, 1) + Cyc.zeta_power(5, 4)
+    assert _cyc_to_algvalue(v).minpoly == (-1, 1, 1)
+    # no isolated root matching the value is a failed certificate, also
+    # under python -O
+    monkeypatch.setattr(algsolve, "isolate_real_roots", lambda p: [])
+    with pytest.raises(CertificateError):
+        _cyc_to_algvalue(v)
 
 
 # -- extremum reports -------------------------------------------------------

@@ -1,6 +1,8 @@
 """The integer-row quotient layer against the rational reference in
-fraction_oracle: eliminants, reduced dimension, g and the h_i must agree
-exactly, form by form."""
+fraction_oracle: the eliminants and the number of distinct points must
+agree exactly, and form by form the rational univariate representation
+(f, g_1, g_{x_i}) must give the oracle's minimal polynomial g and its
+coordinates x_i = h_i(u)."""
 
 import itertools
 import math
@@ -10,7 +12,14 @@ from hypothesis import strategies as st
 
 import fraction_oracle as oracle
 from charbounds import algsolve
-from charbounds.algsolve import Ideal, groebner, upoly_squarefree
+from charbounds.algsolve import (
+    Ideal,
+    groebner,
+    upoly_mul,
+    upoly_rem,
+    upoly_squarefree,
+    upoly_sub,
+)
 from charbounds.charring import FundamentalPolynomial
 from charbounds.compactcert import critical_ideal
 from charbounds.invder import derivation_matrix
@@ -30,19 +39,23 @@ def assert_same_quotient_layer(ideal):
         mp = fast.variable_min_poly(i)
         assert mp == ref.variable_min_poly(i)
         needs_radical |= len(upoly_squarefree(mp)) != len(mp)
-    # the solver always divides out the nilradical and reads radicality
-    # off the dimension; by Seidenberg that matches squarefree eliminants
-    reduced = algsolve._ReducedQuotient(fast)
-    assert (reduced.dim < fast.dim) == needs_radical
+    # the solver reads radicality off the number of distinct points; by
+    # Seidenberg that matches squarefree eliminants
+    assert (fast.npoints < fast.dim) == needs_radical
     if needs_radical:
         ref = oracle.ReducedQuotient(ref)
-        assert reduced.dim == ref.dim
-    fast = reduced
+        assert fast.npoints == ref.dim
     for t in itertools.count():
         form = [qq(t ** (n - 1 - k)) for k in range(n)]
-        shape = algsolve.fglm_lex(fast, form)
-        assert shape == oracle.fglm_lex(ref, form)
-        if shape is not None:
+        rur = algsolve.fglm_lex(fast, form)
+        shape = oracle.fglm_lex(ref, form)
+        assert (rur is None) == (shape is None)
+        if rur is not None:
+            f, g_one, g_coords = rur
+            g, h_polys = shape
+            assert f == g
+            for g_x, h in zip(g_coords, h_polys, strict=True):
+                assert upoly_rem(upoly_sub(g_x, upoly_mul(h, g_one)), f) == []
             return t
 
 
