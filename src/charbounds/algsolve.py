@@ -23,9 +23,12 @@ Then g_v(T) = sum_k Tr(v u^k) Q_k(T) gives every coordinate as
 x_i = g_{x_i}(u) / g_1(u) at each root of f.  Each irreducible factor of
 f is one number field; its coordinates are certified by substituting
 them into every original generator, and a failed certificate raises
-CertificateError.  Real roots are isolated with Sturm sequences.  When
-d < D, the repeated parts of the per-variable eliminants flag the
-coordinates of multiple points.
+CertificateError.  Real roots are isolated with Sturm sequences.  As
+Tr(u^k) = sum_alpha mu_alpha alpha^k over the roots alpha of f, where
+mu_alpha is the multiplicity of the point at alpha,
+g_1(T) = sum_alpha mu_alpha f(T) / (T - alpha), so that
+mu_alpha = g_1(alpha) / f'(alpha).  Each irreducible factor must give one
+positive integer mu, and the mu, counted over all roots, must add up to D.
 """
 
 from __future__ import annotations
@@ -136,7 +139,7 @@ def upoly_rem(a, b):
 def upoly_gcd(a, b):
     """Monic gcd over QQ.  Delegates to sympy on integer primitives: a
     plain rational Euclid blows up coefficient sizes on the degree-30+
-    eliminants this module produces."""
+    characteristic polynomials this module produces."""
     a, b = upoly_trim(list(a)), upoly_trim(list(b))
     if not a or not b:
         src = a or b
@@ -714,22 +717,6 @@ class _Quotient:
         out, g = _primitive([sum(c * vec[j] for j, c in r) for r in rows])
         return out, scale * mscale * g
 
-    def variable_min_poly(self, var):
-        """Monic generator of (ideal) intersected with QQ[x_var], ascending:
-        the first dependency among 1, x_var, x_var^2, ..."""
-        mat = self.matrix([int(i == var) for i in range(self.nvars)])
-        ech = _Echelon(self.dim + 1)
-        vec, scale = self.one()
-        scales = []
-        for k in range(self.dim + 1):
-            scales.append(scale)
-            combo = ech.insert(vec, k)
-            if combo is not None:
-                g = [qq(combo[j]) / scales[j] for j in range(k + 1)]
-                return [c / g[-1] for c in g]
-            vec, scale = self.times(mat, vec, scale)
-        raise AssertionError("no dependency within the quotient dimension")
-
 
 # The name predates the RUR; the benchmark's per-layer timer wraps it by name.
 def fglm_lex(quot, form):
@@ -961,21 +948,23 @@ class FieldElement:
         return "FieldElement(%s)" % ([qq_str(c) for c in self.vec],)
 
 
+# One coordinate as a real algebraic number; the multiplicity belongs to
+# the point, not to its coordinates.
 @dataclass
 class CoordinateInfo:
     minpoly: tuple      # primitive integer coefficients, squarefree
     interval: tuple     # (lo, hi) rationals containing exactly this root
-    multiple: bool      # root of the pre-radical eliminant's repeated part
 
 
 class AlgebraicPoint:
     """A real solution with coordinates in one number field."""
 
-    def __init__(self, nvars, field, coords, coord_info):
+    def __init__(self, nvars, field, coords, coord_info, multiplicity):
         self.nvars = nvars
         self.field = field
         self.coords = coords          # FieldElement per variable
         self.coord_info = coord_info  # CoordinateInfo per variable
+        self.multiplicity = multiplicity  # dimension of the local algebra
 
     def value_of(self, poly):
         return poly.evaluate(self.coords, convert=self.field.from_rational)
@@ -1006,10 +995,13 @@ class AlgebraicPoint:
                     "minpoly": list(info.minpoly),
                     "interval": [qq_str(lo), qq_str(hi)],
                     "decimal": c.approx(),
-                    "multiple": info.multiple,
                 }
             )
-        return {"coordinates": out, "field_degree": self.field.degree}
+        return {
+            "coordinates": out,
+            "field_degree": self.field.degree,
+            "multiplicity": self.multiplicity,
+        }
 
     def __repr__(self):
         return "AlgebraicPoint(%s)" % (self.approx(),)
@@ -1028,17 +1020,6 @@ def solve_zero_dim(ideal, pair_cap=200_000):
     if quot.dim == 0:
         return []
 
-    # the ideal is radical exactly when every point is simple, and then
-    # (Seidenberg) every eliminant is squarefree; otherwise the repeated
-    # part of each eliminant marks the coordinates of multiple points
-    repeated = {}
-    if quot.npoints < quot.dim:
-        for i in range(ideal.nvars):
-            mp = quot.variable_min_poly(i)
-            g = upoly_gcd(mp, upoly_deriv(mp))
-            if len(g) > 1:
-                repeated[i] = upoly_primitive_int(g)
-
     # u_0 = x_last.  Two distinct points agree on u_t for at most n - 1
     # values of t, so some t <= (n - 1) * C(npoints, 2) separates them all.
     n = ideal.nvars
@@ -1047,14 +1028,15 @@ def solve_zero_dim(ideal, pair_cap=200_000):
         if rur is not None:
             break
 
-    points = _assemble_points(ideal, rur, repeated)
+    points = _assemble_points(ideal, rur, quot.dim)
     points.sort(key=lambda p: p.sort_key())
     return points
 
 
-def _assemble_points(orig_ideal, rur, repeated):
+def _assemble_points(orig_ideal, rur, dim):
     """The real points of a rational univariate representation
-    (f, g_1, [g_{x_i}]), worked out once per irreducible factor of f."""
+    (f, g_1, [g_{x_i}]) of a quotient of dimension dim, worked out once
+    per irreducible factor of f."""
     import sympy
 
     f, g_one, g_coords = rur
@@ -1066,8 +1048,12 @@ def _assemble_points(orig_ideal, rur, repeated):
         for fac, _ in f_sym.factor_list()[1]
     ]
 
+    f_deriv = upoly_deriv(f)
     points = []
+    total = 0
     for fac in factors:
+        mu = _multiplicity(g_one, f_deriv, fac)
+        total += (len(fac) - 1) * mu
         roots = isolate_real_roots([qq(c) for c in fac])
         if not roots:
             continue
@@ -1082,19 +1068,29 @@ def _assemble_points(orig_ideal, rur, repeated):
         for root in roots:
             at = NumberField(fac, root.clone() if len(fac) > 2 else None)
             at_coords = [FieldElement(at, c.vec) for c in coords]
-            info = [
-                _coordinate_info(at, at_coords[i], repeated.get(i))
-                for i in range(n)
-            ]
-            points.append(AlgebraicPoint(n, at, at_coords, info))
+            info = [_coordinate_info(c) for c in at_coords]
+            points.append(AlgebraicPoint(n, at, at_coords, info, mu))
+    if total != dim:
+        raise CertificateError(
+            "multiplicities add up to %d, not the quotient dimension %d"
+            % (total, dim)
+        )
     return points
 
 
-def _eval_upoly_in_field(coeffs, x):
-    acc = x.field.from_rational(0)
-    for c in reversed(coeffs):
-        acc = acc * x + x.field.from_rational(c)
-    return acc
+def _multiplicity(g_one, f_deriv, fac):
+    """The multiplicity mu of the points at the roots of the irreducible
+    factor fac of f, from g_1 = mu * f' modulo fac; f is squarefree, so f'
+    is a unit modulo fac."""
+    fq = [qq(c) for c in fac]
+    num = upoly_rem(g_one, fq)
+    den = upoly_rem(f_deriv, fq)
+    mu = num[-1] / den[-1] if num and len(num) == len(den) else QZERO
+    if mu < 1 or mu.denominator != 1 or [mu * c for c in den] != num:
+        raise CertificateError(
+            "g_1 / f' is not a positive integer modulo a factor"
+        )
+    return int(mu)
 
 
 def _minpoly_of_value(value):
@@ -1143,28 +1139,11 @@ def _isolate_among(cand, chain, value):
     raise UndecidedSignError("coordinate isolation exhausted")
 
 
-def _coordinate_info(field, value, repeated_part):
+def _coordinate_info(value):
     cand = _minpoly_of_value(value)
     chain = sturm_chain([qq(c) for c in cand])
     interval = _isolate_among(cand, chain, value)
-    multiple = repeated_part is not None and (
-        _eval_upoly_in_field(repeated_part, value).is_zero()
-    )
-    return CoordinateInfo(tuple(cand), interval, multiple)
-
-
-def rational_point(values):
-    """AlgebraicPoint with the given exact rational coordinates."""
-    values = [qq(v) for v in values]
-    field = NumberField((0, 1), None)  # QQ presented as Q[x]/(x)
-    coords = [field.from_rational(v) for v in values]
-    info = [
-        CoordinateInfo(
-            tuple(upoly_primitive_int([-v, QONE])), (v, v), False
-        )
-        for v in values
-    ]
-    return AlgebraicPoint(len(values), field, coords, info)
+    return CoordinateInfo(tuple(cand), interval)
 
 
 def sign_of(poly, point):

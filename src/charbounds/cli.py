@@ -47,7 +47,7 @@ from .su2asym import (
     su2_min,
 )
 
-JSON_VERSION = "charbounds/1"
+JSON_VERSION = "charbounds/2"
 
 EXIT_OK = 0
 EXIT_INFEASIBLE = 2

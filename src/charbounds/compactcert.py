@@ -28,8 +28,13 @@ from .charring import (
     irreducible_character,
     to_fundamental_polynomial,
 )
-from .invder import derivation_matrix, evaluate_matrix, sigma_matrix
-from .polynomials import Cyc, Poly, qq
+from .invder import (
+    derivation_matrix,
+    evaluate_matrix,
+    permute_variables,
+    sigma_matrix,
+)
+from .polynomials import Cyc, qq
 from .rootdata import corners
 
 
@@ -39,13 +44,8 @@ class NonRealObjectiveError(ValueError):
 
 def real_part(objective):
     """(f + f o sigma) / 2, where sigma permutes the f_i by -w0."""
-    perm = objective.datum.minus_w0
     poly = objective.poly
-    conj = Poly(
-        poly.nvars,
-        {tuple(m[perm[j]] for j in range(poly.nvars)): c
-         for m, c in poly.terms.items()},
-    )
+    conj = permute_variables(poly, objective.datum.minus_w0)
     return FundamentalPolynomial(objective.datum, (poly + conj).scale(qq(1, 2)))
 
 

@@ -142,11 +142,6 @@ class Poly:
             return -1
         return max(sum(m) for m in self.terms)
 
-    def degree_in(self, i):
-        if not self.terms:
-            return -1
-        return max(m[i] for m in self.terms)
-
     def leading_monomial(self, order="grevlex"):
         key = ORDER_KEYS[order]
         return max(self.terms, key=key)
@@ -238,26 +233,6 @@ class Poly:
                     out.pop(dm, None)
         return Poly(self.nvars, out, _trusted=True)
 
-    def subs_values(self, assignment):
-        """Substitute rational values for some variables (index -> value)."""
-        out = {}
-        for m, c in self.terms.items():
-            val = c
-            newm = list(m)
-            for i, v in assignment.items():
-                e = m[i]
-                if e:
-                    val = val * qq(v) ** e
-                newm[i] = 0
-            if val:
-                key = tuple(newm)
-                s = out.get(key, QZERO) + val
-                if s:
-                    out[key] = s
-                else:
-                    out.pop(key, None)
-        return Poly(self.nvars, out, _trusted=True)
-
     def evaluate(self, values, convert=None):
         """Evaluate at a point; works for QQ, float, complex or ring elements."""
         acc = None
@@ -270,9 +245,6 @@ class Poly:
         if acc is None:
             return convert(QZERO) if convert else QZERO
         return acc
-
-    def evaluate_float(self, values):
-        return self.evaluate([float(v) for v in values], convert=float)
 
     def content_primitive(self):
         """Return (content, primitive integer Poly); zero has content 0."""

@@ -236,19 +236,6 @@ class RootDatum:
             else:
                 return n
 
-    def dominantize_tracked(self, n):
-        """Dominant representative plus the sign of the chamber walk."""
-        n = tuple(n)
-        sign = 1
-        while True:
-            for i, x in enumerate(n):
-                if x < 0:
-                    n = self.reflect(i, n)
-                    sign = -sign
-                    break
-            else:
-                return n, sign
-
     def root_coords(self, n):
         Ci = self.cartan_inv
         return tuple(

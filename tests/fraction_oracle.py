@@ -4,8 +4,8 @@ This is the straightforward exact method the solver's integer-row path
 must agree with: multiplication by x_i applied column by column to
 sparse rational vectors, a rational echelon normalised to pivot 1, the
 full multiplication tensor for the trace form, and a rational
-Gauss-Jordan kernel.  Every quantity it returns (eliminants, the reduced
-dimension, g and the h_i) is unique, so the two paths must agree exactly.
+Gauss-Jordan kernel.  Every quantity it returns (the reduced dimension, g
+and the h_i) is unique, so the two paths must agree exactly.
 """
 
 from charbounds.algsolve import normal_form, staircase, upoly_trim
@@ -87,10 +87,6 @@ class Quotient:
                 else:
                     out.pop(k, None)
         return out
-
-    def variable_min_poly(self, var):
-        """Monic generator of (ideal) intersected with QQ[x_var], ascending."""
-        return first_dependency(self, lambda vec: self.mult_apply(var, vec))[1]
 
 
 class ReducedQuotient:

@@ -1,0 +1,22 @@
+"""Algebraic points with given rational coordinates, for tests that probe
+compactness and reality at hand-picked points."""
+
+from charbounds.algsolve import (
+    AlgebraicPoint,
+    CoordinateInfo,
+    NumberField,
+    upoly_primitive_int,
+)
+from charbounds.polynomials import QONE, qq
+
+
+def rational_point(values):
+    """A simple AlgebraicPoint with the given exact rational coordinates."""
+    values = [qq(v) for v in values]
+    field = NumberField((0, 1), None)  # QQ presented as Q[x]/(x)
+    coords = [field.from_rational(v) for v in values]
+    info = [
+        CoordinateInfo(tuple(upoly_primitive_int([-v, QONE])), (v, v))
+        for v in values
+    ]
+    return AlgebraicPoint(len(values), field, coords, info, 1)

@@ -18,7 +18,6 @@ import numpy as np
 import pytest
 
 from charbounds import branch, charring, closedform, invder
-from charbounds.algsolve import rational_point
 from charbounds.charring import FundamentalPolynomial, irreducible_character
 from charbounds.compactcert import adjoint_objective, extremum, is_compact_point
 from charbounds.polynomials import Poly, qq
@@ -34,6 +33,7 @@ from charbounds.su2asym import (
     limit_constant,
     su2_min,
 )
+from points import rational_point
 
 G2 = build_root_datum("G", 2)
 F4 = build_root_datum("F", 4)

@@ -117,15 +117,52 @@ def test_empty_real_variety():
     assert solve_zero_dim(Ideal.of(1, [x, x - 1])) == []
 
 
-def test_multiplicity_flag():
-    x = var(1, 0)
-    pts = solve_zero_dim(Ideal.of(1, [(x - 1) * (x - 1)]))
-    assert len(pts) == 1
-    assert pts[0].rational_coords() == (qq(1),)
-    assert pts[0].coord_info[0].multiple is True
+def _double_root(x):
+    return [(x - 1) * (x - 1)]
 
-    pts = solve_zero_dim(Ideal.of(1, [(x - 1) * (x + 2)]))
-    assert [p.coord_info[0].multiple for p in pts] == [False, False]
+
+def _two_simple_roots(x):
+    return [(x - 1) * (x + 2)]
+
+
+def _double_origin(x, y):
+    # D = 4, d = 3: the double point (0, 0) shares x = 0 with the simple
+    # point (0, 1)
+    return [y * y - y, x * x - x * y]
+
+
+@pytest.mark.parametrize(
+    "system, nvars, points",
+    [
+        (_double_root, 1, [((1,), 2)]),
+        (_two_simple_roots, 1, [((-2,), 1), ((1,), 1)]),
+        (_double_origin, 2, [((0, 0), 2), ((0, 1), 1), ((1, 1), 1)]),
+    ],
+    ids=["double-root", "two-simple-roots", "double-origin"],
+)
+def test_point_multiplicity(system, nvars, points):
+    gens = system(*(var(nvars, i) for i in range(nvars)))
+    pts = solve_zero_dim(Ideal.of(nvars, gens))
+    assert [(p.rational_coords(), p.multiplicity) for p in pts] == [
+        (tuple(qq(c) for c in coords), mu) for coords, mu in points
+    ]
+    assert all(p.to_json()["multiplicity"] == p.multiplicity for p in pts)
+
+
+@pytest.mark.parametrize(
+    "scale", [qq(3, 2), qq(5, 4)], ids=["sum-exceeds-dim", "non-integer"]
+)
+def test_multiplicity_certificate_rejects_a_corrupted_rur(scale):
+    x = var(1, 0)
+    ideal = Ideal.of(1, _double_root(x))
+    quot = algsolve._Quotient(groebner(ideal))
+    f, g_one, g_coords = algsolve.fglm_lex(quot, [qq(1)])
+    # x = g_x / g_1 keeps its value, so the generator certificate still
+    # holds, but mu = 2 becomes 3 on a quotient of dimension 2, or 5/2
+    g_one = [c * scale for c in g_one]
+    g_coords = [[c * scale for c in g] for g in g_coords]
+    with pytest.raises(CertificateError):
+        algsolve._assemble_points(ideal, (f, g_one, g_coords), quot.dim)
 
 
 def test_triangular_system_with_irrational_coordinate():
@@ -206,10 +243,10 @@ def test_generator_certificate_rejects_a_perturbed_coordinate():
     ideal = Ideal.of(2, [x * x - 2, y - x - 1])
     quot = algsolve._Quotient(groebner(ideal))
     rur = algsolve.fglm_lex(quot, [qq(0), qq(1)])
-    assert len(algsolve._assemble_points(ideal, rur, {})) == 2
+    assert len(algsolve._assemble_points(ideal, rur, quot.dim)) == 2
     rur[2][0][0] += 1
     with pytest.raises(CertificateError):
-        algsolve._assemble_points(ideal, rur, {})
+        algsolve._assemble_points(ideal, rur, quot.dim)
 
 
 def test_points_sorted_by_midpoints():

@@ -58,7 +58,7 @@ def test_pin_substituted_before_ideal():
     ideal = branch.branch_critical_ideal(p)
     assert ideal.nvars == 1
     assert len(ideal.gens) == 1
-    assert ideal.gens[0].degree_in(0) == 2
+    assert max(m[0] for m in ideal.gens[0].terms) == 2
 
 
 def test_g2_adjoint_minimum(g2_problem):

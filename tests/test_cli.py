@@ -82,7 +82,7 @@ def test_g2_adjoint_json_report(capsys, tmp_path):
     )
     assert code == 0
     doc = json.loads(out)
-    assert doc["version"] == "charbounds/1"
+    assert doc["version"] == "charbounds/2"
     assert doc["command"] == "minimize"
     report = doc["report"]
     assert report["minimum"]["minpoly"] == [2, 1]

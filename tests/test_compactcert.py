@@ -4,7 +4,6 @@ from charbounds import algsolve
 from charbounds.algsolve import (
     AlgValue,
     CertificateError,
-    rational_point,
     solve_zero_dim,
 )
 from charbounds.compactcert import (
@@ -21,6 +20,7 @@ from charbounds.charring import FundamentalPolynomial
 from charbounds.invder import derivation_matrix, sigma_matrix
 from charbounds.polynomials import Cyc, Poly, qq
 from charbounds.rootdata import build_root_datum, weyl_min_trace
+from points import rational_point
 
 
 def fund_objective(datum, i):

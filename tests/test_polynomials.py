@@ -39,7 +39,7 @@ def test_poly_arithmetic():
     p = x * x - y.scale(qq(2))  # x^2 - 2y
     q = x + y
     assert p * q == q * p
-    assert p.evaluate_float((3.0, 1.0)) == pytest.approx(7.0)
+    assert p.evaluate((3.0, 1.0), convert=float) == pytest.approx(7.0)
     assert p.evaluate((qq(3), qq(1)), convert=qq) == qq(7)
     assert p.diff(0) == x.scale(qq(2))
     assert p.diff(1) == Poly.const(2, qq(-2))
@@ -50,15 +50,6 @@ def test_poly_pow_and_degree():
     p = (x + Poly.const(1, qq(1))) ** 5
     assert p.coeff((2,)) == qq(10)
     assert p.total_degree() == 5
-
-
-def test_subs_values_partial():
-    x = Poly.variable(3, 0)
-    y = Poly.variable(3, 1)
-    z = Poly.variable(3, 2)
-    p = x * y + z**2
-    q = p.subs_values({1: qq(3)})
-    assert q == x.scale(qq(3)) + z**2
 
 
 def test_content_primitive():

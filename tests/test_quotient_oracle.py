@@ -1,12 +1,14 @@
 """The integer-row quotient layer against the rational reference in
-fraction_oracle: the eliminants and the number of distinct points must
-agree exactly, and form by form the rational univariate representation
-(f, g_1, g_{x_i}) must give the oracle's minimal polynomial g and its
-coordinates x_i = h_i(u)."""
+fraction_oracle: the number of distinct points must agree exactly, form
+by form the rational univariate representation (f, g_1, g_{x_i}) must
+give the oracle's minimal polynomial g and its coordinates x_i = h_i(u),
+and each point's multiplicity must be the multiplicity of u(p) as a root
+of the characteristic polynomial of the oracle's M_u."""
 
 import itertools
 import math
 
+import sympy
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -17,38 +19,48 @@ from charbounds.algsolve import (
     groebner,
     upoly_mul,
     upoly_rem,
-    upoly_squarefree,
     upoly_sub,
 )
 from charbounds.charring import FundamentalPolynomial
 from charbounds.compactcert import critical_ideal
 from charbounds.invder import derivation_matrix
-from charbounds.polynomials import Poly, qq
+from charbounds.polynomials import QZERO, Poly, qq
 from charbounds.rootdata import build_root_datum
 
 
+def charpoly_factors(quot, form):
+    """[(ascending integer factor, exponent)] of the characteristic
+    polynomial of M_u, u = sum form[k] x_k, on the oracle's quotient."""
+    rows = [[QZERO] * quot.dim for _ in range(quot.dim)]
+    for j in range(quot.dim):
+        for var, c in enumerate(form):
+            for k, v in quot.mult_apply(var, {j: qq(1)}).items():
+                rows[k][j] += c * v
+    mat = sympy.Matrix([
+        [sympy.Rational(int(v.numerator), int(v.denominator)) for v in row]
+        for row in rows
+    ])
+    chi = mat.charpoly(sympy.Symbol("T"))
+    return [
+        ([int(c) for c in reversed(fac.all_coeffs())], e)
+        for fac, e in chi.factor_list()[1]
+    ]
+
+
 def assert_same_quotient_layer(ideal):
-    """Run the solver's quotient steps on both paths and compare."""
+    """Run the solver's quotient steps on both paths and compare; returns
+    the separating t and the real points."""
     gb = groebner(Ideal.of(ideal.nvars, ideal.gens))
     fast = algsolve._Quotient(gb)
     ref = oracle.Quotient(gb)
     assert fast.dim == ref.dim
+    reduced = oracle.ReducedQuotient(ref)
+    assert fast.npoints == reduced.dim
     n = ideal.nvars
-    needs_radical = False
-    for i in range(n):
-        mp = fast.variable_min_poly(i)
-        assert mp == ref.variable_min_poly(i)
-        needs_radical |= len(upoly_squarefree(mp)) != len(mp)
-    # the solver reads radicality off the number of distinct points; by
-    # Seidenberg that matches squarefree eliminants
-    assert (fast.npoints < fast.dim) == needs_radical
-    if needs_radical:
-        ref = oracle.ReducedQuotient(ref)
-        assert fast.npoints == ref.dim
     for t in itertools.count():
         form = [qq(t ** (n - 1 - k)) for k in range(n)]
         rur = algsolve.fglm_lex(fast, form)
-        shape = oracle.fglm_lex(ref, form)
+        shape = oracle.fglm_lex(reduced, form)
         assert (rur is None) == (shape is None)
         if rur is not None:
             f, g_one, g_coords = rur
@@ -56,7 +68,20 @@ def assert_same_quotient_layer(ideal):
             assert f == g
             for g_x, h in zip(g_coords, h_polys, strict=True):
                 assert upoly_rem(upoly_sub(g_x, upoly_mul(h, g_one)), f) == []
-            return t
+            points = algsolve._assemble_points(ideal, rur, fast.dim)
+            factors = charpoly_factors(ref, form)
+            for p in points:
+                u = sum((c * x for c, x in zip(form, p.coords)), QZERO)
+                # the exponent of the one factor of chi that vanishes at u(p)
+                mus = []
+                for fac, e in factors:
+                    acc = QZERO
+                    for c in reversed(fac):
+                        acc = acc * u + c
+                    if acc.is_zero():
+                        mus.append(e)
+                assert mus == [p.multiplicity]
+            return t, points
 
 
 # a factor x_i - c - sum_{j < i} a_j x_j; a repeated factor gives a
@@ -72,7 +97,8 @@ factor = st.tuples(st.integers(-3, 3), st.lists(st.integers(-2, 2), min_size=2, 
 def test_integer_path_matches_rational_oracle(factors, repeat):
     # the quotient dimension is the product of the factor counts; the
     # oracle's multiplication tensor grows as its fourth power
-    assume(math.prod(len(fs) + repeat for fs in factors) <= 16)
+    dim = math.prod(len(fs) + repeat for fs in factors)
+    assume(dim <= 16)
     n = len(factors)
     xs = [Poly.variable(n, i) for i in range(n)]
     gens = []
@@ -86,7 +112,10 @@ def test_integer_path_matches_rational_oracle(factors, repeat):
                 lin = lin - coeffs[j] * xs[j]
             p = p * lin
         gens.append(p)
-    assert_same_quotient_layer(Ideal.of(n, gens))
+    # every point is rational, hence real, so the multiplicities of the
+    # returned points add up to the quotient dimension
+    _, points = assert_same_quotient_layer(Ideal.of(n, gens))
+    assert sum(p.multiplicity for p in points) == dim
 
 
 def test_f4_f3_matches_rational_oracle():
@@ -94,4 +123,4 @@ def test_f4_f3_matches_rational_oracle():
     m = derivation_matrix(f4, use_cache=False)
     crit = critical_ideal(m, FundamentalPolynomial(f4, Poly.variable(4, 2)))
     assert algsolve._Quotient(groebner(crit)).dim == 16
-    assert assert_same_quotient_layer(crit) == 1
+    assert assert_same_quotient_layer(crit)[0] == 1

@@ -159,14 +159,6 @@ def test_pairing_positive_definite():
             assert d.norm2(w) > 0
 
 
-def test_dominantize_tracked():
-    g2 = build_root_datum("G", 2)
-    dom, sign = g2.dominantize_tracked((-1, 0))
-    assert g2.is_dominant(dom)
-    assert sign in (1, -1)
-    assert dom in weyl_orbit(g2, (-1, 0))
-
-
 def test_weyl_elements_counts_and_signs():
     for tp in [("A", 2), ("B", 2), ("G", 2)]:
         d = build_root_datum(*tp)
