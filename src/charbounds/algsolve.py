@@ -1065,10 +1065,16 @@ def _assemble_points(orig_ideal, rur, dim):
         for gen in orig_ideal.gens:
             if not gen.evaluate(coords, convert=field.from_rational).is_zero():
                 raise CertificateError("solution fails generator certificate")
+        # minimal polynomials depend on the field element, not the root
+        minpolys = [_minpoly_of_value(c) for c in coords]
+        chains = [sturm_chain([qq(c) for c in cand]) for cand in minpolys]
         for root in roots:
             at = NumberField(fac, root.clone() if len(fac) > 2 else None)
             at_coords = [FieldElement(at, c.vec) for c in coords]
-            info = [_coordinate_info(c) for c in at_coords]
+            info = [
+                CoordinateInfo(tuple(cand), _isolate_among(cand, chain, c))
+                for cand, chain, c in zip(minpolys, chains, at_coords)
+            ]
             points.append(AlgebraicPoint(n, at, at_coords, info, mu))
     if total != dim:
         raise CertificateError(
@@ -1137,13 +1143,6 @@ def _isolate_among(cand, chain, value):
             value.field.refine_root()
         eps = eps / 16
     raise UndecidedSignError("coordinate isolation exhausted")
-
-
-def _coordinate_info(value):
-    cand = _minpoly_of_value(value)
-    chain = sturm_chain([qq(c) for c in cand])
-    interval = _isolate_among(cand, chain, value)
-    return CoordinateInfo(tuple(cand), interval)
 
 
 def sign_of(poly, point):

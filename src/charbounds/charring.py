@@ -10,9 +10,8 @@ from __future__ import annotations
 
 import math
 import random
+from collections import defaultdict
 from dataclasses import dataclass
-
-import numpy as np
 
 from .polynomials import QQ, QZERO, Cyc, Poly, qq, qq_str
 from .rootdata import RootDatum, weyl_stabilizer_order
@@ -484,32 +483,15 @@ class QevalContext:
 
 
 def qconv(a, b):
-    """Sparse integer convolution of exponent->coefficient maps."""
-    if not a or not b:
-        return {}
-    suma = sum(abs(int(v)) for v in a.values())
-    sumb = sum(abs(int(v)) for v in b.values())
-    if suma * sumb < 2**62:
-        ea = np.fromiter(a.keys(), dtype=np.int64, count=len(a))
-        ca = np.fromiter((int(v) for v in a.values()), dtype=np.int64, count=len(a))
-        eb = np.fromiter(b.keys(), dtype=np.int64, count=len(b))
-        cb = np.fromiter((int(v) for v in b.values()), dtype=np.int64, count=len(b))
-        exps = np.add.outer(ea, eb).ravel()
-        prods = np.multiply.outer(ca, cb).ravel()
-        uniq, inverse = np.unique(exps, return_inverse=True)
-        acc = np.zeros(len(uniq), dtype=np.int64)
-        np.add.at(acc, inverse, prods)
-        return {int(e): int(v) for e, v in zip(uniq, acc) if v}
-    out = {}
+    """Exact sparse convolution of exponent->coefficient maps."""
+    if len(a) < len(b):
+        a, b = b, a
+    small = list(b.items())
+    out = defaultdict(int)
     for pa, va in a.items():
-        for pb, vb in b.items():
-            p = pa + pb
-            s = out.get(p, 0) + va * vb
-            if s:
-                out[p] = s
-            else:
-                out.pop(p, None)
-    return out
+        for pb, vb in small:
+            out[pa + pb] += va * vb
+    return {p: v for p, v in out.items() if v}
 
 
 def _cone_monomials(datum, tops):

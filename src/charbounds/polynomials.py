@@ -38,16 +38,6 @@ def qq_str(x) -> str:
     return "%d/%d" % (q.numerator, q.denominator)
 
 
-def dyadic_str(x) -> str:
-    """Render a rational as "a/2^k" when the denominator is a power of two."""
-    q = qq(x)
-    den = int(q.denominator)
-    k = den.bit_length() - 1
-    if den == 1 << k:
-        return "%d/2^%d" % (int(q.numerator), k) if k else str(int(q.numerator))
-    return qq_str(q)
-
-
 # ---------------------------------------------------------------------------
 # monomial orders; a monomial is a tuple of non-negative integer exponents
 

@@ -12,9 +12,8 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import operator
 from dataclasses import dataclass, field
-
-import numpy as np
 
 from .polynomials import QQ, QZERO, qq, qq_str
 
@@ -576,22 +575,13 @@ def _component_weyl_order(C, nodes):
     return 696729600
 
 
-def _simple_reflection_matrices(datum):
-    r = datum.rank
-    mats = []
-    for i in range(r):
-        S = np.eye(r, dtype=np.int16)
-        for k in range(r):
-            S[k, i] -= datum.cartan[k][i]
-        mats.append(S)
-    return mats
-
-
 def weyl_elements(datum, cap=10_000_000, with_sign=False):
-    """All Weyl elements as integer matrices on the weight basis.
+    """All Weyl elements as integer tuple-of-tuples matrices on the weight
+    basis.
 
-    Breadth-first closure over simple-reflection products; deterministic
-    ordering (discovery order with sorted frontiers).
+    Breadth-first closure: each frontier is multiplied on the right by
+    every simple reflection in turn, and new products are kept in that
+    generator-major discovery order.
     """
     if datum.weyl_order > cap:
         raise EnumerationCapError(
@@ -599,33 +589,31 @@ def weyl_elements(datum, cap=10_000_000, with_sign=False):
             % (datum.weyl_order, cap)
         )
     r = datum.rank
-    gens = _simple_reflection_matrices(datum)
-    ident = np.eye(r, dtype=np.int16)
-    seen = {ident.tobytes()}
+    # the simple reflection s_i fixes every fundamental weight but omega_i,
+    # which it sends to omega_i - alpha_i (alpha_i is column i of the Cartan
+    # matrix); so w s_i is w with column i replaced by w (e_i - alpha_i)
+    columns = [
+        tuple(int(k == i) - datum.cartan[k][i] for k in range(r)) for i in range(r)
+    ]
+    ident = tuple(tuple(int(k == j) for j in range(r)) for k in range(r))
+    seen = {ident}
     elements = [ident]
     signs = [1]
-    frontier = np.array([ident])
-    frontier_signs = np.array([1], dtype=np.int8)
-    while len(frontier):
-        batches = []
-        batch_signs = []
-        for S in gens:
-            batches.append(frontier @ S)
-            batch_signs.append(-frontier_signs)
-        cand = np.concatenate(batches)
-        cand_signs = np.concatenate(batch_signs)
-        keep = []
-        for idx in range(len(cand)):
-            key = cand[idx].tobytes()
-            if key not in seen:
-                seen.add(key)
-                keep.append(idx)
-        if not keep:
-            break
-        frontier = cand[keep]
-        frontier_signs = cand_signs[keep]
-        elements.extend(frontier)
-        signs.extend(int(s) for s in frontier_signs)
+    frontier = [(ident, 1)]
+    while frontier:
+        grown = []
+        for i, col in enumerate(columns):
+            for w, sign in frontier:
+                v = tuple(
+                    row[:i] + (sum(map(operator.mul, row, col)),) + row[i + 1:]
+                    for row in w
+                )
+                if v not in seen:
+                    seen.add(v)
+                    grown.append((v, -sign))
+        frontier = grown
+        elements.extend(w for w, _ in grown)
+        signs.extend(sign for _, sign in grown)
     assert len(elements) == datum.weyl_order
     if with_sign:
         return elements, signs
@@ -640,4 +628,4 @@ def weyl_min_trace(datum, cap=10_000_000, allow_large=False):
             "long-running flag to override)" % (datum.weyl_order, cap)
         )
     elements = weyl_elements(datum, cap=max(cap, datum.weyl_order))
-    return min(int(np.trace(w)) for w in elements)
+    return min(sum(w[k][k] for k in range(datum.rank)) for w in elements)

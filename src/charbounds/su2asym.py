@@ -17,8 +17,6 @@ import cmath
 import math
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .algsolve import AlgValue, FieldElement, Ideal, solve_zero_dim
 from .polynomials import Poly, qq
 from .rootdata import EnumerationCapError, weyl_elements
@@ -227,15 +225,20 @@ class XEvaluation:
 _GEOMETRY = {}
 
 
+def _dot(u, v):
+    return sum(a * b for a, b in zip(u, v))
+
+
 def _geometry(datum):
+    """The rows of v -> (r, v) over the positive roots r, and the values
+    (r, rho)."""
     got = _GEOMETRY.get(datum.name())
     if got is None:
-        A = np.array([[float(x) for x in row] for row in datum.form_A])
-        roots = np.array(
-            [[float(x) for x in r] for r in datum.positive_roots]
-        )
-        rho = np.ones(datum.rank)
-        got = (A, roots, roots @ A @ rho / 2.0)
+        A = [[float(x) for x in row] for row in datum.form_A]
+        pairing = [
+            [_dot(r, col) / 2.0 for col in zip(*A)] for r in datum.positive_roots
+        ]
+        got = (pairing, [sum(row) for row in pairing])
         _GEOMETRY[datum.name()] = got
     return got
 
@@ -251,18 +254,20 @@ def _weyl(datum, cap):
         )
     got = _WEYL.get(datum.name())
     if got is None:
+        # (w t, s) = s . (A w / 2) t; A is integral, so A w / 2 is exact
+        A = [[float(x) for x in row] for row in datum.form_A]
         elements, signs = weyl_elements(datum, cap=cap, with_sign=True)
-        got = (
-            np.stack(elements).astype(float),
-            np.array(signs, dtype=float),
-        )
+        got = [
+            ([[_dot(row, col) / 2.0 for col in zip(*w)] for row in A], sign)
+            for w, sign in zip(elements, signs)
+        ]
         _WEYL[datum.name()] = got
     return got
 
 
 def _root_pairings(datum, v):
-    A, roots, _ = _geometry(datum)
-    return roots @ A @ v / 2.0
+    pairing, _ = _geometry(datum)
+    return [_dot(row, v) for row in pairing]
 
 
 def _sinhc_half(z):
@@ -281,18 +286,29 @@ def _rho_product(datum, tv):
 
 
 def _weyl_sum(datum, sv, tv, cap):
-    A, roots, root_rho = _geometry(datum)
-    mats, signs = _weyl(datum, cap)
-    wt = mats @ tv
-    alternating = np.dot(signs, np.exp(wt @ A @ sv / 2.0))
-    rs = roots @ A @ sv / 2.0
-    rt = roots @ A @ tv / 2.0
-    prefactor = np.prod(root_rho / (rs * rt))
-    return complex(prefactor * alternating)
+    _, root_rho = _geometry(datum)
+    terms = [
+        sign * cmath.exp(_dot(sv, [_dot(row, tv) for row in form]))
+        for form, sign in _weyl(datum, cap)
+    ]
+    # exact rounding of the cancelling sum, independent of the Weyl order
+    alternating = complex(
+        math.fsum(z.real for z in terms), math.fsum(z.imag for z in terms)
+    )
+    prefactor = 1.0
+    for rr, rs, rt in zip(
+        root_rho, _root_pairings(datum, sv), _root_pairings(datum, tv)
+    ):
+        prefactor *= rr / (rs * rt)
+    return prefactor * alternating
 
 
 def _is_rho(v):
-    return bool(np.all(v == 1.0 + 0.0j))
+    return all(z == 1.0 for z in v)
+
+
+def _is_regular(datum, v, tol):
+    return all(abs(z) > tol for z in _root_pairings(datum, v))
 
 
 def _averaged(datum, sv, tv, s_regular, t_regular, cap, tol):
@@ -302,15 +318,12 @@ def _averaged(datum, sv, tv, s_regular, t_regular, cap, tol):
     the first-order term, so the bias is O(eps^2); the spread of the
     pair is kept as an error estimate.
     """
-    direction = np.ones(datum.rank)
     for scale in (1e-4, 1e-3, 1e-2):
         pair = []
         for eps in (scale, -scale):
-            ss = sv if s_regular else sv + eps * direction
-            tt = tv if t_regular else tv + eps * direction
-            if np.any(np.abs(_root_pairings(datum, ss)) <= tol):
-                break
-            if np.any(np.abs(_root_pairings(datum, tt)) <= tol):
+            ss = sv if s_regular else [z + eps for z in sv]
+            tt = tv if t_regular else [z + eps for z in tv]
+            if not (_is_regular(datum, ss, tol) and _is_regular(datum, tt, tol)):
                 break
             pair.append(_weyl_sum(datum, ss, tt, cap))
         if len(pair) < 2:
@@ -337,8 +350,8 @@ def eval_X(datum, s, t, *, cap=DEFAULT_WEYL_CAP, tol=1e-8):
     fails.  An identically zero argument forces X = 1 by the scaling
     symmetry, so that case returns 1 exactly.
     """
-    sv = np.array([complex(z) for z in s], dtype=complex)
-    tv = np.array([complex(z) for z in t], dtype=complex)
+    sv = [complex(z) for z in s]
+    tv = [complex(z) for z in t]
     if len(sv) != datum.rank or len(tv) != datum.rank:
         raise ValueError("argument length must equal the rank")
     if datum.weyl_order > cap:
@@ -346,7 +359,7 @@ def eval_X(datum, s, t, *, cap=DEFAULT_WEYL_CAP, tol=1e-8):
             "enumeration refused: |W| = %d exceeds cap %d"
             % (datum.weyl_order, cap)
         )
-    held = (tuple(complex(z) for z in sv), tuple(complex(z) for z in tv))
+    held = (tuple(sv), tuple(tv))
     if _is_rho(sv):
         return XEvaluation(
             datum, held[0], held[1], _rho_product(datum, tv), "rho-product"
@@ -355,11 +368,11 @@ def eval_X(datum, s, t, *, cap=DEFAULT_WEYL_CAP, tol=1e-8):
         return XEvaluation(
             datum, held[0], held[1], _rho_product(datum, sv), "rho-product"
         )
-    if not np.any(sv) or not np.any(tv):
+    if not any(sv) or not any(tv):
         # X(u s, t) = X(s, u t) at u = 0, hence constant 1
         return XEvaluation(datum, held[0], held[1], 1.0 + 0.0j, "limit-fallback")
-    s_regular = bool(np.all(np.abs(_root_pairings(datum, sv)) > tol))
-    t_regular = bool(np.all(np.abs(_root_pairings(datum, tv)) > tol))
+    s_regular = _is_regular(datum, sv, tol)
+    t_regular = _is_regular(datum, tv, tol)
     if s_regular and t_regular:
         return XEvaluation(
             datum, held[0], held[1], _weyl_sum(datum, sv, tv, cap), "Weyl-sum"

@@ -318,7 +318,7 @@ def test_gate_10_su2_and_limit_function():
             )
             # (c) Weyl invariance
             w = mats[int(rng.integers(len(mats)))]
-            assert abs(eval_X(datum, tuple(s), tuple(w @ t)).value - base) < 1e-9
+            assert abs(eval_X(datum, tuple(s), tuple(np.array(w) @ t)).value - base) < 1e-9
             # (d) normalization on the degenerate axis
             assert eval_X(datum, zero, tuple(t)).value == 1.0
             # dominance: normalized characters equal the X ratio

@@ -158,6 +158,40 @@ def test_conversion_rational_coefficients():
     assert fp.poly == Poly(2, {(1, 0): qq(1, 2)})
 
 
+def _schoolbook_conv(a, b):
+    out = {}
+    for pa, va in a.items():
+        for pb, vb in b.items():
+            out[pa + pb] = out.get(pa + pb, 0) + va * vb
+    return {p: v for p, v in out.items() if v}
+
+
+@given(
+    st.dictionaries(st.integers(-40, 40), st.integers(-(2**70), 2**70), max_size=12),
+    st.dictionaries(st.integers(-40, 40), st.integers(-9, 9), max_size=12),
+)
+@settings(max_examples=200, deadline=None)
+def test_qconv_matches_naive_convolution(a, b):
+    assert ch.qconv(a, b) == _schoolbook_conv(a, b)
+    assert ch.qconv(b, a) == _schoolbook_conv(a, b)
+
+
+def test_qconv_drops_cancelled_terms_and_keeps_big_coefficients():
+    # (1 + q)(1 - q) = 1 - q^2: the q^1 coefficient cancels and is absent
+    assert ch.qconv({0: 1, 1: 1}, {0: 1, 1: -1}) == {0: 1, 2: -1}
+    # the two products at q^0 cancel across negative exponents
+    assert ch.qconv({-3: 2, 5: 1}, {3: -1, -5: 2}) == {-8: 4, 8: -1}
+    big = 2**40
+    a = {-1: big, 4: -big, 9: 3}
+    b = {-7: -big, 0: big, 2: big + 1}
+    # the absolute coefficient sums multiply past 2**62
+    assert sum(map(abs, a.values())) * sum(map(abs, b.values())) > 2**62
+    got = ch.qconv(a, b)
+    assert got == _schoolbook_conv(a, b)
+    assert len(got) == 9
+    assert got[-8] == -(big**2) and got[6] == -big * (big + 1)
+
+
 # -- torsion evaluation ------------------------------------------------------
 
 def test_a1_torsion():

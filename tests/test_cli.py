@@ -190,6 +190,18 @@ def test_optimized_interpreter_gives_the_same_report(tmp_path):
     assert runs[1].stdout == runs[0].stdout != ""
 
 
+def test_cli_import_loads_no_numpy():
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    probe = "import sys, charbounds.cli; assert 'numpy' not in sys.modules"
+    run = subprocess.run(
+        [sys.executable, "-c", probe],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert run.returncode == 0, run.stderr
+
+
 def test_e8_adjoint_column_works(capsys):
     code, out, _ = run_main(
         capsys, "corners", "--type", "E8", "--columns", "8", "--format", "csv"

@@ -6,7 +6,6 @@ from charbounds.polynomials import (
     Cyc,
     Poly,
     cyclotomic_polynomial,
-    dyadic_str,
     grevlex_key,
     poly_interval,
     qq,
@@ -22,8 +21,6 @@ def test_qq_parsing():
     assert qq("3/4") == qq(3) / qq(4)
     assert qq_str(qq(-7, 2)) == "-7/2"
     assert qq_str(qq(5)) == "5"
-    assert dyadic_str(qq(3, 8)) == "3/2^3"
-    assert dyadic_str(qq(4)) == "4"
 
 
 def test_grevlex_within_degree():

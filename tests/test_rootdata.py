@@ -168,6 +168,41 @@ def test_weyl_elements_counts_and_signs():
         assert sorted(signs)[0] == -1
 
 
+def _det(m):
+    if len(m) == 1:
+        return m[0][0]
+    return sum(
+        (-1) ** j * m[0][j] * _det([row[:j] + row[j + 1:] for row in m[1:]])
+        for j in range(len(m))
+    )
+
+
+@pytest.mark.parametrize("letter, rank", [("A", 2), ("B", 3), ("G", 2), ("F", 4)])
+def test_weyl_elements_form_the_group(letter, rank):
+    d = build_root_datum(letter, rank)
+    els, signs = weyl_elements(d, with_sign=True)
+    ident = tuple(tuple(int(i == j) for j in range(rank)) for i in range(rank))
+    assert els[0] == ident and signs[0] == 1
+    assert len(set(els)) == len(els) == d.weyl_order
+    for w, sign in zip(els, signs):
+        assert _det(w) == sign
+    group = set(els)
+    for i in range(rank):
+        # s_i fixes every fundamental weight but omega_i, which it sends
+        # to omega_i - alpha_i; the columns are the images
+        alpha = d.simple_roots[i]
+        s_i = tuple(
+            tuple(int(k == j) - (alpha[k] if j == i else 0) for j in range(rank))
+            for k in range(rank)
+        )
+        for w in els:
+            prod = tuple(
+                tuple(sum(w[r][k] * s_i[k][c] for k in range(rank)) for c in range(rank))
+                for r in range(rank)
+            )
+            assert prod in group
+
+
 def test_weyl_min_trace_values():
     assert weyl_min_trace(build_root_datum("G", 2)) == -2
     assert weyl_min_trace(build_root_datum("A", 2)) == -1

@@ -200,7 +200,7 @@ def test_X_weyl_invariance():
             t = _random_regular(datum, rng)
             base = eval_X(datum, s, t).value
             w = mats[int(rng.integers(len(mats)))]
-            wt = tuple((w @ np.array(t)).tolist())
+            wt = tuple((np.array(w) @ np.array(t)).tolist())
             assert abs(eval_X(datum, s, wt).value - base) < 1e-9
 
 
