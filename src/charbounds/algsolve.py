@@ -29,6 +29,14 @@ mu_alpha is the multiplicity of the point at alpha,
 g_1(T) = sum_alpha mu_alpha f(T) / (T - alpha), so that
 mu_alpha = g_1(alpha) / f'(alpha).  Each irreducible factor must give one
 positive integer mu, and the mu, counted over all roots, must add up to D.
+
+Every real algebraic number here, a coordinate, a critical value or a
+corner value, is an element v of a number field Q[alpha] with alpha one
+isolated real root.  Its minimal polynomial is the first linear
+dependence among 1, v, v^2, ... on integer rows; the same polynomial
+gives 1/v.  A value is its minimal polynomial with one RootInterval,
+which is exact, lo == hi, for a rational root.  sympy is used only to
+factor f over Q and for the gcds of large univariate polynomials.
 """
 
 from __future__ import annotations
@@ -93,27 +101,6 @@ def upoly_eval(p, x):
 
 def upoly_deriv(p):
     return [c * i for i, c in enumerate(p)][1:]
-
-
-def upoly_mul(a, b):
-    if not a or not b:
-        return []
-    out = [QZERO] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                if y:
-                    out[i + j] += x * y
-    return upoly_trim(out)
-
-
-def upoly_sub(a, b):
-    out = [QZERO] * max(len(a), len(b))
-    for i, x in enumerate(a):
-        out[i] += x
-    for i, y in enumerate(b):
-        out[i] -= y
-    return upoly_trim(out)
 
 
 def _upoly_divmod(a, b):
@@ -227,7 +214,8 @@ def cauchy_bound(p):
 
 
 class RootInterval:
-    """One real root of a squarefree polynomial, bisection-refinable."""
+    """One real root of a squarefree polynomial, bisection-refinable.  A
+    rational root is exact, lo == hi, and refining it does nothing."""
 
     __slots__ = ("poly", "chain", "lo", "hi")
 
@@ -248,6 +236,8 @@ class RootInterval:
         raise SolveError("could not find a non-root split point")
 
     def refine(self):
+        if self.lo == self.hi:
+            return
         mid = self._split_point()
         if sturm_count(self.chain, self.lo, mid) == 1:
             self.hi = mid
@@ -260,9 +250,6 @@ class RootInterval:
 
     def mid(self):
         return (self.lo + self.hi) / 2
-
-    def clone(self):
-        return RootInterval(self.poly, self.chain, self.lo, self.hi)
 
 
 def isolate_real_roots(p):
@@ -768,13 +755,19 @@ def fglm_lex(quot, form):
 # algebraic numbers and points
 
 class NumberField:
-    """QQ[alpha] for alpha a designated real root of an irreducible poly."""
+    """QQ[alpha] for alpha a designated real root of an irreducible poly.
 
-    def __init__(self, minpoly_int, root):
+    root is the RootInterval of alpha, or None for a field used only for
+    arithmetic; in degree 1 the field makes the exact root itself."""
+
+    def __init__(self, minpoly_int, root=None):
         self.minpoly = tuple(int(c) for c in minpoly_int)
         self.monic = self._monicize(minpoly_int)
         self.degree = len(self.minpoly) - 1
-        self.root = root  # RootInterval, or exact rational when degree 1
+        if self.degree == 1:
+            a = -self.monic[0]
+            root = RootInterval(list(self.monic), None, a, a)
+        self.root = root
 
     @staticmethod
     def _monicize(p):
@@ -808,22 +801,15 @@ class NumberField:
         return FieldElement(self, tuple(vec))
 
     def root_box(self):
-        if self.degree == 1:
-            a = -self.monic[0]
-            return (a, a)
         return (self.root.lo, self.root.hi)
 
     def refine_root(self):
-        if self.degree > 1:
-            self.root.refine()
+        self.root.refine()
 
     def sign_of(self, elem):
         """Exact sign of a field element at the designated root."""
         if elem.is_zero():
             return 0
-        if self.degree == 1:
-            v = elem.vec[0]
-            return 1 if v > 0 else -1
         # nonzero mod an irreducible polynomial never vanishes at alpha
         for _ in range(512):
             img = upoly_interval(list(elem.vec), self.root_box())
@@ -910,27 +896,15 @@ class FieldElement:
         return out
 
     def inverse(self):
-        """Extended Euclid against the monic minimal polynomial."""
+        """From the minimal polynomial sum_k c_k v^k = 0 of v, where
+        c_0 != 0: 1/v = -(c_1 + c_2 v + ... + c_k v^(k-1)) / c_0."""
         if self.is_zero():
             raise ZeroDivisionError
-        r0 = [qq(c) for c in self.field.monic]
-        r1 = upoly_trim([qq(c) for c in self.vec])
-        s0, s1 = [], [QONE]
-        while True:
-            if len(r1) == 1:
-                inv = 1 / r1[0]
-                return self.field.reduce([c * inv for c in s1])
-            q, r = _upoly_divmod(r0, r1)
-            r0, r1 = r1, r
-            s0, s1 = s1, upoly_sub(s0, upoly_mul(q, s1))
-            assert r1, "element not invertible"
-
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        return self * o.inverse()
-
-    def __rtruediv__(self, other):
-        return self.inverse() * other
+        c = _minpoly_of_value(self)
+        acc = self.field.from_rational(c[-1])
+        for ck in reversed(c[1:-1]):
+            acc = acc * self + ck
+        return acc * qq(-1, c[0])
 
     def sign(self):
         return self.field.sign_of(self)
@@ -939,8 +913,7 @@ class FieldElement:
         return upoly_interval(list(self.vec), self.field.root_box())
 
     def approx(self, width=qq(1, 2**40)):
-        if self.field.degree > 1:
-            self.field.root.refine_to(width)
+        self.field.root.refine_to(width)
         lo, hi = self.interval()
         return float((lo + hi) / 2)
 
@@ -948,22 +921,14 @@ class FieldElement:
         return "FieldElement(%s)" % ([qq_str(c) for c in self.vec],)
 
 
-# One coordinate as a real algebraic number; the multiplicity belongs to
-# the point, not to its coordinates.
-@dataclass
-class CoordinateInfo:
-    minpoly: tuple      # primitive integer coefficients, squarefree
-    interval: tuple     # (lo, hi) rationals containing exactly this root
-
-
 class AlgebraicPoint:
     """A real solution with coordinates in one number field."""
 
-    def __init__(self, nvars, field, coords, coord_info, multiplicity):
+    def __init__(self, nvars, field, coords, minpolys, multiplicity):
         self.nvars = nvars
         self.field = field
         self.coords = coords          # FieldElement per variable
-        self.coord_info = coord_info  # CoordinateInfo per variable
+        self.minpolys = minpolys      # primitive integer minpoly per variable
         self.multiplicity = multiplicity  # dimension of the local algebra
 
     def value_of(self, poly):
@@ -988,11 +953,11 @@ class AlgebraicPoint:
 
     def to_json(self):
         out = []
-        for info, c in zip(self.coord_info, self.coords):
+        for minpoly, c in zip(self.minpolys, self.coords):
             lo, hi = c.interval()
             out.append(
                 {
-                    "minpoly": list(info.minpoly),
+                    "minpoly": list(minpoly),
                     "interval": [qq_str(lo), qq_str(hi)],
                     "decimal": c.approx(),
                 }
@@ -1066,16 +1031,17 @@ def _assemble_points(orig_ideal, rur, dim):
             if not gen.evaluate(coords, convert=field.from_rational).is_zero():
                 raise CertificateError("solution fails generator certificate")
         # minimal polynomials depend on the field element, not the root
-        minpolys = [_minpoly_of_value(c) for c in coords]
+        minpolys = tuple(tuple(_minpoly_of_value(c)) for c in coords)
         chains = [sturm_chain([qq(c) for c in cand]) for cand in minpolys]
         for root in roots:
-            at = NumberField(fac, root.clone() if len(fac) > 2 else None)
+            at = NumberField(fac, root)
             at_coords = [FieldElement(at, c.vec) for c in coords]
-            info = [
-                CoordinateInfo(tuple(cand), _isolate_among(cand, chain, c))
-                for cand, chain, c in zip(minpolys, chains, at_coords)
-            ]
-            points.append(AlgebraicPoint(n, at, at_coords, info, mu))
+            # the isolation refines the root until each coordinate's
+            # interval holds one root of its minpoly; to_json prints
+            # the intervals of that refined root
+            for cand, chain, c in zip(minpolys, chains, at_coords):
+                _isolate_among(cand, chain, c)
+            points.append(AlgebraicPoint(n, at, at_coords, minpolys, mu))
     if total != dim:
         raise CertificateError(
             "multiplicities add up to %d, not the quotient dimension %d"
@@ -1139,8 +1105,7 @@ def _isolate_among(cand, chain, value):
             hi2 += step
         if sturm_count(chain, lo2, hi2) == 1:
             return (lo2, hi2)
-        if value.field.degree > 1:
-            value.field.refine_root()
+        value.field.refine_root()
         eps = eps / 16
     raise UndecidedSignError("coordinate isolation exhausted")
 
@@ -1160,18 +1125,16 @@ class AlgValue:
 
     def __init__(self, minpoly, root):
         self.minpoly = tuple(int(c) for c in minpoly)
-        self.root = root  # RootInterval, or (a, a) rational pair for deg 1
+        self.root = root  # RootInterval; exact when the minpoly is linear
 
     @staticmethod
     def from_rational(c):
         c = qq(c)
         p = (-int(c.numerator), int(c.denominator))
-        return AlgValue(p, (c, c))
+        return AlgValue(p, RootInterval([qq(x) for x in p], None, c, c))
 
     @staticmethod
     def from_field_element(elem):
-        if all(not c for c in elem.vec[1:]):
-            return AlgValue.from_rational(elem.vec[0])
         cand = _minpoly_of_value(elem)
         if len(cand) == 2:
             return AlgValue.from_rational(qq(-cand[0], cand[1]))
@@ -1188,17 +1151,9 @@ class AlgValue:
         return qq(-self.minpoly[0], self.minpoly[1])
 
     def box(self):
-        if isinstance(self.root, tuple):
-            return self.root
         return (self.root.lo, self.root.hi)
 
-    def _refine(self):
-        if not isinstance(self.root, tuple):
-            self.root.refine()
-
     def approx(self):
-        if isinstance(self.root, tuple):
-            return float(self.root[0])
         self.root.refine_to(qq(1, 2**40))
         return float(self.root.mid())
 
@@ -1213,13 +1168,13 @@ class AlgValue:
                 return -1
             if b[1] < a[0]:
                 return 1
-            self._refine()
-            other._refine()
+            self.root.refine()
+            other.root.refine()
         raise UndecidedSignError("comparison refinement exhausted")
 
     def _same_root(self, other):
-        if isinstance(self.root, tuple) or isinstance(other.root, tuple):
-            return self.box() == other.box()
+        if len(self.minpoly) == 2:
+            return True  # one rational root
         # both isolate a root of the same squarefree polynomial with
         # non-root endpoints: the roots agree iff the overlap holds one
         a, b = self.box(), other.box()

@@ -14,7 +14,7 @@ from collections import defaultdict
 from dataclasses import dataclass
 
 from .polynomials import QQ, QZERO, Cyc, Poly, qq, qq_str
-from .rootdata import RootDatum, weyl_stabilizer_order
+from .rootdata import RootDatum, weyl_orbit, weyl_stabilizer_order
 
 DEFAULT_ORBIT_CAP = 10_000_000
 DEFAULT_BOX_CAP = 2_000_000
@@ -114,18 +114,7 @@ class CharacterElement:
                 raise OrbitCapError(
                     "orbit expansion refused: more than %d weights" % cap
                 )
-            frontier = [w]
-            seen = {w}
-            while frontier:
-                nxt = []
-                for v in frontier:
-                    for i in range(datum.rank):
-                        img = datum.reflect(i, v)
-                        if img not in seen:
-                            seen.add(img)
-                            nxt.append(img)
-                frontier = nxt
-            for v in seen:
+            for v in weyl_orbit(datum, w):
                 out[v] = out.get(v, 0) + c
         return {w: c for w, c in out.items() if c}
 

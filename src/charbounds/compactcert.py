@@ -18,6 +18,9 @@ from .algsolve import (
     AlgValue,
     CertificateError,
     Ideal,
+    NumberField,
+    _minpoly_of_value,
+    isolate_real_roots,
     solve_zero_dim,
 )
 from .charring import (
@@ -34,7 +37,7 @@ from .invder import (
     permute_variables,
     sigma_matrix,
 )
-from .polynomials import Cyc, qq
+from .polynomials import Cyc, cyclotomic_polynomial, qq
 from .rootdata import corners
 
 
@@ -193,33 +196,25 @@ def _corner_value(objective, corner):
 
 
 def _cyc_to_algvalue(v):
-    """Exact real value of a real cyclotomic number."""
+    """Exact value of a real cyclotomic number v of order m.
+
+    v equals its real part a_0 + sum_k a_k D_k(c) / 2, where
+    c = zeta + zeta^-1 = 2 cos(2 pi / m), D_0 = 2, D_1 = c and
+    D_k = c D_{k-1} - D_{k-2}; c is the largest real root of its minimal
+    polynomial, so v is an element of a real number field."""
+    if not v.is_real():
+        raise ValueError("not a real cyclotomic number: %r" % (v,))
     if v.is_rational():
         return AlgValue.from_rational(v.as_rational())
-    import sympy
-
-    z = sympy.exp(2 * sympy.pi * sympy.I / v.m)
-    expr = sum(
-        sympy.Rational(int(c.numerator), int(c.denominator)) * z**i
-        for i, c in enumerate(v.vec)
-        if c
-    )
-    mp = sympy.minimal_polynomial(expr, sympy.Symbol("x"))
-    coeffs = [int(c) for c in reversed(sympy.Poly(mp).all_coeffs())]
-    from .algsolve import isolate_real_roots
-
-    roots = isolate_real_roots([qq(c) for c in coeffs])
-    target = v.approx().real
-    best = None
-    for r in roots:
-        r.refine_to(qq(1, 2**48))
-        if abs(float(r.mid()) - target) < 1e-9:
-            if best is not None:
-                raise CertificateError("ambiguous cyclotomic root match")
-            best = r
-    if best is None:
-        raise CertificateError("no root matches the cyclotomic value")
-    return AlgValue(tuple(coeffs), best)
+    z = NumberField(cyclotomic_polynomial(v.m)).generator()
+    psi = _minpoly_of_value(z + z ** (v.m - 1))
+    c = NumberField(psi, isolate_real_roots(psi)[-1]).generator()
+    prev, cur = c.field.from_rational(2), c
+    value = c.field.from_rational(v.vec[0])
+    for a in v.vec[1:]:
+        value = value + cur * (a / 2)
+        prev, cur = cur, c * cur - prev
+    return AlgValue.from_field_element(value)
 
 
 def _is_true_character(objective, cap):

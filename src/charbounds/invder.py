@@ -12,7 +12,6 @@ live in the tests, as cross-checks.
 
 from __future__ import annotations
 
-import datetime
 import json
 import os
 import tempfile
@@ -34,7 +33,6 @@ class DerivationMatrix:
     permutation: tuple    # the -w0 index permutation
     form_A: tuple
     content_hash: str
-    created: str
     cache_hit: bool
 
     def entry(self, i, j):
@@ -47,7 +45,6 @@ class DerivationMatrix:
             "datum": self.datum.name(),
             "hash": self.content_hash,
             "form_A": [[str(x) for x in row] for row in self.form_A],
-            "created": self.created,
             "entries": [
                 [i, j, self.entries[i][j].to_json()]
                 for i in range(r)
@@ -85,7 +82,7 @@ def _load_cache(datum, path):
             grid[j][i] = p
         if any(e is None for row in grid for e in row):
             return None
-        return tuple(tuple(row) for row in grid), data["created"]
+        return tuple(tuple(row) for row in grid)
     except (KeyError, TypeError, ValueError):
         return None
 
@@ -119,16 +116,14 @@ def derivation_matrix(
         )
     path = _cache_path(datum, cache_dir)
     if use_cache:
-        hit = _load_cache(datum, path)
-        if hit is not None:
-            entries, created = hit
+        entries = _load_cache(datum, path)
+        if entries is not None:
             return DerivationMatrix(
                 datum=datum,
                 entries=entries,
                 permutation=datum.minus_w0,
                 form_A=datum.form_A,
                 content_hash=datum.content_hash(),
-                created=created,
                 cache_hit=True,
             )
     entries = _entries_qeval(datum)
@@ -142,7 +137,6 @@ def derivation_matrix(
         permutation=datum.minus_w0,
         form_A=datum.form_A,
         content_hash=datum.content_hash(),
-        created=datetime.datetime.now(datetime.timezone.utc).isoformat(),
         cache_hit=False,
     )
     if use_cache:
@@ -201,7 +195,6 @@ def sigma_matrix(m):
         permutation=perm,
         form_A=m.form_A,
         content_hash=m.content_hash,
-        created=m.created,
         cache_hit=m.cache_hit,
     )
 

@@ -36,17 +36,6 @@ _DIM_FORMULAS = {
     "G": {2: 14},
 }
 
-_WEYL_ORDERS = {
-    "A": lambda n: math.factorial(n + 1),
-    "B": lambda n: 2**n * math.factorial(n),
-    "C": lambda n: 2**n * math.factorial(n),
-    "D": lambda n: 2 ** (n - 1) * math.factorial(n),
-    "E": {6: 51840, 7: 2903040, 8: 696729600},
-    "F": {4: 1152},
-    "G": {2: 12},
-}
-
-
 def validate_type(letter, rank):
     ok = (
         (letter == "A" and rank >= 1)
@@ -381,9 +370,6 @@ def _build_root_datum(letter, rank, form_scale=1):
     form_B = tuple(tuple(2 * x for x in row) for row in gram)
     form_A = tuple(tuple(pq * form_scale * x for x in row) for row in form_B)
 
-    worder_formula = _WEYL_ORDERS[letter]
-    worder = worder_formula[rank] if isinstance(worder_formula, dict) else worder_formula(rank)
-
     datum = RootDatum(
         letter=letter,
         rank=rank,
@@ -402,7 +388,7 @@ def _build_root_datum(letter, rank, form_scale=1):
         form_A=form_A,
         form_scale=form_scale,
         minus_w0=(),
-        weyl_order=worder,
+        weyl_order=_parabolic_order(pos_rc, range(r)),
         dim=dim,
     )
     # -w0 sends omega_i to -omega_{pi(i)}; read the permutation off
@@ -491,88 +477,29 @@ _STAB_CACHE = {}
 
 
 def weyl_stabilizer_order(datum, weight):
-    """Order of the stabilizer of a dominant weight (a parabolic subgroup).
-
-    The stabilizer is generated by the simple reflections fixing the
-    weight; its order is the product of the component Weyl orders of the
-    sub-diagram on those nodes.
-    """
+    """Order of the stabilizer of a dominant weight: the parabolic
+    subgroup generated by the simple reflections fixing the weight."""
     zeros = tuple(i for i, x in enumerate(weight) if x == 0)
     key = (datum.letter, datum.rank, zeros)
     hit = _STAB_CACHE.get(key)
-    if hit is not None:
-        return hit
-    C = datum.cartan
-    order = 1
-    remaining = set(zeros)
-    while remaining:
-        start = min(remaining)
-        comp = {start}
-        frontier = [start]
-        while frontier:
-            v = frontier.pop()
-            for w in remaining:
-                if w not in comp and C[v][w]:
-                    comp.add(w)
-                    frontier.append(w)
-        remaining -= comp
-        order *= _component_weyl_order(C, sorted(comp))
-    _STAB_CACHE[key] = order
-    return order
+    if hit is None:
+        hit = _STAB_CACHE[key] = _parabolic_order(
+            datum.positive_root_coords, zeros
+        )
+    return hit
 
 
-def _component_weyl_order(C, nodes):
-    """Weyl order of a connected sub-diagram, read off its shape."""
-    n = len(nodes)
-    if n == 1:
-        return 2
-    deg = {v: 0 for v in nodes}
-    bonds = {}
-    for a in range(n):
-        for b in range(a + 1, n):
-            i, j = nodes[a], nodes[b]
-            p = C[i][j] * C[j][i]
-            if p:
-                deg[i] += 1
-                deg[j] += 1
-                bonds[(i, j)] = p
-    top = max(bonds.values())
-    if top == 3:
-        assert n == 2
-        return 12
-    if top == 2:
-        (i, j) = next(e for e, p in bonds.items() if p == 2)
-        if n == 4 and deg[i] == 2 and deg[j] == 2:
-            return 1152
-        return (2**n) * math.factorial(n)
-    degs = sorted(deg.values())
-    if degs[-1] <= 2:
-        return math.factorial(n + 1)
-    branch = next(v for v in nodes if deg[v] == 3)
-    rest = [v for v in nodes if v != branch]
-    arms = []
-    remaining = set(rest)
-    while remaining:
-        start = min(remaining)
-        comp = {start}
-        frontier = [start]
-        while frontier:
-            v = frontier.pop()
-            for w in remaining:
-                if w not in comp and C[v][w]:
-                    comp.add(w)
-                    frontier.append(w)
-        remaining -= comp
-        arms.append(len(comp))
-    arms.sort()
-    if arms[0] == 1 and arms[1] == 1:
-        return (2 ** (n - 1)) * math.factorial(n)
-    if arms == [1, 2, 2]:
-        return 51840
-    if arms == [1, 2, 3]:
-        return 2903040
-    assert arms == [1, 2, 4]
-    return 696729600
+def _parabolic_order(positive_root_coords, nodes):
+    """|W_J| for the simple reflections J = nodes, by Macdonald's formula:
+    the product of (ht a + 1) / ht a over the positive roots a (in the
+    root basis) supported on J."""
+    num = den = 1
+    for rc in positive_root_coords:
+        if all(i in nodes for i, c in enumerate(rc) if c):
+            ht = sum(rc)
+            num *= ht + 1
+            den *= ht
+    return num // den
 
 
 def weyl_elements(datum, cap=10_000_000, with_sign=False):

@@ -295,6 +295,11 @@ def _weyl_sum(datum, sv, tv, cap):
     alternating = complex(
         math.fsum(z.real for z in terms), math.fsum(z.imag for z in terms)
     )
+    # each term carries a rounding error up to 2^-52 of its size
+    if math.fsum(abs(z) for z in terms) * 2.0**-52 > 1e-8 * abs(alternating):
+        raise ConditioningError(
+            "the alternating Weyl sum cancels below double precision"
+        )
     prefactor = 1.0
     for rr, rs, rt in zip(
         root_rho, _root_pairings(datum, sv), _root_pairings(datum, tv)
@@ -325,7 +330,10 @@ def _averaged(datum, sv, tv, s_regular, t_regular, cap, tol):
             tt = tv if t_regular else [z + eps for z in tv]
             if not (_is_regular(datum, ss, tol) and _is_regular(datum, tt, tol)):
                 break
-            pair.append(_weyl_sum(datum, ss, tt, cap))
+            try:
+                pair.append(_weyl_sum(datum, ss, tt, cap))
+            except ConditioningError:
+                break
         if len(pair) < 2:
             continue
         value = (pair[0] + pair[1]) / 2.0
@@ -347,7 +355,9 @@ def eval_X(datum, s, t, *, cap=DEFAULT_WEYL_CAP, tol=1e-8):
     t exactly equal to rho switches to the product over positive roots,
     which has no wall restrictions; anything else is perturbed off the
     wall and averaged, or rejected with ConditioningError when that
-    fails.  An identically zero argument forces X = 1 by the scaling
+    fails.  A Weyl sum whose terms cancel so far that their rounding
+    could exceed 1e-8 of the sum also raises ConditioningError; off a
+    wall, such a pair only fails its scale.  An identically zero argument forces X = 1 by the scaling
     symmetry, so that case returns 1 exactly.
     """
     sv = [complex(z) for z in s]

@@ -230,3 +230,26 @@ def fglm_lex(quot, form):
         combo = ech.insert(quot.nf_vec(Poly.variable(quot.nvars, i)), "x")
         h_polys.append(upoly_trim([-combo.get(j, QZERO) for j in range(deg)]))
     return g, h_polys
+
+
+def upoly_mul(a, b):
+    """Product of two dense QQ lists (ascending)."""
+    if not a or not b:
+        return []
+    out = [QZERO] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                if y:
+                    out[i + j] += x * y
+    return upoly_trim(out)
+
+
+def upoly_sub(a, b):
+    """Difference of two dense QQ lists (ascending)."""
+    out = [QZERO] * max(len(a), len(b))
+    for i, x in enumerate(a):
+        out[i] += x
+    for i, y in enumerate(b):
+        out[i] -= y
+    return upoly_trim(out)

@@ -8,6 +8,7 @@ from charbounds.algsolve import (
     CertificateError,
     Ideal,
     NotZeroDimensionalError,
+    NumberField,
     PairCapError,
     groebner,
     isolate_real_roots,
@@ -107,7 +108,7 @@ def test_univariate_cubic_points():
     assert abs(approx[1] + 0.323628) < 1e-5
     for pt in pts:
         assert sign_of(p, pt) == 0
-        assert pt.coord_info[0].minpoly == (-49, -151, 10, 27)
+        assert pt.minpolys[0] == (-49, -151, 10, 27)
 
 
 def test_empty_real_variety():
@@ -169,8 +170,8 @@ def test_triangular_system_with_irrational_coordinate():
     x, y = var(2, 0), var(2, 1)
     pts = solve_zero_dim(Ideal.of(2, [y * y - 2, x - y * y]))
     assert len(pts) == 2
-    assert [p.coord_info[0].minpoly for p in pts] == [(-2, 1), (-2, 1)]
-    assert [p.coord_info[1].minpoly for p in pts] == [(-2, 0, 1), (-2, 0, 1)]
+    assert [p.minpolys[0] for p in pts] == [(-2, 1), (-2, 1)]
+    assert [p.minpolys[1] for p in pts] == [(-2, 0, 1), (-2, 0, 1)]
     lo = pts[0].approx()
     hi = pts[1].approx()
     assert abs(lo[0] - 2) < 1e-9 and abs(lo[1] + 2**0.5) < 1e-9
@@ -341,6 +342,24 @@ def test_algvalue_distinguishes_conjugates():
 
 
 # -- randomized oracles -----------------------------------------------------
+
+# x - 3/2, x^3 - x - 1 and x^4 - 10 x^2 + 1 (the minpoly of sqrt 2 + sqrt 3)
+_FIELDS = [NumberField((-3, 2)), NumberField((-1, -1, 0, 1)),
+           NumberField((1, 0, -10, 0, 1))]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from(_FIELDS),
+    st.lists(st.fractions(-100, 100, max_denominator=50), min_size=4, max_size=4),
+)
+def test_field_inverse(field, coeffs):
+    v = field.reduce([qq(c) for c in coeffs[:field.degree]])
+    if v:
+        assert v * v.inverse() == 1
+    with pytest.raises(ZeroDivisionError):
+        field.from_rational(0).inverse()
+
 
 @settings(max_examples=40, deadline=None)
 @given(

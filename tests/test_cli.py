@@ -103,6 +103,11 @@ def test_matrix_cache_flag_and_byte_identical_reruns(capsys, tmp_path, monkeypat
     # the payload under the flag is unchanged by the cache round trip
     strip = lambda s: s.replace('"cache_hit": false', '"cache_hit": true')
     assert strip(cold) == warm1
+    # a cold run into a second fresh directory repeats the first
+    fresh = tmp_path / "fresh"
+    code, cold2, _ = run_main(capsys, *argv[:-1], str(fresh))
+    assert code == 0
+    assert cold2 == cold
 
 
 def test_matrix_env_cache_honored(capsys, tmp_path, monkeypatch):
@@ -110,6 +115,16 @@ def test_matrix_env_cache_honored(capsys, tmp_path, monkeypatch):
     code, _, _ = run_main(capsys, "matrix", "--type", "G2", "--format", "json")
     assert code == 0
     assert list(tmp_path.glob("matrix-*.json"))
+
+
+def test_xfun_cancelling_weyl_sum_exits_3(capsys):
+    code, out, err = run_main(
+        capsys, "xfun", "--type", "F4",
+        "--s=-0.9,1,0.9,-0.8", "--t=-0.2,0.8,-1.1,-0.4",
+    )
+    assert code == 3
+    assert out == ""
+    assert err.startswith("undecided:")
 
 
 def test_objective_grammar():

@@ -1,11 +1,9 @@
-import pytest
+import math
 
-from charbounds import algsolve
-from charbounds.algsolve import (
-    AlgValue,
-    CertificateError,
-    solve_zero_dim,
-)
+import pytest
+import sympy
+
+from charbounds.algsolve import solve_zero_dim
 from charbounds.compactcert import (
     NonRealObjectiveError,
     _cyc_to_algvalue,
@@ -109,15 +107,40 @@ def test_g2_interior_point_certificate(g2):
 
 # -- exact corner values ----------------------------------------------------
 
-def test_irrational_corner_value_is_certified(monkeypatch):
+def test_irrational_corner_value_is_certified():
     # zeta_5 + zeta_5^-1 = (sqrt(5) - 1) / 2
     v = Cyc.zeta_power(5, 1) + Cyc.zeta_power(5, 4)
     assert _cyc_to_algvalue(v).minpoly == (-1, 1, 1)
-    # no isolated root matching the value is a failed certificate, also
-    # under python -O
-    monkeypatch.setattr(algsolve, "isolate_real_roots", lambda p: [])
-    with pytest.raises(CertificateError):
-        _cyc_to_algvalue(v)
+    # sympy is the independent oracle for the minimal polynomial and the root
+    x = sympy.Symbol("x")
+    for m in (5, 7, 8, 9, 12, 15):
+        z = sympy.exp(2 * sympy.pi * sympy.I / m)
+        v = Cyc.from_rational(m, qq(1, 3))
+        expr = sympy.Rational(1, 3)
+        for k, a in ((1, qq(2)), (2, qq(-1)), (3, qq(5, 2))):
+            v = v + (Cyc.zeta_power(m, k) + Cyc.zeta_power(m, m - k)) * a
+            expr += sympy.Rational(int(a.numerator), int(a.denominator)) * (
+                z**k + z**-k
+            )
+        got = _cyc_to_algvalue(v)
+        want = sympy.Poly(sympy.minimal_polynomial(expr, x), x)
+        assert got.minpoly == tuple(int(c) for c in reversed(want.all_coeffs()))
+        assert math.gcd(*got.minpoly) == 1 and got.minpoly[-1] > 0
+        lo, hi = (sympy.Rational(int(b.numerator), int(b.denominator))
+                  for b in got.box())
+        assert lo <= sympy.re(sympy.N(expr, 30)) <= hi
+
+
+def test_a4_irrational_corner_minimum(tmp_path):
+    # f1 + f4 = 2 Re f1 takes -(5 + 5 sqrt(5)) / 2 at a corner of order 5
+    a4 = build_root_datum("A", 4)
+    obj = FundamentalPolynomial(
+        a4, Poly.variable(4, 0) + Poly.variable(4, 3)
+    )
+    rep = extremum(a4, obj, cache_dir=str(tmp_path))
+    assert rep.minimum.minpoly == (-25, 5, 1)
+    assert abs(rep.minimum.approx() + (5 + 5 * 5**0.5) / 2) < 1e-9
+    assert hasattr(rep.min_witness, "kac_coordinates")
 
 
 # -- extremum reports -------------------------------------------------------

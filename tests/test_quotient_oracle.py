@@ -14,13 +14,7 @@ from hypothesis import strategies as st
 
 import fraction_oracle as oracle
 from charbounds import algsolve
-from charbounds.algsolve import (
-    Ideal,
-    groebner,
-    upoly_mul,
-    upoly_rem,
-    upoly_sub,
-)
+from charbounds.algsolve import Ideal, groebner, upoly_rem
 from charbounds.charring import FundamentalPolynomial
 from charbounds.compactcert import critical_ideal
 from charbounds.invder import derivation_matrix
@@ -67,7 +61,8 @@ def assert_same_quotient_layer(ideal):
             g, h_polys = shape
             assert f == g
             for g_x, h in zip(g_coords, h_polys, strict=True):
-                assert upoly_rem(upoly_sub(g_x, upoly_mul(h, g_one)), f) == []
+                diff = oracle.upoly_sub(g_x, oracle.upoly_mul(h, g_one))
+                assert upoly_rem(diff, f) == []
             points = algsolve._assemble_points(ideal, rur, fast.dim)
             factors = charpoly_factors(ref, form)
             for p in points:

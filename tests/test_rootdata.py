@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -118,6 +120,17 @@ def test_stabilizer_orders():
     d4 = build_root_datum("D", 4)
     # dropping the central node leaves three isolated A1's
     assert weyl_stabilizer_order(d4, (0, 1, 0, 0)) == 8
+
+
+@pytest.mark.parametrize(
+    "letter, rank",
+    [("A", 3), ("B", 3), ("C", 3), ("D", 4), ("G", 2), ("F", 4)],
+)
+def test_orbit_sizes_match_macdonald_orders(letter, rank):
+    # the orbit search is the independent oracle for |W| / |W_J|
+    d = build_root_datum(letter, rank)
+    for w in itertools.product((0, 1), repeat=rank):
+        assert d.weyl_order // weyl_stabilizer_order(d, w) == len(weyl_orbit(d, w))
 
 
 def test_minus_w0():

@@ -252,6 +252,13 @@ def test_wall_fallback():
     assert abs(on_wall.value - near.value) < 1e-4
 
 
+def test_cancelling_weyl_sum_is_rejected():
+    # terms up to 58 cancel to about 1.2: far below double precision
+    f4 = build_root_datum("F", 4)
+    with pytest.raises(ConditioningError):
+        eval_X(f4, (-0.9, 1, 0.9, -0.8), (-0.2, 0.8, -1.1, -0.4))
+
+
 def test_weyl_cap():
     B5 = build_root_datum("B", 5)
     with pytest.raises(EnumerationCapError):
