@@ -108,18 +108,6 @@ def _box_factor(nvars, i):
     return Poly(nvars, {sq: QONE, (0,) * nvars: qq(-4)})
 
 
-def branch_critical_ideal(p):
-    """Generators (t_i^2 - 4) * df/dt_i, one per unpinned variable."""
-    g, keep = _substitute(p.f.poly, dict(p.pins))
-    m = len(keep)
-    gens = []
-    for k in range(m):
-        d = g.diff(k)
-        if d:
-            gens.append(_box_factor(m, k) * d)
-    return Ideal.of(m, gens)
-
-
 def _in_box(point):
     for c in point.coords:
         if (c - 2).sign() > 0 or (c + 2).sign() < 0:

@@ -13,6 +13,7 @@ import random
 from collections import defaultdict
 from dataclasses import dataclass
 
+from .algsolve import CertificateError
 from .polynomials import QQ, QZERO, Cyc, Poly, qq, qq_str
 from .rootdata import RootDatum, weyl_orbit, weyl_stabilizer_order
 
@@ -27,9 +28,9 @@ class OrbitCapError(RuntimeError):
 class CharacterElement:
     """W-invariant element of the weight-lattice group ring."""
 
-    __slots__ = ("datum", "mult", "_dim", "_adjoint")
+    __slots__ = ("datum", "mult", "_dim")
 
-    def __init__(self, datum, mult, dim=None, _adjoint=False):
+    def __init__(self, datum, mult, dim=None):
         self.datum = datum
         clean = {}
         for w, c in mult.items():
@@ -41,7 +42,6 @@ class CharacterElement:
                 clean[w] = clean.get(w, 0) + c
         self.mult = {w: c for w, c in clean.items() if c}
         self._dim = dim
-        self._adjoint = _adjoint
 
     def __eq__(self, other):
         return (
@@ -97,14 +97,6 @@ class CharacterElement:
     def full_expansion(self, cap=DEFAULT_ORBIT_CAP):
         """Map weight -> multiplicity over the whole Weyl orbit expansion."""
         datum = self.datum
-        if self._adjoint:
-            out = {}
-            zero = (0,) * datum.rank
-            for root in datum.positive_roots:
-                out[root] = self.mult.get(datum.dominantize(root), 0)
-                out[tuple(-x for x in root)] = out[root]
-            out[zero] = self.mult.get(zero, 0)
-            return {w: c for w, c in out.items() if c}
         out = {}
         total = 0
         for w, c in self.mult.items():
@@ -172,8 +164,12 @@ def irreducible_character(datum, lam, box_cap=DEFAULT_BOX_CAP):
         for root in datum.positive_roots:
             dom = datum.dominantize(root)
             mult[dom] = 1
-        out = CharacterElement(datum, mult, dim=datum.dim, _adjoint=True)
-        assert _weyl_dimension(datum, lam) == datum.dim
+        if _weyl_dimension(datum, lam) != datum.dim:
+            raise CertificateError(
+                "adjoint dimension of %s disagrees with the Weyl formula"
+                % datum.name()
+            )
+        out = CharacterElement(datum, mult, dim=datum.dim)
         _IRR_CACHE[key] = out
         return out
 
@@ -240,7 +236,11 @@ def irreducible_character(datum, lam, box_cap=DEFAULT_BOX_CAP):
                 mu_rho = tuple(a + b for a, b in zip(mu, rho))
                 denom = n_lam_rho - datum.norm2(mu_rho)
                 val = 2 * acc / denom
-                assert val.denominator == 1 and val > 0
+                if val.denominator != 1 or val <= 0:
+                    raise CertificateError(
+                        "Freudenthal multiplicity %s at %s in %s is not a "
+                        "positive integer" % (qq_str(val), mu, lam)
+                    )
                 mult[mu] = int(val)
     mult = {w: c for w, c in mult.items() if c}
 
@@ -248,7 +248,11 @@ def irreducible_character(datum, lam, box_cap=DEFAULT_BOX_CAP):
     check = 0
     for w, c in mult.items():
         check += c * (datum.weyl_order // weyl_stabilizer_order(datum, w))
-    assert check == dim, "Freudenthal dimension mismatch at %s" % (lam,)
+    if check != dim:
+        raise CertificateError(
+            "Freudenthal dimension %d at %s disagrees with the Weyl formula "
+            "(%d)" % (check, lam, dim)
+        )
     out = CharacterElement(datum, mult, dim=dim)
     _IRR_CACHE[key] = out
     return out
@@ -387,9 +391,8 @@ class QevalContext:
     from the datum hash for reproducibility.
     """
 
-    def __init__(self, datum, tops, cap=DEFAULT_ORBIT_CAP):
+    def __init__(self, datum, tops):
         self.datum = datum
-        self.cap = cap
         self.cone = _cone_monomials(datum, tops)
         self.u = self._pick_functional(tops)
         self.lookup = {}
@@ -422,7 +425,7 @@ class QevalContext:
 
     def char_qpoly(self, char, weight_index=None):
         """Sparse q-image; weight_index weights each e^nu by nu_k."""
-        full = char.full_expansion(cap=self.cap)
+        full = char.full_expansion()
         out = {}
         for nu, c in full.items():
             if weight_index is not None:
@@ -445,7 +448,10 @@ class QevalContext:
         parent = tuple(e - (1 if k == i else 0) for k, e in enumerate(mono))
         out = qconv(self.monomial_qpoly(parent), self.fund_qpolys[i])
         top = self.pvalue(mono)
-        assert max(out) == top and out[top] == 1
+        if max(out) != top or out[top] != 1:
+            raise CertificateError(
+                "q-image of the monomial %s does not lead with q^%d" % (mono, top)
+            )
         self._mono_cache[mono] = out
         return out
 
@@ -510,7 +516,7 @@ def _cone_monomials(datum, tops):
 _QCTX_CACHE = {}
 
 
-def to_fundamental_polynomial(c, cap=DEFAULT_ORBIT_CAP):
+def to_fundamental_polynomial(c):
     """Express an invariant element as a polynomial in f_1..f_r.
 
     Repeated leading-dominant-term subtraction, done on exact
@@ -523,7 +529,7 @@ def to_fundamental_polynomial(c, cap=DEFAULT_ORBIT_CAP):
     key = (datum.content_hash(), tops)
     ctx = _QCTX_CACHE.get(key)
     if ctx is None:
-        ctx = QevalContext(datum, tops, cap=cap)
+        ctx = QevalContext(datum, tops)
         _QCTX_CACHE[key] = ctx
     coeffs = ctx.solve(ctx.char_qpoly(c))
     poly = Poly(datum.rank, coeffs)
@@ -533,7 +539,7 @@ def to_fundamental_polynomial(c, cap=DEFAULT_ORBIT_CAP):
 # ---------------------------------------------------------------------------
 # torsion evaluation
 
-def evaluate_at_torsion(c, point, m, cap=DEFAULT_ORBIT_CAP):
+def evaluate_at_torsion(c, point, m):
     """Exact value of an invariant element at exp(2 pi i v).
 
     point is the covector of v: <mu, v> is the dot product with mu's
@@ -543,7 +549,7 @@ def evaluate_at_torsion(c, point, m, cap=DEFAULT_ORBIT_CAP):
     if m < 1:
         raise ValueError("order must be positive")
     counts = [QZERO] * m
-    for nu, mu_c in c.full_expansion(cap=cap).items():
+    for nu, mu_c in c.full_expansion().items():
         val = sum((qq(p) * x for p, x in zip(point, nu) if x), QZERO)
         t = m * val
         if t.denominator != 1:

@@ -17,7 +17,6 @@ import json
 import math
 import re
 import sys
-from dataclasses import dataclass
 
 from . import branch, closedform
 from .algsolve import (
@@ -60,38 +59,8 @@ class UsageError(Exception):
     pass
 
 
-@dataclass
-class RunConfig:
-    command: str
-    datum: object = None          # RootDatum, when the command takes --type
-    objective: str = "adjoint"
-    fmt: str = "text"
-    cache_dir: str = None
-    precision: int = 6
-    rank_cap: int = 6
-    orbit_cap: int = 10_000_000
-    pair_cap: int = 200_000
-    long_running: bool = False
-    columns: tuple = None         # corners
-    pins: tuple = ()              # branch-minimize, ((index, value), ...)
-    family: str = "simple"        # table
-    max_rank: int = 8             # table
-    max_degree: int = 12          # su2
-    degree: int = None            # su2
-    s_vec: tuple = None           # xfun
-    t_vec: tuple = None           # xfun
-
-    def validate(self):
-        if self.precision < 1:
-            raise UsageError("precision must be at least 1")
-        for cap_name in ("rank_cap", "orbit_cap", "pair_cap"):
-            if getattr(self, cap_name) < 1:
-                raise UsageError("%s must be positive" % cap_name)
-        return self
-
-
 # ---------------------------------------------------------------------------
-# parsing helpers
+# parsing helpers; the argparse type= callables raise UsageError directly
 
 
 def _parse_type(text):
@@ -104,6 +73,26 @@ def _parse_type(text):
         return build_root_datum(m.group(1).upper(), int(m.group(2)))
     except ValueError as e:
         raise UsageError(str(e))
+
+
+def _parse_columns(text):
+    if not text:
+        return None
+    try:
+        return tuple(int(x) for x in text.split(","))
+    except ValueError:
+        raise UsageError("--columns wants integers like 1,2,8")
+
+
+def _positive_int(message):
+    def parse(text):
+        value = int(text)
+        if value < 1:
+            raise UsageError(message)
+        return value
+
+    parse.__name__ = "int"  # argparse names it in "invalid int value: ..."
+    return parse
 
 
 def parse_objective(datum, text):
@@ -247,9 +236,9 @@ def _emit_csv(header, rows):
 # command handlers; each returns the emitted string
 
 
-def _cmd_datum(cfg):
-    d = cfg.datum
-    if cfg.fmt == "json":
+def _cmd_datum(args):
+    d = args.datum
+    if args.format == "json":
         return _emit_json("datum", {"datum": d.to_json()})
     facts = [
         ("type", d.name()),
@@ -261,16 +250,16 @@ def _cmd_datum(cfg):
         ("minus_one_in_weyl", d.minus_one_in_weyl()),
         ("highest_root", "(%s)" % ", ".join(str(x) for x in d.highest_root)),
     ]
-    if cfg.fmt == "csv":
+    if args.format == "csv":
         return _emit_csv(["fact", "value"], [(k, v) for k, v in facts])
     return "".join("%s: %s\n" % (k, v) for k, v in facts)
 
 
-def _cmd_corners(cfg):
-    d = cfg.datum
-    cols = cfg.columns or tuple(range(1, d.rank + 1))
+def _cmd_corners(args):
+    d = args.datum
+    cols = args.columns or tuple(range(1, d.rank + 1))
     found = corners(d, columns=cols)
-    if cfg.fmt == "json":
+    if args.format == "json":
         payload = {
             "type": d.name(),
             "columns": list(cols),
@@ -293,10 +282,10 @@ def _cmd_corners(cfg):
             "".join(str(x) for x in c.kac_coordinates),
             c.order,
         ]
-        + [_fmt_cyc(v, cfg.precision) for v in c.values]
+        + [_fmt_cyc(v, args.precision) for v in c.values]
         for c in found
     ]
-    if cfg.fmt == "csv":
+    if args.format == "csv":
         return _emit_csv(header, rows)
     lines = []
     for row in rows:
@@ -307,42 +296,43 @@ def _cmd_corners(cfg):
     return "".join(line + "\n" for line in lines)
 
 
-def _cmd_matrix(cfg):
+def _cmd_matrix(args):
     m = derivation_matrix(
-        cfg.datum,
-        cache_dir=cfg.cache_dir,
-        rank_cap=cfg.rank_cap,
-        allow_large=cfg.long_running,
+        args.datum,
+        cache_dir=args.cache,
+        rank_cap=args.rank_cap,
+        allow_large=args.long_running,
     )
-    if cfg.fmt == "json":
+    if args.format == "json":
         return _emit_json(
             "matrix", {"cache_hit": m.cache_hit, "matrix": m.to_json()}
         )
-    r = cfg.datum.rank
+    r = args.datum.rank
     rows = [
         (i + 1, j + 1, m.entry(i, j).to_str())
         for i in range(r)
         for j in range(i, r)
     ]
-    if cfg.fmt == "csv":
+    if args.format == "csv":
         return _emit_csv(["i", "j", "entry"], rows)
     out = ["cache: %s" % ("hit" if m.cache_hit else "computed")]
     out += ["M[%d,%d] = %s" % row for row in rows]
     return "".join(line + "\n" for line in out)
 
 
-def _cmd_extremize(cfg, maximize):
-    objective = parse_objective(cfg.datum, cfg.objective)
+def _cmd_extremize(args):
+    maximize = args.command == "maximize"
+    objective = parse_objective(args.datum, args.objective)
     report = extremum(
-        cfg.datum,
+        args.datum,
         objective,
-        cache_dir=cfg.cache_dir,
-        rank_cap=cfg.rank_cap,
-        allow_large=cfg.long_running,
-        pair_cap=cfg.pair_cap,
-        expand_cap=cfg.orbit_cap,
+        cache_dir=args.cache,
+        rank_cap=args.rank_cap,
+        allow_large=args.long_running,
+        pair_cap=args.pair_cap,
+        expand_cap=args.orbit_cap,
     )
-    if cfg.fmt == "json":
+    if args.format == "json":
         return _emit_json(
             "maximize" if maximize else "minimize", {"report": report.to_json()}
         )
@@ -351,46 +341,45 @@ def _cmd_extremize(cfg, maximize):
     tag = "max" if maximize else "min"
     line = "%s = %s at %s" % (
         tag,
-        _fmt_alg(value, cfg.precision),
-        _witness_text(witness, cfg.precision),
+        _fmt_alg(value, args.precision),
+        _witness_text(witness, args.precision),
     )
-    if cfg.fmt == "csv":
+    if args.format == "csv":
         return _emit_csv(
             ["objective", tag, "decimal", "witness"],
             [
                 (
                     objective.to_str(),
-                    _fmt_alg(value, cfg.precision),
-                    _fmt_float(value.approx(), cfg.precision),
-                    _witness_text(witness, cfg.precision),
+                    _fmt_alg(value, args.precision),
+                    _fmt_float(value.approx(), args.precision),
+                    _witness_text(witness, args.precision),
                 )
             ],
         )
     return line + "\n"
 
 
-def _cmd_branch_minimize(cfg):
-    problem = branch.adjoint_problem(
-        cfg.datum, pins=dict(cfg.pins), cap=cfg.orbit_cap
-    )
+def _cmd_branch_minimize(args):
+    pins = _parse_pins(args.pins, args.datum.rank)
+    problem = branch.adjoint_problem(args.datum, pins=pins, cap=args.orbit_cap)
     try:
-        result = branch.branch_minimize(problem, pair_cap=cfg.pair_cap)
+        result = branch.branch_minimize(problem, pair_cap=args.pair_cap)
     except ValueError as e:
         # too many free variables without pins is a feasibility refusal
         raise EnumerationCapError(str(e))
-    if cfg.fmt == "json":
+    if args.format == "json":
         return _emit_json("branch-minimize", {"result": result.to_json()})
     witness = ", ".join(
-        _fmt_alg(w, cfg.precision) for w in result.witness
+        _fmt_alg(w, args.precision) for w in result.witness
     )
     line = "min = %s at t = (%s)" % (
-        _fmt_alg(result.minimum, cfg.precision),
+        _fmt_alg(result.minimum, args.precision),
         witness,
     )
-    if cfg.fmt == "csv":
+    if args.format == "csv":
         return _emit_csv(
             ["polynomial", "min", "witness"],
-            [(problem.f.to_str(), _fmt_alg(result.minimum, cfg.precision), witness)],
+            [(problem.f.to_str(), _fmt_alg(result.minimum, args.precision), witness)],
         )
     return line + "\n"
 
@@ -403,11 +392,11 @@ _SHORT_ROOT_ROWS = (
 )
 
 
-def _cmd_table(cfg):
-    if cfg.family == "short-root":
+def _cmd_table(args):
+    if args.family == "short-root":
         header = ["type", "minimum", "dimension"]
         rows = list(_SHORT_ROOT_ROWS)
-        if cfg.fmt == "json":
+        if args.format == "json":
             return _emit_json(
                 "table",
                 {
@@ -415,15 +404,13 @@ def _cmd_table(cfg):
                     "rows": [dict(zip(header, r)) for r in rows],
                 },
             )
-        if cfg.fmt == "csv":
+        if args.format == "csv":
             return _emit_csv(header, rows)
         return "".join(
             "%s: min = %s on the %s-dimensional representation\n" % r
             for r in rows
         )
-    if cfg.family != "simple":
-        raise UsageError("unknown table family %r" % cfg.family)
-    entries = closedform.bounds_table(max_rank=cfg.max_rank)
+    entries = closedform.bounds_table(max_rank=args.max_rank)
     header = ["type", "component", "lower", "upper", "provenance"]
     rows = [
         (
@@ -435,21 +422,21 @@ def _cmd_table(cfg):
         )
         for e in entries
     ]
-    if cfg.fmt == "json":
+    if args.format == "json":
         return _emit_json(
             "table",
             {"family": "simple", "rows": [e.to_json() for e in entries]},
         )
-    if cfg.fmt == "csv":
+    if args.format == "csv":
         return _emit_csv(header, rows)
     return "".join(
         "%s s=%s: [%s, %s] (%s)\n" % r for r in rows
     )
 
 
-def _cmd_su2(cfg):
+def _cmd_su2(args):
     degrees = (
-        [cfg.degree] if cfg.degree is not None else list(range(1, cfg.max_degree + 1))
+        [args.degree] if args.degree is not None else list(range(1, args.max_degree + 1))
     )
     if any(d < 1 for d in degrees):
         raise UsageError("degrees must be positive")
@@ -470,19 +457,19 @@ def _cmd_su2(cfg):
                 "ratio": dec / (d + 1),
             }
         )
-    if cfg.fmt == "json":
+    if args.format == "json":
         c, theta0 = limit_constant()
         return _emit_json(
             "su2", {"rows": rows, "limit_constant": c, "theta0": theta0}
         )
-    if cfg.fmt == "csv":
+    if args.format == "csv":
         return _emit_csv(
             ["d", "min", "ratio", "exact"],
             [
                 (
                     r["d"],
-                    _fmt_float(r["min"], cfg.precision),
-                    _fmt_float(r["ratio"], cfg.precision),
+                    _fmt_float(r["min"], args.precision),
+                    _fmt_float(r["ratio"], args.precision),
                     r["exact"],
                 )
                 for r in rows
@@ -493,30 +480,33 @@ def _cmd_su2(cfg):
         % (
             r["d"],
             r["exact"],
-            _fmt_float(r["ratio"], cfg.precision),
+            _fmt_float(r["ratio"], args.precision),
         )
         for r in rows
     ]
     c, theta0 = limit_constant()
     lines.append("limit: min/(d+1) -> -c = %s (theta0 = %s)" % (
-        _fmt_float(-c, cfg.precision),
-        _fmt_float(theta0, cfg.precision),
+        _fmt_float(-c, args.precision),
+        _fmt_float(theta0, args.precision),
     ))
     return "".join(line + "\n" for line in lines)
 
 
-def _cmd_xfun(cfg):
-    cap = 10_000_000 if cfg.long_running else DEFAULT_WEYL_CAP
-    ev = eval_X(cfg.datum, cfg.s_vec, cfg.t_vec, cap=cap)
-    if cfg.fmt == "json":
+def _cmd_xfun(args):
+    rank = args.datum.rank
+    s_vec = _parse_vector(args.s, rank, "--s")
+    t_vec = _parse_vector(args.t, rank, "--t")
+    cap = 10_000_000 if args.long_running else DEFAULT_WEYL_CAP
+    ev = eval_X(args.datum, s_vec, t_vec, cap=cap)
+    if args.format == "json":
         return _emit_json("xfun", {"evaluation": ev.to_json()})
     line = "X(s, t) = %s  [%s]" % (
-        _fmt_complex(ev.value, cfg.precision),
+        _fmt_complex(ev.value, args.precision),
         ev.method,
     )
     if ev.error:
         line += "  error<=%.1e" % ev.error
-    if cfg.fmt == "csv":
+    if args.format == "csv":
         return _emit_csv(
             ["re", "im", "method", "error"],
             [(ev.value.real, ev.value.imag, ev.method, ev.error)],
@@ -524,7 +514,7 @@ def _cmd_xfun(cfg):
     return line + "\n"
 
 
-def _selfcheck_battery(cfg):
+def _selfcheck_battery(args):
     checks = []
 
     def check(name, fn):
@@ -542,7 +532,7 @@ def _selfcheck_battery(cfg):
     check("G2 corner values", g2_corner_set)
 
     def g2_extremum():
-        rep = extremum(g2, adjoint_objective(g2), cache_dir=cfg.cache_dir)
+        rep = extremum(g2, adjoint_objective(g2), cache_dir=args.cache)
         return (
             rep.minimum.is_rational()
             and rep.minimum.as_rational() == -2
@@ -600,12 +590,9 @@ def _selfcheck_battery(cfg):
     check("Chebyshev zero brackets", zeros_bracket)
 
     def deterministic():
-        once = _cmd_corners(
-            RunConfig(command="corners", datum=g2, fmt="csv").validate()
-        )
-        again = _cmd_corners(
-            RunConfig(command="corners", datum=g2, fmt="csv").validate()
-        )
+        argv = ["corners", "--type", "G2", "--format", "csv"]
+        once = _cmd_corners(build_parser().parse_args(argv))
+        again = _cmd_corners(build_parser().parse_args(argv))
         return once == again
 
     check("deterministic emission", deterministic)
@@ -613,11 +600,11 @@ def _selfcheck_battery(cfg):
     return checks
 
 
-def _cmd_selfcheck(cfg):
+def _cmd_selfcheck(args):
     lines = []
     failures = 0
     results = []
-    for name, fn in _selfcheck_battery(cfg):
+    for name, fn in _selfcheck_battery(args):
         try:
             ok = bool(fn())
         except Exception as e:  # a broken check is a failed check
@@ -630,11 +617,11 @@ def _cmd_selfcheck(cfg):
         "selfcheck %s (%d checks, %d failures)"
         % ("passed" if not failures else "FAILED", len(results), failures)
     )
-    if cfg.fmt == "json":
+    if args.format == "json":
         text = _emit_json(
             "selfcheck", {"results": results, "failures": failures}
         )
-    elif cfg.fmt == "csv":
+    elif args.format == "csv":
         text = _emit_csv(
             ["check", "ok"], [(r["check"], r["ok"]) for r in results]
         )
@@ -656,98 +643,65 @@ def build_parser():
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("text", "json", "csv"), default="text")
     common.add_argument("--cache", default=None, metavar="DIR")
-    common.add_argument("--precision", type=int, default=6)
-    common.add_argument("--rank-cap", type=int, default=6)
-    common.add_argument("--orbit-cap", type=int, default=10_000_000)
-    common.add_argument("--pair-cap", type=int, default=200_000)
+    common.add_argument(
+        "--precision", type=_positive_int("precision must be at least 1"), default=6
+    )
+    common.add_argument(
+        "--rank-cap", type=_positive_int("rank_cap must be positive"), default=6
+    )
+    common.add_argument(
+        "--orbit-cap",
+        type=_positive_int("orbit_cap must be positive"),
+        default=10_000_000,
+    )
+    common.add_argument(
+        "--pair-cap", type=_positive_int("pair_cap must be positive"), default=200_000
+    )
     common.add_argument("--long-running", action="store_true")
 
     typed = argparse.ArgumentParser(add_help=False)
-    typed.add_argument("--type", required=True, metavar="LETTER+RANK")
+    typed.add_argument(
+        "--type", dest="datum", type=_parse_type, required=True, metavar="LETTER+RANK"
+    )
 
     p = _Parser(prog="charbounds", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
 
-    sub.add_parser("datum", parents=[common, typed])
+    sub.add_parser("datum", parents=[common, typed]).set_defaults(handler=_cmd_datum)
     c = sub.add_parser("corners", parents=[common, typed])
-    c.add_argument("--columns", default=None, metavar="J1,J2,...")
-    sub.add_parser("matrix", parents=[common, typed])
+    c.add_argument("--columns", type=_parse_columns, default=None, metavar="J1,J2,...")
+    c.set_defaults(handler=_cmd_corners)
+    sub.add_parser("matrix", parents=[common, typed]).set_defaults(handler=_cmd_matrix)
     for name in ("minimize", "maximize"):
         m = sub.add_parser(name, parents=[common, typed])
         m.add_argument("--objective", default="adjoint")
+        m.set_defaults(handler=_cmd_extremize)
     b = sub.add_parser("branch-minimize", parents=[common, typed])
     b.add_argument("--pins", default="", metavar="I=V,...")
+    b.set_defaults(handler=_cmd_branch_minimize)
     t = sub.add_parser("table", parents=[common])
     t.add_argument("--family", choices=("simple", "short-root"), default="simple")
     t.add_argument("--max-rank", type=int, default=8)
+    t.set_defaults(handler=_cmd_table)
     s = sub.add_parser("su2", parents=[common])
     s.add_argument("--max-degree", type=int, default=12)
     s.add_argument("--degree", type=int, default=None)
+    s.set_defaults(handler=_cmd_su2)
     x = sub.add_parser("xfun", parents=[common, typed])
     x.add_argument("--s", required=True, metavar="A1,A2,...")
     x.add_argument("--t", required=True, metavar="B1,B2,...")
+    x.set_defaults(handler=_cmd_xfun)
     sub.add_parser("selfcheck", parents=[common])
     return p
 
 
-def parse_config(argv):
-    ns = build_parser().parse_args(argv)
-    cfg = RunConfig(
-        command=ns.command,
-        fmt=ns.format,
-        cache_dir=ns.cache,
-        precision=ns.precision,
-        rank_cap=ns.rank_cap,
-        orbit_cap=ns.orbit_cap,
-        pair_cap=ns.pair_cap,
-        long_running=ns.long_running,
-    )
-    if hasattr(ns, "type"):
-        cfg.datum = _parse_type(ns.type)
-    if hasattr(ns, "objective"):
-        cfg.objective = ns.objective
-    if getattr(ns, "columns", None):
-        try:
-            cfg.columns = tuple(int(x) for x in ns.columns.split(","))
-        except ValueError:
-            raise UsageError("--columns wants integers like 1,2,8")
-    if hasattr(ns, "pins"):
-        cfg.pins = tuple(
-            sorted(_parse_pins(ns.pins, cfg.datum.rank).items())
-        )
-    if hasattr(ns, "family"):
-        cfg.family = ns.family
-        cfg.max_rank = ns.max_rank
-    if hasattr(ns, "max_degree"):
-        cfg.max_degree = ns.max_degree
-        cfg.degree = ns.degree
-    if hasattr(ns, "s"):
-        cfg.s_vec = _parse_vector(ns.s, cfg.datum.rank, "--s")
-        cfg.t_vec = _parse_vector(ns.t, cfg.datum.rank, "--t")
-    return cfg.validate()
-
-
-def run(config):
-    """Dispatch a validated config; returns (exit_status, report text)."""
-    handlers = {
-        "datum": _cmd_datum,
-        "corners": _cmd_corners,
-        "matrix": _cmd_matrix,
-        "minimize": lambda c: _cmd_extremize(c, maximize=False),
-        "maximize": lambda c: _cmd_extremize(c, maximize=True),
-        "branch-minimize": _cmd_branch_minimize,
-        "table": _cmd_table,
-        "su2": _cmd_su2,
-        "xfun": _cmd_xfun,
-    }
+def run(args):
+    """Dispatch parsed arguments; returns (exit_status, report text)."""
     try:
-        if config.command == "selfcheck":
-            text, failures = _cmd_selfcheck(config)
+        if args.command == "selfcheck":
+            text, failures = _cmd_selfcheck(args)
             return (EXIT_OK if not failures else 1), text
-        handler = handlers.get(config.command)
-        if handler is None:
-            raise UsageError("unknown command %r" % config.command)
-        return EXIT_OK, handler(config)
+        return EXIT_OK, args.handler(args)
     except (UsageError, NonRealObjectiveError) as e:
         return EXIT_USAGE, "usage error: %s\n" % e
     except (UndecidedSignError, ConditioningError) as e:
@@ -765,11 +719,11 @@ def run(config):
 
 def main(argv=None):
     try:
-        config = parse_config(argv)
+        args = build_parser().parse_args(argv)
     except UsageError as e:
         print("usage error: %s" % e, file=sys.stderr)
         return EXIT_USAGE
-    status, text = run(config)
+    status, text = run(args)
     stream = sys.stdout if status == EXIT_OK else sys.stderr
     stream.write(text)
     return status

@@ -75,7 +75,7 @@ def critical_ideal(m, objective):
 
 def sigma_reality(m, point):
     """True when the coordinates are fixed by the -w0 index permutation."""
-    perm = m.permutation
+    perm = m.datum.minus_w0
     for i, pi in enumerate(perm):
         if pi != i and (point.coords[i] - point.coords[pi]):
             return False
@@ -226,9 +226,9 @@ def _is_true_character(objective, cap):
     return all(c >= 0 for c in parts.values())
 
 
-def adjoint_objective(datum, cap=2_000_000):
+def adjoint_objective(datum):
     """The adjoint trace as a polynomial in fundamental characters."""
-    ad = irreducible_character(datum, datum.highest_root, box_cap=cap)
+    ad = irreducible_character(datum, datum.highest_root)
     return to_fundamental_polynomial(ad)
 
 

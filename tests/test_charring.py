@@ -1,4 +1,8 @@
 import itertools
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -53,6 +57,47 @@ def test_adjoint_dimensions_exceptional():
         adj = ch.irreducible_character(d, d.highest_root)
         assert adj.dimension() == dim
         assert adj.full_expansion()[(0,) * rank] == rank
+
+
+@pytest.mark.parametrize(
+    "letter, rank",
+    [("A", 1), ("A", 4), ("B", 3), ("C", 4), ("D", 4), ("G", 2), ("F", 4),
+     ("E", 6), ("E", 7), ("E", 8)],
+)
+def test_adjoint_expansion_is_the_root_system(letter, rank):
+    d = build_root_datum(letter, rank)
+    expected = {(0,) * rank: rank}
+    for root in d.positive_roots:
+        expected[root] = 1
+        expected[tuple(-x for x in root)] = 1
+    assert ch.irreducible_character(d, d.highest_root).full_expansion() == expected
+
+
+def test_weyl_formula_mismatch_raises_under_optimize():
+    # python -O strips asserts; a multiplicity or dimension that disagrees
+    # with the Weyl formula must still stop the report
+    probe = "\n".join([
+        "from charbounds import charring",
+        "from charbounds.algsolve import CertificateError",
+        "from charbounds.rootdata import build_root_datum",
+        "exact = charring._weyl_dimension",
+        "charring._weyl_dimension = lambda datum, lam: exact(datum, lam) + 1",
+        "g2 = build_root_datum('G', 2)",
+        "for lam in ((1, 0), g2.highest_root):",
+        "    try:",
+        "        charring.irreducible_character(g2, lam)",
+        "    except CertificateError:",
+        "        continue",
+        "    raise SystemExit('no CertificateError at %s' % (lam,))",
+    ])
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    run = subprocess.run(
+        [sys.executable, "-O", "-c", probe],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert run.returncode == 0, run.stderr
 
 
 def test_a2_weight_multiplicity():

