@@ -1,9 +1,10 @@
 """Exact solving of zero-dimensional polynomial systems over Q.
 
 One Groebner basis (Buchberger, sugar strategy) in degree-reverse-
-lexicographic order gives the quotient algebra A of dimension D.  Normal
-forms take their next monomial from a heap, and the basis keeps each
-leading monomial.
+lexicographic order gives the quotient algebra A of dimension D.  Groebner
+and the normal forms run on integers: basis elements are primitive integer
+polynomials, S-polynomials integer cross-multiples, and a normal form
+pseudo-reduces to an integer remainder and multiplier.
 
 All linear algebra on A runs on integer rows.  Multiplication by x_i is
 an integer matrix N_i times one rational scale, built once from the
@@ -332,49 +333,78 @@ def _normalize(p):
     return prim
 
 
-def normal_form(p, basis, order):
-    """Full reduction; basis entries are (lm, lc, poly).
+def _int_terms(p):
+    """A nonzero Poly as _normalize'd integer terms {monomial: int}."""
+    return {m: int(c) for m, c in _normalize(p).terms.items()}
 
-    The largest remaining monomial comes off a heap.  A monomial that
-    cancels stays queued and is skipped when popped; if a later step
-    brings it back it is queued again, and the extra entry is skipped the
-    same way."""
+
+def _primitive_terms(terms):
+    """Integer terms over their content, grevlex leading coefficient > 0."""
+    g = math.gcd(*terms.values())
+    if terms[max(terms, key=grevlex_key)] < 0:
+        g = -g
+    return {m: c // g for m, c in terms.items()}
+
+
+def _basis_entry(terms, key):
+    """(lm, lc, tail) of integer terms; tail holds the other terms."""
+    lm = max(terms, key=key)
+    return lm, terms[lm], [(m, c) for m, c in terms.items() if m != lm]
+
+
+def normal_form(p, basis, order):
+    """Full fraction-free reduction of integer terms p by basis entries
+    (lm, lc, tail): (rem, mult) with mult * p = rem modulo the basis and
+    gcd(mult, content of rem) = 1, so rem / mult is the rational normal
+    form.  Where lc does not divide the coefficient c, all terms are
+    scaled by lc / gcd(c, lc), then divided by their content with mult.
+
+    The largest remaining monomial comes off a heap; reduction brings in
+    only smaller ones, so the terms passed over are the remainder, and a
+    monomial queued twice pops twice in a row."""
     hkey = _HEAP_KEYS[order]
-    work = dict(p.terms)
-    heap = [(hkey(m), m) for m in work]
+    terms = dict(p)  # mult * p modulo the basis
+    heap = [(hkey(m), m) for m in terms]
     heapq.heapify(heap)
-    rem = {}
+    mult, last = 1, None
     while heap:
         m = heapq.heappop(heap)[1]
-        c = work.pop(m, None)
-        if c is None:
+        if m == last or m not in terms:
             continue
-        hit = None
-        for lm, lc, q in basis:
+        last = m
+        for lm, lc, tail in basis:
             if monomial_divides(lm, m):
-                hit = (lm, lc, q)
                 break
-        if hit is None:
-            rem[m] = c
-            continue
-        lm, lc, q = hit
+        else:
+            continue  # a term of the remainder
+        c = terms.pop(m)
+        g = math.gcd(c, lc)
+        a, b = lc // g, c // g
+        if a != 1:
+            mult *= a
+            terms = {k: a * v for k, v in terms.items()}
         shift = monomial_div(m, lm)
-        factor = c / lc
-        for mq, cq in q.terms.items():
-            if mq == lm:
-                continue
+        for mq, cq in tail:
             mm = monomial_mul(mq, shift)
-            old = work.get(mm)
+            old = terms.get(mm)
             if old is None:
-                work[mm] = -factor * cq
+                terms[mm] = -b * cq
                 heapq.heappush(heap, (hkey(mm), mm))
             else:
-                s = old - factor * cq
+                s = old - b * cq
                 if s:
-                    work[mm] = s
+                    terms[mm] = s
                 else:
-                    del work[mm]
-    return Poly(p.nvars, rem, _trusted=True)
+                    del terms[mm]
+        if a != 1:
+            terms, mult = _divide_content(terms, mult)
+    return _divide_content(terms, mult)
+
+
+def _divide_content(terms, mult):
+    """Integer terms and mult over their common gcd."""
+    g = math.gcd(mult, *terms.values())
+    return {m: c // g for m, c in terms.items()}, mult // g
 
 
 # min-heap keys whose order is the reverse of ORDER_KEYS
@@ -385,28 +415,36 @@ _HEAP_KEYS = {
 
 
 def _spoly(f, g, lmf, lmg):
+    """(lc_g/h) m_f f - (lc_f/h) m_g g for integer terms, h = gcd(lc_f,
+    lc_g) and m_f, m_g the cofactors of lm_f, lm_g in their lcm."""
     l = monomial_lcm(lmf, lmg)
-    mf = monomial_div(l, lmf)
-    mg = monomial_div(l, lmg)
-    pf = Poly(f.nvars, {monomial_mul(m, mf): c for m, c in f.terms.items()}, _trusted=True)
-    pg = Poly(g.nvars, {monomial_mul(m, mg): c for m, c in g.terms.items()}, _trusted=True)
-    return pf.scale(1 / f.terms[lmf]) - pg.scale(1 / g.terms[lmg])
+    h = math.gcd(f[lmf], g[lmg])
+    out = {}
+    for p, lm, c in ((f, lmf, g[lmg] // h), (g, lmg, -(f[lmf] // h))):
+        shift = monomial_div(l, lm)
+        for m, v in p.items():
+            mm = monomial_mul(m, shift)
+            out[mm] = out.get(mm, 0) + c * v
+    return {m: v for m, v in out.items() if v}
 
 
 def groebner(ideal, pair_cap=200_000):
-    """Reduced Groebner basis (deterministic), sugar pair selection."""
+    """Reduced Groebner basis (deterministic), sugar pair selection, on
+    integer terms; _normalize fixes the scale of each element."""
     key = ORDER_KEYS[ideal.order]
     G = []
+    basis = []  # (lm, lc, tail) of each element of G, for normal_form
     sugars = []
     lms = []
 
-    def add_elem(p, sugar):
-        G.append(p)
+    def add_elem(terms, sugar):
+        G.append(terms)
+        basis.append(_basis_entry(terms, key))
         sugars.append(sugar)
-        lms.append(max(p.terms, key=key))
+        lms.append(basis[-1][0])
 
     for g in ideal.gens:
-        add_elem(g, g.total_degree())
+        add_elem(_int_terms(g), g.total_degree())
     if not G:
         raise NotZeroDimensionalError("zero ideal has no finite solution set")
 
@@ -460,12 +498,10 @@ def groebner(ideal, pair_cap=200_000):
                     break
         if skip:
             continue
-        basis = [(lms[t], G[t].terms[lms[t]], G[t]) for t in range(len(G))]
-        r = normal_form(_spoly(G[i], G[j], lms[i], lms[j]), basis, ideal.order)
+        r, _ = normal_form(_spoly(G[i], G[j], lms[i], lms[j]), basis, ideal.order)
         if r:
-            r = _normalize(r)
             t = len(G)
-            add_elem(r, max(sugar, r.total_degree()))
+            add_elem(_primitive_terms(r), max(sugar, max(map(sum, r))))
             for u in range(t):
                 push_pair(u, t)
 
@@ -481,17 +517,18 @@ def groebner(ideal, pair_cap=200_000):
             keep.append(i)
     reduced = []
     for i in keep:
-        others = [(lms[j], G[j].terms[lms[j]], G[j]) for j in keep if j != i]
-        r = normal_form(G[i], others, ideal.order)
-        assert r, "minimal basis element reduced away"
-        r = _normalize(r)
-        reduced.append((lms[i], r.terms[lms[i]], r))
+        r, _ = normal_form(G[i], [basis[j] for j in keep if j != i], ideal.order)
+        if not r:
+            raise CertificateError("minimal basis element reduced away")
+        reduced.append(_basis_entry(_primitive_terms(r), key))
     reduced.sort(key=lambda e: key(e[0]))
 
     for g in ideal.gens:
-        if normal_form(g, reduced, ideal.order):
+        if normal_form(_int_terms(g), reduced, ideal.order)[0]:
             raise CertificateError("generator fails membership in its basis")
-    return Ideal(ideal.nvars, tuple(r for _, _, r in reduced), ideal.order)
+    gens = (Poly(ideal.nvars, {lm: qq(lc), **{m: qq(c) for m, c in tail}}, _trusted=True)
+            for lm, lc, tail in reduced)
+    return Ideal(ideal.nvars, tuple(gens), ideal.order)
 
 
 def staircase(lms, nvars):
@@ -615,10 +652,7 @@ class _Quotient:
         self.nvars = n = basis_ideal.nvars
         self.order = basis_ideal.order
         key = ORDER_KEYS[self.order]
-        self.basis = []
-        for g in basis_ideal.gens:
-            lm = max(g.terms, key=key)
-            self.basis.append((lm, g.terms[lm], g))
+        self.basis = [_basis_entry(_int_terms(g), key) for g in basis_ideal.gens]
         mons = staircase([lm for lm, _, _ in self.basis], n)
         if mons is None:
             raise NotZeroDimensionalError(
@@ -631,18 +665,13 @@ class _Quotient:
         self.cols = []
         self.scales = []
         for i in range(n):
-            qcols = []
-            for m in mons:
-                shifted = m[:i] + (m[i] + 1,) + m[i + 1:]
-                if shifted in self.index:
-                    qcols.append({self.index[shifted]: QONE})
-                else:
-                    r = normal_form(Poly(n, {shifted: QONE}, _trusted=True),
-                                    self.basis, self.order)
-                    qcols.append({self.index[mm]: c for mm, c in r.terms.items()})
-            den = math.lcm(*(int(c.denominator) for col in qcols for c in col.values()))
+            # (rem, mult) of x_i * b_j
+            qcols = [normal_form({m[:i] + (m[i] + 1,) + m[i + 1:]: 1}, self.basis, self.order)
+                     for m in mons]
+            den = math.lcm(*(mult for _, mult in qcols))
             self.cols.append([
-                [(k, _times_den(c, den)) for k, c in col.items()] for col in qcols
+                [(self.index[mm], c * (den // mult)) for mm, c in r.items()]
+                for r, mult in qcols
             ])
             self.scales.append(qq(1, den))
         self.npoints = 0

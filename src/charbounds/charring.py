@@ -548,16 +548,19 @@ def evaluate_at_torsion(c, point, m):
     m = int(m)
     if m < 1:
         raise ValueError("order must be positive")
-    counts = [QZERO] * m
+    # <nu, v> = (ints . nu) / den
+    point = [qq(p) for p in point]
+    den = math.lcm(*(int(p.denominator) for p in point))
+    ints = [int(p.numerator) * (den // int(p.denominator)) for p in point]
+    counts = [0] * m
     for nu, mu_c in c.full_expansion().items():
-        val = sum((qq(p) * x for p, x in zip(point, nu) if x), QZERO)
-        t = m * val
-        if t.denominator != 1:
+        t = m * sum(p * x for p, x in zip(ints, nu))
+        if t % den:
             raise ValueError(
                 "pairing %s of weight %s is not integral at order %d"
-                % (qq_str(val), nu, m)
+                % (qq_str(qq(t // m, den)), nu, m)
             )
-        counts[int(t) % m] += mu_c
+        counts[t // den % m] += mu_c
     return Cyc(m, counts)
 
 

@@ -258,7 +258,13 @@ def _cmd_datum(args):
 def _cmd_corners(args):
     d = args.datum
     cols = args.columns or tuple(range(1, d.rank + 1))
-    found = corners(d, columns=cols)
+    if any(j < 1 or j > d.rank for j in cols):
+        raise UsageError("--columns must lie between 1 and %d" % d.rank)
+    try:
+        found = corners(d, columns=cols)
+    except OrbitCapError as e:
+        raise OrbitCapError("%s; pass --columns J1,J2,... to evaluate only "
+                            "those fundamental characters" % e) from e
     if args.format == "json":
         payload = {
             "type": d.name(),

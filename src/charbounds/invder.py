@@ -113,20 +113,16 @@ def derivation_matrix(
             "derivation matrix for rank %d refused (cap %d); pass the "
             "long-running flag to override" % (datum.rank, rank_cap)
         )
+    # one entry serves (i, j) and (j, i): M_A is symmetric when A is
+    A = datum.form_A
+    if any(A[i][j] != A[j][i] for i in range(datum.rank) for j in range(i)):
+        raise CertificateError("form_A of %s is not symmetric" % datum.name())
     path = _cache_path(datum, cache_dir)
     if use_cache:
         entries = _load_cache(datum, path)
         if entries is not None:
             return DerivationMatrix(datum, entries, cache_hit=True)
     entries = _entries_qeval(datum)
-    r = datum.rank
-    for i in range(r):
-        for j in range(i):
-            if entries[i][j] != entries[j][i]:
-                raise CertificateError(
-                    "derivation matrix of %s is not symmetric at (%d, %d)"
-                    % (datum.name(), i + 1, j + 1)
-                )
     m = DerivationMatrix(datum, entries, cache_hit=False)
     if use_cache:
         _store_cache(m, path)

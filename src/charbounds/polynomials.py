@@ -224,13 +224,18 @@ class Poly:
         return Poly(self.nvars, out, _trusted=True)
 
     def evaluate(self, values, convert=None):
-        """Evaluate at a point; works for QQ, float, complex or ring elements."""
+        """Evaluate at a point; works for QQ, float, complex or ring elements.
+        powers[i] lists x_i, x_i^2, ..., one multiplication per power."""
+        powers = [[x] for x in values]
         acc = None
         for m, c in self.terms.items():
             term = convert(c) if convert else c
             for i, e in enumerate(m):
                 if e:
-                    term = term * values[i] ** e
+                    p = powers[i]
+                    while len(p) < e:
+                        p.append(p[-1] * p[0])
+                    term = term * p[e - 1]
             acc = term if acc is None else acc + term
         if acc is None:
             return convert(QZERO) if convert else QZERO

@@ -6,10 +6,194 @@ sparse rational vectors, a rational echelon normalised to pivot 1, the
 full multiplication tensor for the trace form, and a rational
 Gauss-Jordan kernel.  Every quantity it returns (the reduced dimension, g
 and the h_i) is unique, so the two paths must agree exactly.
+
+The Groebner basis and normal forms are the same Buchberger run with one
+rational per coefficient: S-polynomials of monic leading terms and
+division by the leading coefficient.  The reduced basis is unique, so
+the solver's fraction-free groebner must return the same Ideal, and each
+fraction-free normal form rem / mult must equal the rational one.
 """
 
-from charbounds.algsolve import normal_form, staircase, upoly_trim
-from charbounds.polynomials import ORDER_KEYS, Poly, QONE, QZERO, qq
+import heapq
+
+from charbounds.algsolve import (
+    _HEAP_KEYS,
+    CertificateError,
+    Ideal,
+    NotZeroDimensionalError,
+    PairCapError,
+    _normalize,
+    staircase,
+    upoly_trim,
+)
+from charbounds.polynomials import (
+    ORDER_KEYS,
+    Poly,
+    QONE,
+    QZERO,
+    monomial_div,
+    monomial_divides,
+    monomial_lcm,
+    monomial_mul,
+    qq,
+)
+
+
+def normal_form(p, basis, order):
+    """Full reduction over QQ; basis entries are (lm, lc, poly).
+
+    The largest remaining monomial comes off a heap.  A monomial that
+    cancels stays queued and is skipped when popped; if a later step
+    brings it back it is queued again, and the extra entry is skipped the
+    same way."""
+    hkey = _HEAP_KEYS[order]
+    work = dict(p.terms)
+    heap = [(hkey(m), m) for m in work]
+    heapq.heapify(heap)
+    rem = {}
+    while heap:
+        m = heapq.heappop(heap)[1]
+        c = work.pop(m, None)
+        if c is None:
+            continue
+        hit = None
+        for lm, lc, q in basis:
+            if monomial_divides(lm, m):
+                hit = (lm, lc, q)
+                break
+        if hit is None:
+            rem[m] = c
+            continue
+        lm, lc, q = hit
+        shift = monomial_div(m, lm)
+        factor = c / lc
+        for mq, cq in q.terms.items():
+            if mq == lm:
+                continue
+            mm = monomial_mul(mq, shift)
+            old = work.get(mm)
+            if old is None:
+                work[mm] = -factor * cq
+                heapq.heappush(heap, (hkey(mm), mm))
+            else:
+                s = old - factor * cq
+                if s:
+                    work[mm] = s
+                else:
+                    del work[mm]
+    return Poly(p.nvars, rem, _trusted=True)
+
+
+def _spoly(f, g, lmf, lmg):
+    l = monomial_lcm(lmf, lmg)
+    mf = monomial_div(l, lmf)
+    mg = monomial_div(l, lmg)
+    pf = Poly(f.nvars, {monomial_mul(m, mf): c for m, c in f.terms.items()}, _trusted=True)
+    pg = Poly(g.nvars, {monomial_mul(m, mg): c for m, c in g.terms.items()}, _trusted=True)
+    return pf.scale(1 / f.terms[lmf]) - pg.scale(1 / g.terms[lmg])
+
+
+def groebner(ideal, pair_cap=200_000):
+    """Reduced Groebner basis over QQ (deterministic), sugar pair
+    selection, with the pair loop of the solver's integer groebner."""
+    key = ORDER_KEYS[ideal.order]
+    G = []
+    sugars = []
+    lms = []
+
+    def add_elem(p, sugar):
+        G.append(p)
+        sugars.append(sugar)
+        lms.append(max(p.terms, key=key))
+
+    for g in ideal.gens:
+        add_elem(g, g.total_degree())
+    if not G:
+        raise NotZeroDimensionalError("zero ideal has no finite solution set")
+
+    pairs = {}
+    done = set()
+
+    def pair_sugar(i, j):
+        l = monomial_lcm(lms[i], lms[j])
+        si = sugars[i] + sum(monomial_div(l, lms[i]))
+        sj = sugars[j] + sum(monomial_div(l, lms[j]))
+        return max(si, sj)
+
+    def push_pair(i, j):
+        if i > j:
+            i, j = j, i
+        if (i, j) in done or (i, j) in pairs:
+            return
+        # product criterion
+        if monomial_mul(lms[i], lms[j]) == monomial_lcm(lms[i], lms[j]):
+            done.add((i, j))
+            return
+        pairs[(i, j)] = (pair_sugar(i, j), key(monomial_lcm(lms[i], lms[j])), i, j)
+
+    n0 = len(G)
+    for i in range(n0):
+        for j in range(i + 1, n0):
+            push_pair(i, j)
+
+    processed = 0
+    while pairs:
+        processed += 1
+        if processed > pair_cap:
+            raise PairCapError(
+                "pair-queue limit %d exceeded; refusing silent truncation"
+                % pair_cap
+            )
+        best = min(pairs, key=pairs.get)
+        sugar, _, i, j = pairs.pop(best)
+        done.add(best)
+        # chain criterion
+        l = monomial_lcm(lms[i], lms[j])
+        skip = False
+        for k in range(len(G)):
+            if k in (i, j):
+                continue
+            if monomial_divides(lms[k], l):
+                a = (min(i, k), max(i, k))
+                b = (min(j, k), max(j, k))
+                if a in done and b in done:
+                    skip = True
+                    break
+        if skip:
+            continue
+        basis = [(lms[t], G[t].terms[lms[t]], G[t]) for t in range(len(G))]
+        r = normal_form(_spoly(G[i], G[j], lms[i], lms[j]), basis, ideal.order)
+        if r:
+            r = _normalize(r)
+            t = len(G)
+            add_elem(r, max(sugar, r.total_degree()))
+            for u in range(t):
+                push_pair(u, t)
+
+    # minimalize and inter-reduce; no kept leading monomial divides
+    # another, so each element keeps its leading monomial
+    keep = []
+    for i, lm in enumerate(lms):
+        if not any(
+            j != i and monomial_divides(lms[j], lm)
+            and (lms[j] != lm or j < i)
+            for j in range(len(G))
+        ):
+            keep.append(i)
+    reduced = []
+    for i in keep:
+        others = [(lms[j], G[j].terms[lms[j]], G[j]) for j in keep if j != i]
+        r = normal_form(G[i], others, ideal.order)
+        if not r:
+            raise CertificateError("minimal basis element reduced away")
+        r = _normalize(r)
+        reduced.append((lms[i], r.terms[lms[i]], r))
+    reduced.sort(key=lambda e: key(e[0]))
+
+    for g in ideal.gens:
+        if normal_form(g, reduced, ideal.order):
+            raise CertificateError("generator fails membership in its basis")
+    return Ideal(ideal.nvars, tuple(r for _, _, r in reduced), ideal.order)
 
 
 class Echelon:

@@ -157,6 +157,8 @@ def test_usage_exit_codes(capsys):
         ("su2", "--degree", "0"),
         ("xfun", "--type", "A2", "--s", "1", "--t", "1,1"),
         ("corners", "--type", "A2", "--precision", "0"),
+        ("corners", "--type", "G2", "--columns", "3"),
+        ("corners", "--type", "G2", "--columns", "0,1"),
     ):
         code = cli.main(list(argv))
         captured = capsys.readouterr()

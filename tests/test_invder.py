@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import json
 
@@ -6,6 +7,7 @@ import pytest
 import ring_oracle
 from charbounds import charring as ch
 from charbounds import invder
+from charbounds.algsolve import CertificateError
 from charbounds.polynomials import Poly, qq
 from charbounds.rootdata import (
     EnumerationCapError,
@@ -219,3 +221,15 @@ def test_gl2_fixture_convention():
     for i in range(2):
         for j in range(2):
             assert sympy.simplify(got[i][j] - expected[i][j]) == 0
+
+
+def test_asymmetric_form_is_refused(tmp_path):
+    # entries are stored once for (i, j) and (j, i), which needs a
+    # symmetric form; the check must hold on a cache hit too
+    A = [list(row) for row in G2.form_A]
+    A[0][1] += 1
+    bad = dataclasses.replace(G2, form_A=tuple(tuple(row) for row in A))
+    invder.derivation_matrix(G2, cache_dir=tmp_path)
+    for use_cache in (True, False):
+        with pytest.raises(CertificateError, match="not symmetric"):
+            invder.derivation_matrix(bad, cache_dir=tmp_path, use_cache=use_cache)

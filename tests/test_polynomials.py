@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from charbounds.algsolve import NumberField
 from charbounds.polynomials import (
     Cyc,
     Poly,
@@ -40,6 +41,38 @@ def test_poly_arithmetic():
     assert p.evaluate((qq(3), qq(1)), convert=qq) == qq(7)
     assert p.diff(0) == x.scale(qq(2))
     assert p.diff(1) == Poly.const(2, qq(-2))
+
+
+def termwise(poly, values, lift):
+    """sum c * prod x_i ** e_i, each power taken afresh."""
+    acc = lift(0)
+    for m, c in poly.terms.items():
+        term = lift(c)
+        for x, e in zip(values, m):
+            term = term * x ** e
+        acc = acc + term
+    return acc
+
+
+@pytest.mark.parametrize("kind", ["fraction", "cyc", "field"])
+def test_evaluate_reuses_powers_exactly(kind):
+    # exponents out of order and repeated, so the power lists are
+    # extended, reused and read back below their end
+    p = P(3, {(5, 0, 1): 3, (2, 3, 0): qq(-1, 2), (0, 0, 4): 7, (1, 1, 1): -2,
+              (5, 2, 0): 1, (0, 0, 0): qq(5, 3), (3, 0, 2): -4})
+    if kind == "fraction":
+        lift = qq
+        point = (qq(2, 3), qq(-5, 7), qq(3))
+    elif kind == "cyc":
+        def lift(c):
+            return Cyc.from_rational(5, c)
+        point = (Cyc(5, [0, 1]), Cyc(5, [1, 0, -1]), Cyc(5, [qq(1, 2), 0, 0, 2]))
+    else:
+        field = NumberField([-2, 0, 0, 1])  # the real cube root of 2
+        lift = field.from_rational
+        a = field.generator()
+        point = (a, a * a - 1, a * qq(1, 3) + 2)
+    assert p.evaluate(point, convert=lift) == termwise(p, point, lift)
 
 
 def test_poly_pow_and_degree():

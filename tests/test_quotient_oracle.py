@@ -8,17 +8,18 @@ of the characteristic polynomial of the oracle's M_u."""
 import itertools
 import math
 
+import pytest
 import sympy
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import fraction_oracle as oracle
 from charbounds import algsolve
-from charbounds.algsolve import Ideal, groebner, upoly_rem
+from charbounds.algsolve import Ideal, NotZeroDimensionalError, groebner, upoly_rem
 from charbounds.charring import FundamentalPolynomial
-from charbounds.compactcert import critical_ideal
+from charbounds.compactcert import adjoint_objective, critical_ideal
 from charbounds.invder import derivation_matrix
-from charbounds.polynomials import QZERO, Poly, qq
+from charbounds.polynomials import QZERO, Poly, grevlex_key, qq
 from charbounds.rootdata import build_root_datum
 
 
@@ -119,3 +120,49 @@ def test_f4_f3_matches_rational_oracle():
     crit = critical_ideal(m, FundamentalPolynomial(f4, Poly.variable(4, 2)))
     assert algsolve._Quotient(groebner(crit)).dim == 16
     assert assert_same_quotient_layer(crit)[0] == 1
+
+
+def critical(letter, rank, objective):
+    datum = build_root_datum(letter, rank)
+    if objective == "adjoint":
+        fp = adjoint_objective(datum)
+    else:
+        fp = FundamentalPolynomial(datum, Poly.variable(rank, int(objective[1:]) - 1))
+    return critical_ideal(derivation_matrix(datum, use_cache=False), fp)
+
+
+@pytest.mark.parametrize("letter,rank,objective,zero_dim", [
+    ("G", 2, "adjoint", True),
+    ("B", 3, "f1", True),
+    ("C", 3, "f3", True),
+    ("D", 4, "adjoint", True),
+    ("F", 4, "f2", True),
+    ("C", 3, "f2", False),
+], ids=lambda v: str(v))
+def test_fraction_free_groebner_matches_rational_oracle(letter, rank, objective, zero_dim):
+    crit = critical(letter, rank, objective)
+    gb = groebner(crit)
+    assert gb == oracle.groebner(crit)
+    # the fraction-free normal form rem / mult of every monomial of
+    # degree <= 3 is the rational normal form, with mult in lowest terms
+    basis = [algsolve._basis_entry(algsolve._int_terms(g), grevlex_key) for g in gb.gens]
+    ref_basis = [(lm, g.terms[lm], g) for (lm, _, _), g in zip(basis, gb.gens)]
+    for mono in itertools.product(range(4), repeat=gb.nvars):
+        if sum(mono) > 3:
+            continue
+        rem, mult = algsolve.normal_form({mono: 1}, basis, "grevlex")
+        assert math.gcd(mult, *rem.values()) == 1
+        ref = oracle.normal_form(Poly(gb.nvars, {mono: qq(1)}), ref_basis, "grevlex")
+        assert {m: qq(c, mult) for m, c in rem.items()} == ref.terms
+    if not zero_dim:
+        with pytest.raises(NotZeroDimensionalError):
+            algsolve._Quotient(gb)
+        return
+    # each column of M_{x_i} = scale_i * N_i is the rational normal form
+    # of x_i * b_j
+    fast = algsolve._Quotient(gb)
+    ref = oracle.Quotient(gb)
+    assert fast.monomials == ref.monomials
+    for var, (cols, scale) in enumerate(zip(fast.cols, fast.scales)):
+        for j, col in enumerate(cols):
+            assert {k: scale * c for k, c in col} == ref.mult_column(var, j)
