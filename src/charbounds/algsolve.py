@@ -1,4 +1,5 @@
-"""Exact solving of zero-dimensional polynomial systems over Q.
+"""Exact solving of zero-dimensional polynomial systems over Q, and the
+values of a polynomial on a zero set.
 
 One Groebner basis (Buchberger, sugar strategy) in degree-reverse-
 lexicographic order gives the quotient algebra A of dimension D.  Groebner
@@ -31,13 +32,21 @@ g_1(T) = sum_alpha mu_alpha f(T) / (T - alpha), so that
 mu_alpha = g_1(alpha) / f'(alpha).  Each irreducible factor must give one
 positive integer mu, and the mu, counted over all roots, must add up to D.
 
+The values of a polynomial p on the zero set of an ideal are the roots
+of e(T), the squarefree generator of the radical of <ideal, T - p>
+intersected with Q[T].  For a zero-dimensional ideal e is the squarefree
+part of the characteristic polynomial of M_p, from the power sums
+Tr(p^k) by the same Newton identities.  Otherwise e is read off the
+first linear dependency among the normal forms of 1, p, p^2, ... modulo
+the grevlex basis, each the previous remainder times p, reduced.
+
 Every real algebraic number here, a coordinate, a critical value or a
 corner value, is an element v of a number field Q[alpha] with alpha one
 isolated real root.  Its minimal polynomial is the first linear
 dependence among 1, v, v^2, ... on integer rows; the same polynomial
 gives 1/v.  A value is its minimal polynomial with one RootInterval,
 which is exact, lo == hi, for a rational root.  sympy is used only to
-factor f over Q and for the gcds of large univariate polynomials.
+factor f and e over Q and for the gcds of large univariate polynomials.
 """
 
 from __future__ import annotations
@@ -46,6 +55,7 @@ import heapq
 import itertools
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 from .polynomials import (
     ORDER_KEYS,
@@ -325,6 +335,12 @@ class Ideal:
         }
 
 
+def _basis_entries(basis_ideal):
+    """(lm, lc, tail) of each generator, for normal_form."""
+    key = ORDER_KEYS[basis_ideal.order]
+    return [_basis_entry(_int_terms(g), key) for g in basis_ideal.gens]
+
+
 def _normalize(p):
     _, prim = p.content_primitive()
     lm = prim.leading_monomial("grevlex")
@@ -352,12 +368,14 @@ def _basis_entry(terms, key):
     return lm, terms[lm], [(m, c) for m, c in terms.items() if m != lm]
 
 
-def normal_form(p, basis, order):
+def normal_form(p, basis, order, reducers=None):
     """Full fraction-free reduction of integer terms p by basis entries
     (lm, lc, tail): (rem, mult) with mult * p = rem modulo the basis and
     gcd(mult, content of rem) = 1, so rem / mult is the rational normal
     form.  Where lc does not divide the coefficient c, all terms are
     scaled by lc / gcd(c, lc), then divided by their content with mult.
+    reducers, a dict kept by the caller across calls with one fixed
+    basis, remembers the entry that reduces each monomial, or None.
 
     The largest remaining monomial comes off a heap; reduction brings in
     only smaller ones, so the terms passed over are the remainder, and a
@@ -372,11 +390,14 @@ def normal_form(p, basis, order):
         if m == last or m not in terms:
             continue
         last = m
-        for lm, lc, tail in basis:
-            if monomial_divides(lm, m):
-                break
-        else:
+        entry = reducers.get(m, False) if reducers is not None else False
+        if entry is False:
+            entry = next((b for b in basis if monomial_divides(b[0], m)), None)
+            if reducers is not None:
+                reducers[m] = entry
+        if entry is None:
             continue  # a term of the remainder
+        lm, lc, tail = entry
         c = terms.pop(m)
         g = math.gcd(c, lc)
         a, b = lc // g, c // g
@@ -428,9 +449,11 @@ def _spoly(f, g, lmf, lmg):
     return {m: v for m, v in out.items() if v}
 
 
-def groebner(ideal, pair_cap=200_000):
+def groebner(ideal, pair_cap=200_000, known=0):
     """Reduced Groebner basis (deterministic), sugar pair selection, on
-    integer terms; _normalize fixes the scale of each element."""
+    integer terms; _normalize fixes the scale of each element.  The first
+    `known` generators may already form a Groebner basis: the pairs among
+    them reduce to zero, so they are not formed."""
     key = ORDER_KEYS[ideal.order]
     G = []
     basis = []  # (lm, lc, tail) of each element of G, for normal_form
@@ -469,8 +492,9 @@ def groebner(ideal, pair_cap=200_000):
         pairs[(i, j)] = (pair_sugar(i, j), key(monomial_lcm(lms[i], lms[j])), i, j)
 
     n0 = len(G)
+    done.update((i, j) for j in range(known) for i in range(j))
     for i in range(n0):
-        for j in range(i + 1, n0):
+        for j in range(max(i + 1, known), n0):
             push_pair(i, j)
 
     processed = 0
@@ -604,19 +628,31 @@ class _Echelon:
     A row is an integer vector followed by its combo: one slot per tag
     0 .. ntags - 1 giving the row as a combination of the inserted
     vectors.  The pivot is the row's first nonzero vector entry; each
-    elimination divides the whole row by its content."""
+    elimination divides the whole row by its content.  A longer vector or
+    a new tag widens the stored rows with zeros."""
 
-    def __init__(self, ntags):
+    def __init__(self, ntags=0):
+        self.width = 0
         self.ntags = ntags
         self.rows = {}  # pivot index -> row
+
+    def _widen(self, width, ntags):
+        w = self.width
+        pad, extra = [0] * (width - w), [0] * (ntags - self.ntags)
+        for piv, row in self.rows.items():
+            self.rows[piv] = row[:w] + pad + row[w:] + extra
+        self.width, self.ntags = width, ntags
 
     def insert(self, vec, tag=None):
         """Reduce the integer vector vec; returns None if independent (row
         stored), else the dependency combo, a list with
         sum combo[t] * (vector inserted under tag t) = 0.  An untagged
         vector carries no combo."""
-        dim = len(vec)
-        row = vec + [0] * self.ntags
+        ntags = self.ntags if tag is None else max(self.ntags, tag + 1)
+        if len(vec) > self.width or ntags > self.ntags:
+            self._widen(max(len(vec), self.width), ntags)
+        dim = self.width
+        row = vec + [0] * (dim - len(vec) + ntags)
         if tag is not None:
             row[dim + tag] = 1
         for piv in range(dim):
@@ -645,14 +681,13 @@ class _Quotient:
     tau, the trace functional v -> Tr(M_v), is sum_j e_j^T M_{b_j}, since
     M_v e_j = M_{b_j} v; it is kept as a primitive integer row and the
     scale that makes tau(1) = dim.  The rows tau * M_{b_m} make up the
-    trace form Tr(M_{b_m b_k}), whose rank npoints is the number of
-    distinct complex points (Stickelberger)."""
+    trace form Tr(M_{b_m b_k}), whose rank npoints, computed on first
+    use, is the number of distinct complex points (Stickelberger)."""
 
     def __init__(self, basis_ideal):
         self.nvars = n = basis_ideal.nvars
         self.order = basis_ideal.order
-        key = ORDER_KEYS[self.order]
-        self.basis = [_basis_entry(_int_terms(g), key) for g in basis_ideal.gens]
+        self.basis = _basis_entries(basis_ideal)
         mons = staircase([lm for lm, _, _ in self.basis], n)
         if mons is None:
             raise NotZeroDimensionalError(
@@ -661,12 +696,14 @@ class _Quotient:
         self.monomials = mons
         self.index = {m: i for i, m in enumerate(mons)}
         self.dim = D = len(mons)
+        reducers = {}
         # sparse columns [(row, coeff), ...] and scale of each N_i
         self.cols = []
         self.scales = []
         for i in range(n):
             # (rem, mult) of x_i * b_j
-            qcols = [normal_form({m[:i] + (m[i] + 1,) + m[i + 1:]: 1}, self.basis, self.order)
+            qcols = [normal_form({m[:i] + (m[i] + 1,) + m[i + 1:]: 1},
+                                 self.basis, self.order, reducers)
                      for m in mons]
             den = math.lcm(*(mult for _, mult in qcols))
             self.cols.append([
@@ -674,7 +711,6 @@ class _Quotient:
                 for r, mult in qcols
             ])
             self.scales.append(qq(1, den))
-        self.npoints = 0
         if not D:
             return
         # tau = sum_j scale_j * row_j with row_j = e_j^T prod N_i^{m_i}
@@ -695,33 +731,55 @@ class _Quotient:
             for k in range(D)
         ])[0]
         self.tau = (tau, qq(D, tau[0]))
+
+    @cached_property
+    def npoints(self):
+        if not self.dim:
+            return 0
         # rows of the trace form, each up to a nonzero factor, which the
         # rank ignores; staircase monomials ascend by degree, so parents
         # come first
         ech = _Echelon(0)
-        brows = [tau]
-        for mono in mons[1:]:
-            i = next(k for k in range(n) if mono[k])
+        brows = [self.tau[0]]
+        for mono in self.monomials[1:]:
+            i = next(k for k in range(self.nvars) if mono[k])
             parent = self.index[mono[:i] + (mono[i] - 1,) + mono[i + 1:]]
             brows.append(_primitive(_row_times(brows[parent], self.cols[i]))[0])
         for row in brows:
             ech.insert(row)
-        self.npoints = len(ech.rows)
+        return len(ech.rows)
 
-    def matrix(self, form):
-        """M_u for u = sum form[i] x_i, as (sparse integer rows, scale)."""
-        terms = [(i, qq(c) * self.scales[i]) for i, c in enumerate(form) if c]
-        den = math.lcm(*(int(c.denominator) for _, c in terms))
+    def matrix(self, poly):
+        """M_p for a Poly p, as (sparse integer rows, scale).  A term c x^m
+        is the integer matrix prod N_i^(m_i), whose column j is x^m b_j,
+        times c prod scale_i^(m_i)."""
+        terms = []
+        for mono, c in poly.terms.items():
+            cols = [{j: 1} for j in range(self.dim)]
+            for i, e in enumerate(mono):
+                for _ in range(e):
+                    cols = [self._times_x(i, col) for col in cols]
+                    c = c * self.scales[i]
+            terms.append((c, cols))
+        den = math.lcm(*(int(c.denominator) for c, _ in terms))
         rows = [{} for _ in range(self.dim)]
-        for i, c in terms:
+        for c, cols in terms:
             f = _times_den(c, den)
-            for j, col in enumerate(self.cols[i]):
-                for k, v in col:
+            for j, col in enumerate(cols):
+                for k, v in col.items():
                     rows[k][j] = rows[k].get(j, 0) + f * v
         rows = [[(j, v) for j, v in r.items() if v] for r in rows]
         g = math.gcd(*(v for r in rows for _, v in r)) or 1
         rows = [[(j, v // g) for j, v in r] for r in rows]
         return rows, qq(g, den)
+
+    def _times_x(self, i, col):
+        """N_i * col for a sparse integer column {row: value}."""
+        out = {}
+        for k, v in col.items():
+            for r, c in self.cols[i][k]:
+                out[r] = out.get(r, 0) + c * v
+        return out
 
     def one(self):
         """The unit 1 = b_0 as (integer vector, scale)."""
@@ -743,29 +801,18 @@ def fglm_lex(quot, form):
     and x_i = g_{x_i}(u) / g_1(u) at every point, where g_1 is a unit
     modulo f.  Returns None when u does not separate the points, which is
     exactly when deg f < quot.npoints."""
-    D = quot.dim
+    n = quot.nvars
     tau, tscale = quot.tau
     # v -> Tr(v), and v -> Tr(x_i v) = tau * M_{x_i} v
     funcs = [(tau, tscale)] + [
         (_row_times(tau, cols), tscale * s)
         for cols, s in zip(quot.cols, quot.scales)
     ]
-    mat = quot.matrix(form)
-    vec, scale = quot.one()
+    u = Poly(n, {tuple(int(i == k) for i in range(n)): qq(c)
+                 for k, c in enumerate(form) if c})
     # traces[k] = [Tr(u^k), Tr(x_1 u^k), ...]; the x_i only for k < npoints
-    traces = []
-    for k in range(D + 1):
-        if k:
-            vec, scale = quot.times(mat, vec, scale)
-        traces.append([
-            s * scale * sum(a * b for a, b in zip(row, vec))
-            for row, s in (funcs if k < quot.npoints else funcs[:1])
-        ])
-    # characteristic polynomial sum_k c_k T^(D - k), by Newton's identities
-    chi = [QONE]
-    for k in range(1, D + 1):
-        chi.append(-sum(chi[k - i] * traces[i][0] for i in range(1, k + 1)) / k)
-    f = upoly_squarefree(chi[::-1])
+    traces = _power_traces(quot, quot.matrix(u), funcs, quot.npoints)
+    f = upoly_squarefree(_charpoly([t[0] for t in traces]))
     deg = len(f) - 1
     if deg < quot.npoints:
         return None
@@ -778,6 +825,116 @@ def fglm_lex(quot, form):
         ])
 
     return f, g(0), [g(1 + i) for i in range(quot.nvars)]
+
+
+def _power_traces(quot, mat, funcs, full):
+    """[s * (row . u^k) for (row, s) in funcs] for k = 0 .. D, where mat
+    is M_u; only the first functional once k >= full."""
+    vec, scale = quot.one()
+    out = []
+    for k in range(quot.dim + 1):
+        if k:
+            vec, scale = quot.times(mat, vec, scale)
+        out.append([
+            s * scale * sum(a * b for a, b in zip(row, vec))
+            for row, s in (funcs if k < full else funcs[:1])
+        ])
+    return out
+
+
+def _charpoly(sums):
+    """The characteristic polynomial, ascending, from the power sums
+    Tr(u^k), k = 0 .. D, by Newton's identities."""
+    chi = [QONE]
+    for k in range(1, len(sums)):
+        chi.append(-sum(chi[k - i] * sums[i] for i in range(1, k + 1)) / k)
+    return chi[::-1]
+
+
+# ---------------------------------------------------------------------------
+# the values of a polynomial on a zero set
+
+def eliminant(ideal, poly, pair_cap=200_000):
+    """e(T), the squarefree generator of the radical of <ideal, T - poly>
+    intersected with Q[T]: its roots are the values of poly on the complex
+    zero set of the ideal.
+
+    Returns (e, basis, quot): e primitive integer, ascending; basis the
+    reduced grevlex basis of the ideal; quot its _Quotient, or None when
+    the ideal is not zero-dimensional.  With a quotient, e is the
+    squarefree part of the characteristic polynomial of M_poly, from the
+    power sums Tr(poly^k).  Without one, e comes from the first linear
+    dependency among the normal forms of 1, poly, poly^2, ..., which
+    exists when poly takes finitely many values on the zero set."""
+    basis = groebner(ideal, pair_cap=pair_cap)
+    try:
+        quot = _Quotient(basis)
+    except NotZeroDimensionalError:
+        quot = None
+    if quot is None:
+        e = _krylov_minpoly(_basis_entries(basis), poly, basis.order)
+    elif quot.dim:
+        traces = _power_traces(quot, quot.matrix(poly), [quot.tau], 0)
+        e = _charpoly([t[0] for t in traces])
+    else:
+        e = [QONE]
+    return upoly_primitive_int(upoly_squarefree(e)), basis, quot
+
+
+def _krylov_minpoly(basis, poly, order):
+    """The first linear dependency among the normal forms of 1, p, p^2,
+    ... modulo basis entries, ascending.  Each normal form is the previous
+    remainder times p, reduced; v_k = scale_k * rem_k."""
+    den = math.lcm(*(int(c.denominator) for c in poly.terms.values()))
+    p = [(m, _times_den(c, den)) for m, c in poly.terms.items()]
+    rem, mult = normal_form({(0,) * poly.nvars: 1}, basis, order)
+    scale = qq(1, mult)
+    index, scales, ech, reducers = {}, [], _Echelon(), {}
+    for k in itertools.count():
+        for m in rem:
+            index.setdefault(m, len(index))
+        vec = [0] * len(index)
+        for m, c in rem.items():
+            vec[index[m]] = c
+        scales.append(scale)
+        combo = ech.insert(vec, k)
+        if combo is not None:
+            return [qq(combo[j]) / scales[j] for j in range(k + 1)]
+        prod = {}
+        for m, c in rem.items():
+            for mp, cp in p:
+                mm = monomial_mul(m, mp)
+                prod[mm] = prod.get(mm, 0) + c * cp
+        rem, mult = normal_form({m: c for m, c in prod.items() if c}, basis,
+                                order, reducers)
+        scale = scale / (den * mult)
+
+
+def real_roots_by_factor(e):
+    """[(factor, roots)] over the irreducible factors of the squarefree
+    polynomial e: each factor primitive integer, ascending, with the
+    AlgValue of each of its real roots, ascending."""
+    out = []
+    for fac in _factors(e):
+        if len(fac) == 2:
+            roots = [AlgValue.from_rational(qq(-fac[0], fac[1]))]
+        else:
+            roots = [AlgValue(fac, r) for r in isolate_real_roots(fac)]
+        out.append((tuple(fac), roots))
+    return out
+
+
+def _factors(f):
+    """The irreducible factors over Q of a polynomial,
+    primitive integer with positive lead, ascending."""
+    import sympy
+
+    x = sympy.Symbol("x")
+    f_sym = sympy.Poly(list(reversed(upoly_primitive_int(f))), x)
+    return [
+        upoly_primitive_int([int(c) for c in reversed(fac.all_coeffs())])
+        for fac, _ in f_sym.factor_list()[1]
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -1004,13 +1161,14 @@ class AlgebraicPoint:
 # ---------------------------------------------------------------------------
 # the zero-dimensional solver
 
-def solve_zero_dim(ideal, pair_cap=200_000):
-    """All real points of a zero-dimensional system, certified exactly."""
+def solve_zero_dim(ideal, pair_cap=200_000, known=0):
+    """All real points of a zero-dimensional system, certified exactly.
+    The first `known` generators may already form a Groebner basis (see
+    groebner)."""
     ideal = Ideal.of(ideal.nvars, ideal.gens, "grevlex")
     if not ideal.gens:
         raise NotZeroDimensionalError("zero ideal has no finite solution set")
-    gb = groebner(ideal, pair_cap=pair_cap)
-    quot = _Quotient(gb)
+    quot = _Quotient(groebner(ideal, pair_cap=pair_cap, known=known))
     if quot.dim == 0:
         return []
 
@@ -1031,17 +1189,9 @@ def _assemble_points(orig_ideal, rur, dim):
     """The real points of a rational univariate representation
     (f, g_1, [g_{x_i}]) of a quotient of dimension dim, worked out once
     per irreducible factor of f."""
-    import sympy
-
     f, g_one, g_coords = rur
     n = orig_ideal.nvars
-    x = sympy.Symbol("x")
-    f_sym = sympy.Poly(list(reversed(upoly_primitive_int(f))), x)
-    factors = [
-        [int(c) for c in reversed(fac.all_coeffs())]
-        for fac, _ in f_sym.factor_list()[1]
-    ]
-
+    factors = _factors(f)
     f_deriv = upoly_deriv(f)
     points = []
     total = 0

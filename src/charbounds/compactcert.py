@@ -1,17 +1,28 @@
 """Certified extrema of characters on the compact form.
 
-The critical locus of an invariant objective is cut out by the derivation
-matrix applied to its gradient.  Each real critical point is tested for
-reality of the compact-form coordinates (the -w0 permutation must fix the
-coordinate vector) and membership in the compact image, decided exactly by
-negative semidefiniteness of the row-permuted matrix.  Corners join the
-candidate pool unconditionally, and the report carries an exact witness
-for both the minimum and the maximum.
+The critical locus of an invariant objective f is cut out by the
+derivation matrix applied to its gradient.  Every extremum is a corner
+value or a critical value, and every critical value is a root of e(T),
+the squarefree generator of the radical of <crit, T - f> intersected
+with Q[T] (algsolve.eliminant).  So the extrema are decided from values
+first: the candidates are the real roots of e strictly below the least
+real corner value, or strictly above the greatest, and inside the window
+[-f(1), f(1)] when f is a true character.  For the minimum they are
+taken from the least upward, for the maximum from the greatest downward.
+The fibre of crit over the irreducible factor e_c of a candidate,
+crit + <e_c(f)>, is solved exactly; each of its real points is tested for
+reality of the compact-form coordinates (the -w0 permutation must fix
+the coordinate vector) and for membership in the compact image, decided
+exactly by negative semidefiniteness of the row-permuted matrix.  The
+first compact point found is the extremum; otherwise the corner value
+is.  The report carries an exact witness for both; its full list of
+critical points is built only when read, as the JSON report does.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import combinations
 
 from .algsolve import (
@@ -19,8 +30,11 @@ from .algsolve import (
     CertificateError,
     Ideal,
     NumberField,
+    RootInterval,
     _minpoly_of_value,
+    eliminant,
     isolate_real_roots,
+    real_roots_by_factor,
     solve_zero_dim,
 )
 from .charring import (
@@ -37,7 +51,7 @@ from .invder import (
     permute_variables,
     sigma_matrix,
 )
-from .polynomials import Cyc, cyclotomic_polynomial, qq
+from .polynomials import Cyc, Poly, cyclotomic_polynomial, qq
 from .rootdata import corners
 
 
@@ -147,14 +161,30 @@ class ExtremumReport:
     datum: object
     objective: object
     corner_values: tuple   # (CornerClass, Cyc value, AlgValue or None)
-    points: tuple          # CriticalPointRecord per non-corner critical point
     window: tuple          # (lower, upper) AlgValue bounds, or None
     minimum: AlgValue
     maximum: AlgValue
     min_witness: object    # CornerClass or AlgebraicPoint
     max_witness: object
+    # () -> (records, (min, witness), (max, witness)), for to_json
+    list_points: object = field(repr=False, compare=False)
+
+    @cached_property
+    def _listed(self):
+        return self.list_points()
+
+    @property
+    def points(self):
+        """CriticalPointRecord per non-corner critical point: all of them
+        for a zero-dimensional critical ideal, else those of the fibres
+        decided.  Built on first access."""
+        return self._listed[0]
 
     def to_json(self):
+        # the extremes and witnesses are the list's own objects, refined as
+        # its records were, so JSON is the same as from the full solve
+        records, (minimum, min_witness), (maximum, max_witness) = self._listed
+
         def witness_json(w):
             if hasattr(w, "kac_coordinates"):
                 return {
@@ -177,16 +207,16 @@ class ExtremumReport:
                 }
                 for c, v, a in self.corner_values
             ],
-            "critical_points": [p.to_json() for p in self.points],
+            "critical_points": [p.to_json() for p in records],
             "window": (
                 [self.window[0].to_json(), self.window[1].to_json()]
                 if self.window
                 else None
             ),
-            "minimum": self.minimum.to_json(),
-            "maximum": self.maximum.to_json(),
-            "min_witness": witness_json(self.min_witness),
-            "max_witness": witness_json(self.max_witness),
+            "minimum": minimum.to_json(),
+            "maximum": maximum.to_json(),
+            "min_witness": witness_json(min_witness),
+            "max_witness": witness_json(max_witness),
         }
 
 
@@ -232,6 +262,17 @@ def adjoint_objective(datum):
     return to_fundamental_polynomial(ad)
 
 
+def _record(m, msig, objective, window, p, low, high):
+    """The CriticalPointRecord of a real critical point p; low and high
+    are the corner extremes its window flags compare with."""
+    sreal = sigma_reality(m, p)
+    compact = bool(sreal and is_compact_point(msig, p))
+    value = AlgValue.from_field_element(p.value_of(objective.poly))
+    in_min = value.cmp(low) < 0 and (window is None or value.cmp(window[0]) >= 0)
+    in_max = value.cmp(high) > 0 and (window is None or value.cmp(window[1]) <= 0)
+    return CriticalPointRecord(p, value, sreal, compact, in_min, in_max)
+
+
 def extremum(
     datum,
     objective,
@@ -256,13 +297,9 @@ def extremum(
             % (objective.to_str().replace(" ", ""), datum.name(),
                real.to_str().replace(" ", ""))
         )
-    m = derivation_matrix(
-        datum,
-        cache_dir=cache_dir,
-        use_cache=use_cache,
-        rank_cap=rank_cap,
-        allow_large=allow_large,
-    )
+    matrix_options = dict(cache_dir=cache_dir, use_cache=use_cache,
+                          rank_cap=rank_cap, allow_large=allow_large)
+    m = derivation_matrix(datum, **matrix_options)
     msig = sigma_matrix(m)
     corner_classes = corners(datum)
 
@@ -278,83 +315,134 @@ def extremum(
             )
 
     real_corner_values = [(c, a) for c, v, a in corner_values if a is not None]
-    assert real_corner_values, "no real corner value (identity missing?)"
-    corner_min = min(
-        (a for _, a in real_corner_values),
-        key=_cmp_key(),
-    )
-    corner_max = max(
-        (a for _, a in real_corner_values),
-        key=_cmp_key(),
-    )
+    if not real_corner_values:
+        raise CertificateError("no real corner value (identity missing?)")
+    by_value = _cmp_key()
+    corner_min = min((a for _, a in real_corner_values), key=by_value)
+    corner_max = max((a for _, a in real_corner_values), key=by_value)
 
-    is_char = _is_true_character(objective, expand_cap)
     window = None
-    if is_char:
-        dims = None
-        for c in corner_classes:
-            if c.order == 1:
-                dims = c
-                break
-        assert dims is not None
+    if _is_true_character(objective, expand_cap):
+        dims = next((c for c in corner_classes if c.order == 1), None)
+        if dims is None:
+            raise CertificateError("no identity corner")
         at_identity = _corner_value(objective, dims)
-        assert at_identity.is_rational()
-        bound = AlgValue.from_rational(at_identity.as_rational())
-        window = (
-            AlgValue.from_rational(-at_identity.as_rational()),
-            bound,
-        )
+        if not at_identity.is_rational():
+            raise CertificateError("character value at the identity is not rational")
+        bound = at_identity.as_rational()
+        window = (AlgValue.from_rational(-bound), AlgValue.from_rational(bound))
 
+    # Every critical value is a root of e.  Only the roots beyond the corner
+    # extremes, and inside the window, can be extrema; the values route
+    # compares copies, so the report's corner values are refined only as
+    # the critical-point list refines them.
     crit = critical_ideal(m, objective)
-    points = solve_zero_dim(crit, pair_cap=pair_cap)
+    e, basis, quot = eliminant(crit, objective.poly, pair_cap=pair_cap)
+    low, high = _copy(corner_min), _copy(corner_max)
+    below, above = [], []
+    for fac, roots in real_roots_by_factor(e):
+        for v in roots:
+            if v.cmp(low) < 0 and (window is None or v.cmp(window[0]) >= 0):
+                below.append((v, fac))
+            elif v.cmp(high) > 0 and (window is None or v.cmp(window[1]) <= 0):
+                above.append((v, fac))
+    below.sort(key=lambda t: by_value(t[0]))
+    above.sort(key=lambda t: by_value(t[0]), reverse=True)
 
-    records = []
-    for p in points:
-        if p.is_rational() and p.rational_coords() in rational_corner_coords:
-            continue
-        sreal = sigma_reality(m, p)
-        compact = bool(sreal and is_compact_point(msig, p))
-        value = AlgValue.from_field_element(p.value_of(objective.poly))
-        in_min = value.cmp(corner_min) < 0 and (
-            window is None or value.cmp(window[0]) >= 0
-        )
-        in_max = value.cmp(corner_max) > 0 and (
-            window is None or value.cmp(window[1]) <= 0
-        )
-        records.append(
-            CriticalPointRecord(p, value, sreal, compact, in_min, in_max)
-        )
+    fibres = {}  # factor -> records of the points where it vanishes on f
 
-    candidates = [(a, c) for c, a in real_corner_values]
-    for rec in records:
-        if rec.compact:
-            candidates.append((rec.value, rec.point))
-            if window is not None:
+    def decide(candidates, fallback):
+        """The first candidate value a compact critical point attains."""
+        for v, fac in candidates:
+            if fac not in fibres:
+                gens = basis.gens + (_substitute(fac, objective.poly),)
+                points = solve_zero_dim(
+                    Ideal.of(crit.nvars, gens), pair_cap, known=len(basis.gens)
+                )
+                fibres[fac] = [_record(m, msig, objective, window, p, low, high)
+                               for p in points]
+            for rec in fibres[fac]:
+                if rec.compact and rec.value.cmp(v) == 0:
+                    return v, rec.point
+        return fallback
+
+    def at_corner(a):
+        return a, next(c for c, b in real_corner_values if b is a)
+
+    min_value, min_witness = decide(below, at_corner(corner_min))
+    max_value, max_witness = decide(above, at_corner(corner_max))
+    # for a zero-dimensional crit the list is every critical point, solved
+    # again when read: a report that kept its matrix and quotient for it
+    # raised the peak memory of many small requests by about 4%
+    decided = None if quot is not None else [
+        rec for recs in fibres.values() for rec in recs
+    ]
+
+    def list_points():
+        records = decided
+        if records is None:
+            m = derivation_matrix(datum, **matrix_options)
+            msig = sigma_matrix(m)
+            records = [
+                _record(m, msig, objective, window, p, corner_min, corner_max)
+                for p in solve_zero_dim(critical_ideal(m, objective), pair_cap)
+                if not (p.is_rational()
+                        and p.rational_coords() in rational_corner_coords)
+            ]
+        candidates = [(a, c) for c, a in real_corner_values]
+        for rec in records:
+            if rec.compact:
+                candidates.append((rec.value, rec.point))
                 # characters never escape [-f(1), f(1)] on the compact form
-                if rec.value.cmp(window[0]) < 0 or rec.value.cmp(window[1]) > 0:
+                if window is not None and (
+                    rec.value.cmp(window[0]) < 0 or rec.value.cmp(window[1]) > 0
+                ):
                     raise CertificateError(
                         "compact critical value outside [-f(1), f(1)]"
                     )
-
-    min_value, min_witness = candidates[0]
-    max_value, max_witness = candidates[0]
-    for value, witness in candidates[1:]:
-        if value.cmp(min_value) < 0:
-            min_value, min_witness = value, witness
-        if value.cmp(max_value) > 0:
-            max_value, max_witness = value, witness
+        lo = hi = candidates[0]
+        for cand in candidates[1:]:
+            if cand[0].cmp(lo[0]) < 0:
+                lo = cand
+            if cand[0].cmp(hi[0]) > 0:
+                hi = cand
+        for (value, witness), (v, w) in ((lo, (min_value, min_witness)),
+                                         (hi, (max_value, max_witness))):
+            same = witness is w if hasattr(w, "kac_coordinates") else (
+                not hasattr(witness, "kac_coordinates")
+                and _copy(value).cmp(v) == 0
+            )
+            if not same:
+                raise CertificateError(
+                    "the critical-point list and the critical values disagree"
+                )
+        return tuple(records), lo, hi
 
     return ExtremumReport(
         datum=datum,
         objective=objective,
         corner_values=tuple(corner_values),
-        points=tuple(records),
         window=window,
         minimum=min_value,
         maximum=max_value,
         min_witness=min_witness,
         max_witness=max_witness,
+        list_points=list_points,
     )
+
+
+def _copy(value):
+    """An AlgValue whose refinement leaves value's interval as it is."""
+    r = value.root
+    return AlgValue(value.minpoly, RootInterval(r.poly, r.chain, r.lo, r.hi))
+
+
+def _substitute(upoly, poly):
+    """upoly(poly) for an ascending coefficient list, by Horner."""
+    acc = Poly.const(poly.nvars, upoly[-1])
+    for c in reversed(upoly[:-1]):
+        acc = acc * poly + c
+    return acc
 
 
 def _cmp_key():

@@ -43,13 +43,17 @@ class DerivationMatrix:
             "version": CACHE_VERSION,
             "datum": datum.name(),
             "hash": datum.content_hash(),
-            "form_A": [[str(x) for x in row] for row in datum.form_A],
+            "form_A": _form_json(datum),
             "entries": [
                 [i, j, self.entries[i][j].to_json()]
                 for i in range(r)
                 for j in range(i, r)
             ],
         }
+
+
+def _form_json(datum):
+    return [[str(x) for x in row] for row in datum.form_A]
 
 
 def _cache_path(datum, cache_dir):
@@ -71,6 +75,9 @@ def _load_cache(datum, path):
     if data.get("version") != CACHE_VERSION:
         return None
     if data.get("hash") != datum.content_hash():
+        return None
+    # the hash does not cover form_A, which a replaced datum may change
+    if data.get("form_A") != _form_json(datum):
         return None
     r = datum.rank
     try:

@@ -8,6 +8,7 @@ vectors reduced modulo the m-th cyclotomic polynomial.
 from __future__ import annotations
 
 import math
+import operator
 from functools import lru_cache
 
 try:
@@ -53,22 +54,26 @@ def grevlex_key(m):
 ORDER_KEYS = {"lex": lex_key, "grevlex": grevlex_key}
 
 
+# map over operator functions: these run in the inner loops of Groebner
+# bases and normal forms, where a generator expression costs twice as much
+
+
 def monomial_mul(a, b):
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(operator.add, a, b))
 
 
 def monomial_divides(a, b):
     """True when a divides b."""
-    return all(x <= y for x, y in zip(a, b))
+    return all(map(operator.le, a, b))
 
 
 def monomial_div(a, b):
     """a / b, assuming divisibility."""
-    return tuple(x - y for x, y in zip(a, b))
+    return tuple(map(operator.sub, a, b))
 
 
 def monomial_lcm(a, b):
-    return tuple(max(x, y) for x, y in zip(a, b))
+    return tuple(map(max, a, b))
 
 
 class Poly:
@@ -225,17 +230,22 @@ class Poly:
 
     def evaluate(self, values, convert=None):
         """Evaluate at a point; works for QQ, float, complex or ring elements.
-        powers[i] lists x_i, x_i^2, ..., one multiplication per power."""
+        powers[i] lists x_i, x_i^2, ..., one multiplication per power.  With
+        convert, a term is the product of its powers times its coefficient,
+        a scalar product, and convert lifts only a constant term; without,
+        the coefficient comes first."""
         powers = [[x] for x in values]
         acc = None
         for m, c in self.terms.items():
-            term = convert(c) if convert else c
+            term = None if convert else c
             for i, e in enumerate(m):
                 if e:
                     p = powers[i]
                     while len(p) < e:
                         p.append(p[-1] * p[0])
-                    term = term * p[e - 1]
+                    term = p[e - 1] if term is None else term * p[e - 1]
+            if convert:
+                term = convert(c) if term is None else term * c
             acc = term if acc is None else acc + term
         if acc is None:
             return convert(QZERO) if convert else QZERO

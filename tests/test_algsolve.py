@@ -392,3 +392,49 @@ def test_grid_systems(xs, ys):
     got = [p.rational_coords() for p in pts]
     want = sorted((qq(a), qq(b)) for a in xs for b in ys)
     assert got == want
+
+
+# -- the values of a polynomial on a zero set -------------------------------
+
+@pytest.mark.parametrize("letter,rank,column", [("G", 2, 1), ("B", 3, 0), ("F", 4, 1)])
+def test_eliminant_routes_agree(letter, rank, column):
+    # the power sums on the quotient and the first dependency among normal
+    # forms of f^k give the same e(T) on a zero-dimensional ideal
+    datum = build_root_datum(letter, rank)
+    m = derivation_matrix(datum, use_cache=False)
+    ideal = Ideal.of(rank, [m.entry(i, column) for i in range(rank)])
+    f = var(rank, column) * var(rank, column) - var(rank, 0) * qq(1, 2) + 3
+    e, basis, quot = algsolve.eliminant(ideal, f)
+    assert quot is not None and len(e) - 1 <= quot.dim
+    krylov = algsolve._krylov_minpoly(algsolve._basis_entries(basis), f, "grevlex")
+    assert algsolve.upoly_primitive_int(algsolve.upoly_squarefree(krylov)) == e
+
+
+def test_eliminant_of_a_curve():
+    # on the circle x^2 + y^2 = 1 crossed with y = x z, the objective x^2 +
+    # y^2 takes the single value 1, though the zero set is a curve
+    x, y, z = var(3, 0), var(3, 1), var(3, 2)
+    ideal = Ideal.of(3, [x * x + y * y - 1, y - x * z])
+    e, _, quot = algsolve.eliminant(ideal, x * x + y * y)
+    assert quot is None and e == [-1, 1]
+
+
+def test_seeded_groebner_skips_only_redundant_pairs(g2_matrix):
+    # the fibre of the G2 second column over f2 = 10/27
+    m = g2_matrix
+    base = groebner(Ideal.of(2, [m.entry(0, 1), m.entry(1, 1)]))
+    gens = base.gens + (var(2, 1) * 27 - 10,)
+    seeded = groebner(Ideal.of(2, gens), known=len(base.gens))
+    assert seeded == groebner(Ideal.of(2, gens))
+    pts = solve_zero_dim(Ideal.of(2, gens), known=len(base.gens))
+    assert [p.rational_coords() for p in pts] == [(qq(7, 9), qq(10, 27))]
+
+
+def test_real_roots_by_factor():
+    # (2T - 1)(T^2 - 2)(T^2 + 1)
+    e = [2, -4, 1, -2, -1, 2]
+    got = {fac: [r.approx() for r in roots]
+           for fac, roots in algsolve.real_roots_by_factor(e)}
+    assert got.keys() == {(-1, 2), (-2, 0, 1), (1, 0, 1)}
+    assert got[(-1, 2)] == [0.5] and got[(1, 0, 1)] == []
+    assert got[(-2, 0, 1)] == pytest.approx([-(2 ** 0.5), 2 ** 0.5], abs=1e-11)

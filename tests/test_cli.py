@@ -309,3 +309,51 @@ def test_table_simple_matches_closed_form(capsys):
     assert by_key[("G2", 1)] == ("-2", "14")
     assert by_key[("A2", 2)] == ("-2", "2")
     assert by_key[("D4", 3)] == ("-2", "7")
+
+
+@pytest.fixture(scope="module")
+def shared_cache(tmp_path_factory):
+    return str(tmp_path_factory.mktemp("cache"))
+
+
+@pytest.mark.parametrize(
+    "letter_rank,objective,minimum,degree",
+    [
+        # the least real root of e is a corner value: no fibre to decide
+        ("C3", "f2", "-2", "14"),
+        ("B3", "f3", "-8", "8"),
+        # one fibre below the corners, whose sigma-real points are not
+        # compact (the E6 matrix takes a few seconds cold)
+        ("D5", "adjoint", "-3", "45"),
+        ("E6", "adjoint", "-3", "78"),
+    ],
+)
+def test_positive_dimensional_critical_locus_is_decided(
+    capsys, shared_cache, letter_rank, objective, minimum, degree
+):
+    for command, value in (("minimize", minimum), ("maximize", degree)):
+        code, out, err = run_main(
+            capsys, command, "--type", letter_rank, "--objective", objective,
+            "--cache", shared_cache,
+        )
+        assert code == 0, err
+        tag = "min" if command == "minimize" else "max"
+        assert out.startswith("%s = %s at corner" % (tag, value)), out
+
+
+def test_text_extremum_assembles_only_its_fibre(capsys, monkeypatch, tmp_path):
+    from charbounds import algsolve
+
+    calls = []
+    real = algsolve._assemble_points
+    monkeypatch.setattr(
+        algsolve, "_assemble_points",
+        lambda *a: calls.append(a[2]) or real(*a),
+    )
+    code, out, err = run_main(
+        capsys, "minimize", "--type", "F4", "--objective", "f2",
+        "--cache", str(tmp_path),
+    )
+    assert code == 0 and out.startswith("min = -15.5766 (root of 27*v^2")
+    # one quadratic fibre, 27 T^2 - 196 T - 9604, not the D = 37 quotient
+    assert len(calls) == 1 and calls[0] < 37

@@ -3,7 +3,7 @@ import math
 import pytest
 import sympy
 
-from charbounds.algsolve import solve_zero_dim
+from charbounds.algsolve import eliminant, solve_zero_dim
 from charbounds.compactcert import (
     NonRealObjectiveError,
     _cyc_to_algvalue,
@@ -243,3 +243,43 @@ def test_report_json_round_trip(g2):
     assert "minimum" in blob and "critical_points" in blob
     again = extremum(g2, fund_objective(g2, 1), use_cache=False)
     assert json.dumps(again.to_json(), sort_keys=True) == blob
+
+
+# -- the values route -------------------------------------------------------
+
+@pytest.mark.parametrize(
+    "letter,rank,objective",
+    [("G", 2, "f2"), ("B", 3, "f1"), ("C", 3, "f3"), ("D", 4, "adjoint"),
+     ("F", 4, "f2")],
+)
+def test_critical_values_are_roots_of_e(tmp_path, letter, rank, objective):
+    datum = build_root_datum(letter, rank)
+    if objective == "adjoint":
+        obj = adjoint_objective(datum)
+    else:
+        obj = fund_objective(datum, int(objective[1:]) - 1)
+    rep = extremum(datum, obj, cache_dir=str(tmp_path))
+    crit = critical_ideal(derivation_matrix(datum, cache_dir=str(tmp_path)), obj)
+    e, _, quot = eliminant(crit, obj.poly)
+    assert quot is not None and 1 <= len(e) - 1 <= quot.dim
+    assert rep.points
+    for rec in rep.points:
+        # e(f(p)) = 0 exactly, in the point's own number field
+        v = rec.point.value_of(obj.poly)
+        acc = v.field.from_rational(0)
+        for c in reversed(e):
+            acc = acc * v + c
+        assert acc.is_zero()
+
+
+def test_list_that_disagrees_with_the_values_route_is_refused(f4, monkeypatch, tmp_path):
+    from charbounds import compactcert
+    from charbounds.algsolve import CertificateError
+
+    rep = extremum(f4, fund_objective(f4, 1), cache_dir=str(tmp_path))
+    assert not hasattr(rep.min_witness, "kac_coordinates")
+    # the list is built only now; with no compact point in it, its minimum
+    # would be the corner value -14
+    monkeypatch.setattr(compactcert, "is_compact_point", lambda msig, p: False)
+    with pytest.raises(CertificateError, match="disagree"):
+        rep.to_json()

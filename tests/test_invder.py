@@ -223,6 +223,22 @@ def test_gl2_fixture_convention():
             assert sympy.simplify(got[i][j] - expected[i][j]) == 0
 
 
+def test_cache_misses_on_another_form(tmp_path):
+    # the cache file name hashes the Cartan data, not form_A, so a datum
+    # with a replaced form finds the plain form's file and must refuse it
+    invder.derivation_matrix(G2, cache_dir=tmp_path)
+    doubled = dataclasses.replace(
+        G2, form_A=tuple(tuple(2 * x for x in row) for row in G2.form_A)
+    )
+    assert doubled.content_hash() == G2.content_hash()
+    got = invder.derivation_matrix(doubled, cache_dir=tmp_path)
+    assert not got.cache_hit
+    fresh = invder.derivation_matrix(doubled, use_cache=False)
+    assert got.entries == fresh.entries
+    plain = invder.derivation_matrix(G2, use_cache=False)
+    assert got.entries != plain.entries
+
+
 def test_asymmetric_form_is_refused(tmp_path):
     # entries are stored once for (i, j) and (j, i), which needs a
     # symmetric form; the check must hold on a cache hit too

@@ -72,7 +72,13 @@ def test_evaluate_reuses_powers_exactly(kind):
         lift = field.from_rational
         a = field.generator()
         point = (a, a * a - 1, a * qq(1, 3) + 2)
-    assert p.evaluate(point, convert=lift) == termwise(p, point, lift)
+    lifted = []
+    got = p.evaluate(point, convert=lambda c: lifted.append(c) or lift(c))
+    assert got == termwise(p, point, lift)
+    # the other coefficients multiply in as scalars, never lifted
+    assert lifted == [qq(5, 3)]
+    if kind == "fraction":
+        assert p.evaluate(point) == got
 
 
 def test_poly_pow_and_degree():
