@@ -1,10 +1,11 @@
 """Exact solving of zero-dimensional polynomial systems over Q, and the
 values of a polynomial on a zero set.
 
-One Groebner basis (Buchberger, sugar strategy) in degree-reverse-
-lexicographic order gives the quotient algebra A of dimension D.  Groebner
-and the normal forms run on integers: basis elements are primitive integer
-polynomials, S-polynomials integer cross-multiples, and a normal form
+One Groebner basis (Buchberger, sugar strategy) in grevlex, the only term
+order here, gives the quotient algebra A of dimension D.  Ideal.of makes
+each generator a primitive integer polynomial with a positive leading
+coefficient, once; Groebner and the normal forms then run on integers:
+S-polynomials are integer cross-multiples, and a normal form
 pseudo-reduces to an integer remainder and multiplier.
 
 All linear algebra on A runs on integer rows.  Multiplication by x_i is
@@ -58,13 +59,10 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .polynomials import (
-    ORDER_KEYS,
     Poly,
     QONE,
     QZERO,
     grevlex_key,
-    iv_add,
-    iv_mul,
     monomial_div,
     monomial_divides,
     monomial_lcm,
@@ -298,12 +296,13 @@ def isolate_real_roots(p):
 
 
 def upoly_interval(p, box):
-    """Interval image over a closed interval, by interval Horner."""
-    acc = (QZERO, QZERO)
+    """Interval image over a closed interval, by interval Horner with
+    exact rational endpoints."""
+    lo = hi = QZERO
     for c in reversed(p):
-        acc = iv_mul(acc, box)
-        acc = iv_add(acc, (c, c))
-    return acc
+        ends = (lo * box[0], lo * box[1], hi * box[0], hi * box[1])
+        lo, hi = min(ends) + c, max(ends) + c
+    return lo, hi
 
 
 # ---------------------------------------------------------------------------
@@ -312,11 +311,12 @@ def upoly_interval(p, box):
 @dataclass(frozen=True)
 class Ideal:
     nvars: int
-    gens: tuple
-    order: str = "grevlex"
+    gens: tuple  # primitive integer, grevlex leading coefficient > 0
 
     @staticmethod
-    def of(nvars, gens, order="grevlex"):
+    def of(nvars, gens):
+        """The one place a generator is brought to that form; zero
+        generators are dropped."""
         cleaned = []
         for g in gens:
             if not isinstance(g, Poly):
@@ -325,33 +325,26 @@ class Ideal:
                 raise ValueError("variable count mismatch")
             if g:
                 cleaned.append(_normalize(g))
-        return Ideal(nvars, tuple(cleaned), order)
-
-    def to_json(self):
-        return {
-            "nvars": self.nvars,
-            "order": self.order,
-            "gens": [g.to_json() for g in self.gens],
-        }
+        return Ideal(nvars, tuple(cleaned))
 
 
 def _basis_entries(basis_ideal):
     """(lm, lc, tail) of each generator, for normal_form."""
-    key = ORDER_KEYS[basis_ideal.order]
-    return [_basis_entry(_int_terms(g), key) for g in basis_ideal.gens]
+    return [_basis_entry(_int_terms(g)) for g in basis_ideal.gens]
 
 
 def _normalize(p):
     _, prim = p.content_primitive()
-    lm = prim.leading_monomial("grevlex")
-    if prim.terms[lm] < 0:
+    if prim.terms[prim.leading_monomial()] < 0:
         prim = -prim
     return prim
 
 
 def _int_terms(p):
-    """A nonzero Poly as _normalize'd integer terms {monomial: int}."""
-    return {m: int(c) for m, c in _normalize(p).terms.items()}
+    """The integer terms {monomial: int} of a generator of an Ideal."""
+    if any(c.denominator != 1 for c in p.terms.values()):
+        raise CertificateError("generator with a non-integral coefficient")
+    return {m: int(c) for m, c in p.terms.items()}
 
 
 def _primitive_terms(terms):
@@ -362,13 +355,13 @@ def _primitive_terms(terms):
     return {m: c // g for m, c in terms.items()}
 
 
-def _basis_entry(terms, key):
+def _basis_entry(terms):
     """(lm, lc, tail) of integer terms; tail holds the other terms."""
-    lm = max(terms, key=key)
+    lm = max(terms, key=grevlex_key)
     return lm, terms[lm], [(m, c) for m, c in terms.items() if m != lm]
 
 
-def normal_form(p, basis, order, reducers=None):
+def normal_form(p, basis, reducers=None):
     """Full fraction-free reduction of integer terms p by basis entries
     (lm, lc, tail): (rem, mult) with mult * p = rem modulo the basis and
     gcd(mult, content of rem) = 1, so rem / mult is the rational normal
@@ -380,9 +373,8 @@ def normal_form(p, basis, order, reducers=None):
     The largest remaining monomial comes off a heap; reduction brings in
     only smaller ones, so the terms passed over are the remainder, and a
     monomial queued twice pops twice in a row."""
-    hkey = _HEAP_KEYS[order]
     terms = dict(p)  # mult * p modulo the basis
-    heap = [(hkey(m), m) for m in terms]
+    heap = [(_heap_key(m), m) for m in terms]
     heapq.heapify(heap)
     mult, last = 1, None
     while heap:
@@ -410,7 +402,7 @@ def normal_form(p, basis, order, reducers=None):
             old = terms.get(mm)
             if old is None:
                 terms[mm] = -b * cq
-                heapq.heappush(heap, (hkey(mm), mm))
+                heapq.heappush(heap, (_heap_key(mm), mm))
             else:
                 s = old - b * cq
                 if s:
@@ -428,11 +420,9 @@ def _divide_content(terms, mult):
     return {m: c // g for m, c in terms.items()}, mult // g
 
 
-# min-heap keys whose order is the reverse of ORDER_KEYS
-_HEAP_KEYS = {
-    "grevlex": lambda m: (-sum(m), m[::-1]),
-    "lex": lambda m: tuple(-e for e in m),
-}
+def _heap_key(m):
+    """A min-heap key whose order is the reverse of grevlex_key."""
+    return (-sum(m), m[::-1])
 
 
 def _spoly(f, g, lmf, lmg):
@@ -451,10 +441,10 @@ def _spoly(f, g, lmf, lmg):
 
 def groebner(ideal, pair_cap=200_000, known=0):
     """Reduced Groebner basis (deterministic), sugar pair selection, on
-    integer terms; _normalize fixes the scale of each element.  The first
-    `known` generators may already form a Groebner basis: the pairs among
-    them reduce to zero, so they are not formed."""
-    key = ORDER_KEYS[ideal.order]
+    integer terms; each new element is divided by its content, with a
+    positive leading coefficient.  The first `known` generators may
+    already form a Groebner basis: the pairs among them reduce to zero, so
+    they are not formed.  The zero ideal has the empty basis."""
     G = []
     basis = []  # (lm, lc, tail) of each element of G, for normal_form
     sugars = []
@@ -462,14 +452,12 @@ def groebner(ideal, pair_cap=200_000, known=0):
 
     def add_elem(terms, sugar):
         G.append(terms)
-        basis.append(_basis_entry(terms, key))
+        basis.append(_basis_entry(terms))
         sugars.append(sugar)
         lms.append(basis[-1][0])
 
     for g in ideal.gens:
         add_elem(_int_terms(g), g.total_degree())
-    if not G:
-        raise NotZeroDimensionalError("zero ideal has no finite solution set")
 
     pairs = {}
     done = set()
@@ -489,7 +477,8 @@ def groebner(ideal, pair_cap=200_000, known=0):
         if monomial_mul(lms[i], lms[j]) == monomial_lcm(lms[i], lms[j]):
             done.add((i, j))
             return
-        pairs[(i, j)] = (pair_sugar(i, j), key(monomial_lcm(lms[i], lms[j])), i, j)
+        pairs[(i, j)] = (pair_sugar(i, j), grevlex_key(monomial_lcm(lms[i], lms[j])),
+                         i, j)
 
     n0 = len(G)
     done.update((i, j) for j in range(known) for i in range(j))
@@ -522,7 +511,7 @@ def groebner(ideal, pair_cap=200_000, known=0):
                     break
         if skip:
             continue
-        r, _ = normal_form(_spoly(G[i], G[j], lms[i], lms[j]), basis, ideal.order)
+        r, _ = normal_form(_spoly(G[i], G[j], lms[i], lms[j]), basis)
         if r:
             t = len(G)
             add_elem(_primitive_terms(r), max(sugar, max(map(sum, r))))
@@ -541,18 +530,18 @@ def groebner(ideal, pair_cap=200_000, known=0):
             keep.append(i)
     reduced = []
     for i in keep:
-        r, _ = normal_form(G[i], [basis[j] for j in keep if j != i], ideal.order)
+        r, _ = normal_form(G[i], [basis[j] for j in keep if j != i])
         if not r:
             raise CertificateError("minimal basis element reduced away")
-        reduced.append(_basis_entry(_primitive_terms(r), key))
-    reduced.sort(key=lambda e: key(e[0]))
+        reduced.append(_basis_entry(_primitive_terms(r)))
+    reduced.sort(key=lambda e: grevlex_key(e[0]))
 
-    for g in ideal.gens:
-        if normal_form(_int_terms(g), reduced, ideal.order)[0]:
+    for g in G[:n0]:
+        if normal_form(g, reduced)[0]:
             raise CertificateError("generator fails membership in its basis")
     gens = (Poly(ideal.nvars, {lm: qq(lc), **{m: qq(c) for m, c in tail}}, _trusted=True)
             for lm, lc, tail in reduced)
-    return Ideal(ideal.nvars, tuple(gens), ideal.order)
+    return Ideal(ideal.nvars, tuple(gens))
 
 
 def staircase(lms, nvars):
@@ -686,7 +675,6 @@ class _Quotient:
 
     def __init__(self, basis_ideal):
         self.nvars = n = basis_ideal.nvars
-        self.order = basis_ideal.order
         self.basis = _basis_entries(basis_ideal)
         mons = staircase([lm for lm, _, _ in self.basis], n)
         if mons is None:
@@ -703,7 +691,7 @@ class _Quotient:
         for i in range(n):
             # (rem, mult) of x_i * b_j
             qcols = [normal_form({m[:i] + (m[i] + 1,) + m[i + 1:]: 1},
-                                 self.basis, self.order, reducers)
+                                 self.basis, reducers)
                      for m in mons]
             den = math.lcm(*(mult for _, mult in qcols))
             self.cols.append([
@@ -872,7 +860,7 @@ def eliminant(ideal, poly, pair_cap=200_000):
     except NotZeroDimensionalError:
         quot = None
     if quot is None:
-        e = _krylov_minpoly(_basis_entries(basis), poly, basis.order)
+        e = _krylov_minpoly(_basis_entries(basis), poly)
     elif quot.dim:
         traces = _power_traces(quot, quot.matrix(poly), [quot.tau], 0)
         e = _charpoly([t[0] for t in traces])
@@ -881,13 +869,13 @@ def eliminant(ideal, poly, pair_cap=200_000):
     return upoly_primitive_int(upoly_squarefree(e)), basis, quot
 
 
-def _krylov_minpoly(basis, poly, order):
+def _krylov_minpoly(basis, poly):
     """The first linear dependency among the normal forms of 1, p, p^2,
     ... modulo basis entries, ascending.  Each normal form is the previous
     remainder times p, reduced; v_k = scale_k * rem_k."""
     den = math.lcm(*(int(c.denominator) for c in poly.terms.values()))
     p = [(m, _times_den(c, den)) for m, c in poly.terms.items()]
-    rem, mult = normal_form({(0,) * poly.nvars: 1}, basis, order)
+    rem, mult = normal_form({(0,) * poly.nvars: 1}, basis)
     scale = qq(1, mult)
     index, scales, ech, reducers = {}, [], _Echelon(), {}
     for k in itertools.count():
@@ -906,7 +894,7 @@ def _krylov_minpoly(basis, poly, order):
                 mm = monomial_mul(m, mp)
                 prod[mm] = prod.get(mm, 0) + c * cp
         rem, mult = normal_form({m: c for m, c in prod.items() if c}, basis,
-                                order, reducers)
+                                reducers)
         scale = scale / (den * mult)
 
 
@@ -1165,7 +1153,6 @@ def solve_zero_dim(ideal, pair_cap=200_000, known=0):
     """All real points of a zero-dimensional system, certified exactly.
     The first `known` generators may already form a Groebner basis (see
     groebner)."""
-    ideal = Ideal.of(ideal.nvars, ideal.gens, "grevlex")
     if not ideal.gens:
         raise NotZeroDimensionalError("zero ideal has no finite solution set")
     quot = _Quotient(groebner(ideal, pair_cap=pair_cap, known=known))
@@ -1287,11 +1274,6 @@ def _isolate_among(cand, chain, value):
         value.field.refine_root()
         eps = eps / 16
     raise UndecidedSignError("coordinate isolation exhausted")
-
-
-def sign_of(poly, point):
-    """Exact sign of a polynomial at an algebraic point: -1, 0, or 1."""
-    return point.value_of(poly).sign()
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ sign result, 4 usage, 5 critical locus not zero-dimensional.
 """
 
 import argparse
+import cmath
 import csv
 import io
 import json
@@ -95,6 +96,13 @@ def _positive_int(message):
     return parse
 
 
+def _coefficient(text):
+    try:
+        return qq(text)
+    except ZeroDivisionError:
+        raise UsageError("objective coefficient %s divides by zero" % text)
+
+
 def parse_objective(datum, text):
     """Linear combinations 'c1*f1 + c2*f2 - f3' plus the word 'adjoint'."""
     s = (text or "").replace(" ", "")
@@ -114,7 +122,7 @@ def parse_objective(datum, text):
         body = piece[1:]
         m = re.fullmatch(r"(?:(\d+(?:/\d+)?)\*)?f(\d+)", body)
         if m:
-            coeff = qq(m.group(1)) if m.group(1) else qq(1)
+            coeff = _coefficient(m.group(1)) if m.group(1) else qq(1)
             k = int(m.group(2))
             if not 1 <= k <= r:
                 raise UsageError(
@@ -122,7 +130,7 @@ def parse_objective(datum, text):
                 )
             mono = tuple(1 if i == k - 1 else 0 for i in range(r))
         elif re.fullmatch(r"\d+(?:/\d+)?", body):
-            coeff = qq(body)
+            coeff = _coefficient(body)
             mono = (0,) * r
         else:
             raise UsageError("cannot parse objective term %r" % piece)
@@ -143,6 +151,8 @@ def _parse_pins(text, n):
         i = int(m.group(1))
         if not 1 <= i <= n:
             raise UsageError("pin variable %d out of range 1..%d" % (i, n))
+        if i - 1 in pins:
+            raise UsageError("pin variable %d given twice" % i)
         pins[i - 1] = int(m.group(2))
     return pins
 
@@ -152,6 +162,8 @@ def _parse_vector(text, rank, flag):
         items = tuple(complex(tok) for tok in (text or "").split(","))
     except ValueError:
         raise UsageError("%s wants comma-separated numbers, got %r" % (flag, text))
+    if not all(map(cmath.isfinite, items)):
+        raise UsageError("%s wants finite numbers, got %r" % (flag, text))
     if len(items) != rank:
         raise UsageError("%s needs %d entries" % (flag, rank))
     return items
@@ -444,8 +456,6 @@ def _cmd_su2(args):
     degrees = (
         [args.degree] if args.degree is not None else list(range(1, args.max_degree + 1))
     )
-    if any(d < 1 for d in degrees):
-        raise UsageError("degrees must be positive")
     rows = []
     for d in degrees:
         m = su2_min(d)
@@ -687,11 +697,17 @@ def build_parser():
     b.set_defaults(handler=_cmd_branch_minimize)
     t = sub.add_parser("table", parents=[common])
     t.add_argument("--family", choices=("simple", "short-root"), default="simple")
-    t.add_argument("--max-rank", type=int, default=8)
+    t.add_argument(
+        "--max-rank", type=_positive_int("max_rank must be positive"), default=8
+    )
     t.set_defaults(handler=_cmd_table)
     s = sub.add_parser("su2", parents=[common])
-    s.add_argument("--max-degree", type=int, default=12)
-    s.add_argument("--degree", type=int, default=None)
+    s.add_argument(
+        "--max-degree", type=_positive_int("max_degree must be positive"), default=12
+    )
+    s.add_argument(
+        "--degree", type=_positive_int("degrees must be positive"), default=None
+    )
     s.set_defaults(handler=_cmd_su2)
     x = sub.add_parser("xfun", parents=[common, typed])
     x.add_argument("--s", required=True, metavar="A1,A2,...")

@@ -40,18 +40,11 @@ def qq_str(x) -> str:
 
 
 # ---------------------------------------------------------------------------
-# monomial orders; a monomial is a tuple of non-negative integer exponents
-
-def lex_key(m):
-    return m
-
+# monomials are tuples of non-negative integer exponents, ordered by grevlex
 
 def grevlex_key(m):
     # ties broken so the last nonzero entry of the difference is negative
     return (sum(m), tuple(-e for e in reversed(m)))
-
-
-ORDER_KEYS = {"lex": lex_key, "grevlex": grevlex_key}
 
 
 # map over operator functions: these run in the inner loops of Groebner
@@ -137,9 +130,8 @@ class Poly:
             return -1
         return max(sum(m) for m in self.terms)
 
-    def leading_monomial(self, order="grevlex"):
-        key = ORDER_KEYS[order]
-        return max(self.terms, key=key)
+    def leading_monomial(self):
+        return max(self.terms, key=grevlex_key)
 
     def coeff(self, mono):
         return self.terms.get(tuple(mono), QZERO)
@@ -270,17 +262,14 @@ class Poly:
         return content, prim
 
     # -- presentation -------------------------------------------------------
-    def sorted_terms(self, order="grevlex", reverse=True):
-        key = ORDER_KEYS[order]
-        return sorted(self.terms.items(), key=lambda t: key(t[0]), reverse=reverse)
-
     def to_str(self, names=None):
         if not self.terms:
             return "0"
         if names is None:
             names = ["f%d" % (i + 1) for i in range(self.nvars)]
         parts = []
-        for m, c in self.sorted_terms():
+        for m, c in sorted(self.terms.items(), key=lambda t: grevlex_key(t[0]),
+                           reverse=True):
             factors = []
             for i, e in enumerate(m):
                 if e == 1:
@@ -321,43 +310,6 @@ class Poly:
                 raise ValueError("variable count mismatch")
             return other
         return Poly.const(self.nvars, other)
-
-
-# ---------------------------------------------------------------------------
-# rational interval arithmetic (endpoints are exact rationals)
-
-def iv_add(a, b):
-    return (a[0] + b[0], a[1] + b[1])
-
-
-def iv_mul(a, b):
-    vals = (a[0] * b[0], a[0] * b[1], a[1] * b[0], a[1] * b[1])
-    return (min(vals), max(vals))
-
-
-def iv_pow(a, e):
-    if e == 0:
-        return (QONE, QONE)
-    out = a
-    for _ in range(e - 1):
-        out = iv_mul(out, a)
-    return out
-
-
-def poly_interval(poly, boxes):
-    """Interval image of a Poly over a coordinate box."""
-    acc = (QZERO, QZERO)
-    powers = [dict() for _ in range(poly.nvars)]
-    for m, c in poly.terms.items():
-        term = (qq(c), qq(c))
-        for i, e in enumerate(m):
-            if e:
-                cache = powers[i]
-                if e not in cache:
-                    cache[e] = iv_pow(boxes[i], e)
-                term = iv_mul(term, cache[e])
-        acc = iv_add(acc, term)
-    return acc
 
 
 # ---------------------------------------------------------------------------

@@ -347,7 +347,8 @@ def eval_X(datum, s, t, *, cap=DEFAULT_WEYL_CAP):
     could exceed 1e-8 of the sum also raises ConditioningError.  While
     averaging off a wall, such a sum only rejects its perturbation scale,
     and the next scale is tried.  An identically zero argument forces
-    X = 1 by the scaling symmetry, so that case returns 1 exactly.
+    X = 1 by the scaling symmetry, so that case returns 1 exactly.  A
+    value that is not a finite double raises OverflowError.
     """
     sv = [complex(z) for z in s]
     tv = [complex(z) for z in t]
@@ -358,23 +359,22 @@ def eval_X(datum, s, t, *, cap=DEFAULT_WEYL_CAP):
             "enumeration refused: |W| = %d exceeds cap %d"
             % (datum.weyl_order, cap)
         )
-    held = (tuple(sv), tuple(tv))
+    err = 0.0
     if _is_rho(sv):
-        return XEvaluation(
-            datum, held[0], held[1], _rho_product(datum, tv), "rho-product"
-        )
-    if _is_rho(tv):
-        return XEvaluation(
-            datum, held[0], held[1], _rho_product(datum, sv), "rho-product"
-        )
-    if not any(sv) or not any(tv):
+        value, method = _rho_product(datum, tv), "rho-product"
+    elif _is_rho(tv):
+        value, method = _rho_product(datum, sv), "rho-product"
+    elif not any(sv) or not any(tv):
         # X(u s, t) = X(s, u t) at u = 0, hence constant 1
-        return XEvaluation(datum, held[0], held[1], 1.0 + 0.0j, "limit-fallback")
-    s_regular = _is_regular(datum, sv)
-    t_regular = _is_regular(datum, tv)
-    if s_regular and t_regular:
-        return XEvaluation(
-            datum, held[0], held[1], _weyl_sum(datum, sv, tv, cap), "Weyl-sum"
-        )
-    value, err = _averaged(datum, sv, tv, s_regular, t_regular, cap)
-    return XEvaluation(datum, held[0], held[1], value, "limit-fallback", err)
+        value, method = 1.0 + 0.0j, "limit-fallback"
+    else:
+        s_regular = _is_regular(datum, sv)
+        t_regular = _is_regular(datum, tv)
+        if s_regular and t_regular:
+            value, method = _weyl_sum(datum, sv, tv, cap), "Weyl-sum"
+        else:
+            value, err = _averaged(datum, sv, tv, s_regular, t_regular, cap)
+            method = "limit-fallback"
+    if not cmath.isfinite(value):
+        raise OverflowError("X(s, t) = %r is not a finite double" % value)
+    return XEvaluation(datum, tuple(sv), tuple(tv), value, method, err)

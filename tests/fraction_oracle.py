@@ -17,20 +17,20 @@ fraction-free normal form rem / mult must equal the rational one.
 import heapq
 
 from charbounds.algsolve import (
-    _HEAP_KEYS,
     CertificateError,
     Ideal,
     NotZeroDimensionalError,
     PairCapError,
+    _heap_key,
     _normalize,
     staircase,
     upoly_trim,
 )
 from charbounds.polynomials import (
-    ORDER_KEYS,
     Poly,
     QONE,
     QZERO,
+    grevlex_key,
     monomial_div,
     monomial_divides,
     monomial_lcm,
@@ -39,16 +39,15 @@ from charbounds.polynomials import (
 )
 
 
-def normal_form(p, basis, order):
+def normal_form(p, basis):
     """Full reduction over QQ; basis entries are (lm, lc, poly).
 
     The largest remaining monomial comes off a heap.  A monomial that
     cancels stays queued and is skipped when popped; if a later step
     brings it back it is queued again, and the extra entry is skipped the
     same way."""
-    hkey = _HEAP_KEYS[order]
     work = dict(p.terms)
-    heap = [(hkey(m), m) for m in work]
+    heap = [(_heap_key(m), m) for m in work]
     heapq.heapify(heap)
     rem = {}
     while heap:
@@ -74,7 +73,7 @@ def normal_form(p, basis, order):
             old = work.get(mm)
             if old is None:
                 work[mm] = -factor * cq
-                heapq.heappush(heap, (hkey(mm), mm))
+                heapq.heappush(heap, (_heap_key(mm), mm))
             else:
                 s = old - factor * cq
                 if s:
@@ -96,7 +95,6 @@ def _spoly(f, g, lmf, lmg):
 def groebner(ideal, pair_cap=200_000):
     """Reduced Groebner basis over QQ (deterministic), sugar pair
     selection, with the pair loop of the solver's integer groebner."""
-    key = ORDER_KEYS[ideal.order]
     G = []
     sugars = []
     lms = []
@@ -104,7 +102,7 @@ def groebner(ideal, pair_cap=200_000):
     def add_elem(p, sugar):
         G.append(p)
         sugars.append(sugar)
-        lms.append(max(p.terms, key=key))
+        lms.append(max(p.terms, key=grevlex_key))
 
     for g in ideal.gens:
         add_elem(g, g.total_degree())
@@ -129,7 +127,8 @@ def groebner(ideal, pair_cap=200_000):
         if monomial_mul(lms[i], lms[j]) == monomial_lcm(lms[i], lms[j]):
             done.add((i, j))
             return
-        pairs[(i, j)] = (pair_sugar(i, j), key(monomial_lcm(lms[i], lms[j])), i, j)
+        pairs[(i, j)] = (pair_sugar(i, j), grevlex_key(monomial_lcm(lms[i], lms[j])),
+                         i, j)
 
     n0 = len(G)
     for i in range(n0):
@@ -162,7 +161,7 @@ def groebner(ideal, pair_cap=200_000):
         if skip:
             continue
         basis = [(lms[t], G[t].terms[lms[t]], G[t]) for t in range(len(G))]
-        r = normal_form(_spoly(G[i], G[j], lms[i], lms[j]), basis, ideal.order)
+        r = normal_form(_spoly(G[i], G[j], lms[i], lms[j]), basis)
         if r:
             r = _normalize(r)
             t = len(G)
@@ -183,17 +182,17 @@ def groebner(ideal, pair_cap=200_000):
     reduced = []
     for i in keep:
         others = [(lms[j], G[j].terms[lms[j]], G[j]) for j in keep if j != i]
-        r = normal_form(G[i], others, ideal.order)
+        r = normal_form(G[i], others)
         if not r:
             raise CertificateError("minimal basis element reduced away")
         r = _normalize(r)
         reduced.append((lms[i], r.terms[lms[i]], r))
-    reduced.sort(key=lambda e: key(e[0]))
+    reduced.sort(key=lambda e: grevlex_key(e[0]))
 
     for g in ideal.gens:
-        if normal_form(g, reduced, ideal.order):
+        if normal_form(g, reduced):
             raise CertificateError("generator fails membership in its basis")
-    return Ideal(ideal.nvars, tuple(r for _, _, r in reduced), ideal.order)
+    return Ideal(ideal.nvars, tuple(r for _, _, r in reduced))
 
 
 class Echelon:
@@ -237,11 +236,9 @@ class Quotient:
 
     def __init__(self, basis_ideal):
         self.nvars = basis_ideal.nvars
-        self.order = basis_ideal.order
-        key = ORDER_KEYS[self.order]
         self.basis = []
         for g in basis_ideal.gens:
-            lm = max(g.terms, key=key)
+            lm = g.leading_monomial()
             self.basis.append((lm, g.terms[lm], g))
         self.monomials = staircase([lm for lm, _, _ in self.basis], self.nvars)
         self.index = {m: i for i, m in enumerate(self.monomials)}
@@ -249,7 +246,7 @@ class Quotient:
         self._mult_cache = {}
 
     def nf_vec(self, poly):
-        r = normal_form(poly, self.basis, self.order)
+        r = normal_form(poly, self.basis)
         return {self.index[m]: c for m, c in r.terms.items()}
 
     def mult_column(self, var, j):

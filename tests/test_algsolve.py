@@ -12,7 +12,6 @@ from charbounds.algsolve import (
     PairCapError,
     groebner,
     isolate_real_roots,
-    sign_of,
     solve_zero_dim,
     sturm_chain,
     sturm_count,
@@ -55,6 +54,22 @@ def test_groebner_idempotent_and_deterministic():
     assert [g.terms for g in a.gens] == [g.terms for g in b.gens]
     again = groebner(a)
     assert [g.terms for g in again.gens] == [g.terms for g in a.gens]
+
+
+def test_ideal_of_normalizes_and_groebner_only_reads():
+    x = var(1, 0)
+    half = x.scale(qq(-1, 2)) + 1
+    assert Ideal.of(1, [half, Poly.zero(1)]).gens == (x - 2,)
+    # a generator that did not come through Ideal.of is refused, not truncated
+    with pytest.raises(CertificateError):
+        groebner(Ideal(1, (half,)))
+
+
+def test_zero_ideal_has_the_empty_basis():
+    assert groebner(Ideal.of(2, [])).gens == ()
+    # a constant takes one value on the whole plane
+    e, basis, quot = algsolve.eliminant(Ideal.of(2, []), Poly.const(2, 3))
+    assert (e, basis.gens, quot) == ([-3, 1], (), None)
 
 
 def test_pair_cap_is_an_explicit_failure():
@@ -107,7 +122,7 @@ def test_univariate_cubic_points():
     assert approx == sorted(approx)
     assert abs(approx[1] + 0.323628) < 1e-5
     for pt in pts:
-        assert sign_of(p, pt) == 0
+        assert pt.value_of(p).sign() == 0
         assert pt.minpolys[0] == (-49, -151, 10, 27)
 
 
@@ -176,9 +191,9 @@ def test_triangular_system_with_irrational_coordinate():
     hi = pts[1].approx()
     assert abs(lo[0] - 2) < 1e-9 and abs(lo[1] + 2**0.5) < 1e-9
     assert abs(hi[0] - 2) < 1e-9 and abs(hi[1] - 2**0.5) < 1e-9
-    assert sign_of(x * y, pts[0]) == -1
-    assert sign_of(x * y, pts[1]) == 1
-    assert sign_of(y * y - 2, pts[0]) == 0
+    assert pts[0].value_of(x * y).sign() == -1
+    assert pts[1].value_of(x * y).sign() == 1
+    assert pts[0].value_of(y * y - 2).sign() == 0
 
 
 def _shared_last(x, y):
@@ -406,7 +421,7 @@ def test_eliminant_routes_agree(letter, rank, column):
     f = var(rank, column) * var(rank, column) - var(rank, 0) * qq(1, 2) + 3
     e, basis, quot = algsolve.eliminant(ideal, f)
     assert quot is not None and len(e) - 1 <= quot.dim
-    krylov = algsolve._krylov_minpoly(algsolve._basis_entries(basis), f, "grevlex")
+    krylov = algsolve._krylov_minpoly(algsolve._basis_entries(basis), f)
     assert algsolve.upoly_primitive_int(algsolve.upoly_squarefree(krylov)) == e
 
 

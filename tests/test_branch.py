@@ -3,7 +3,7 @@
 import pytest
 
 from charbounds import branch, compactcert
-from charbounds.algsolve import Ideal, NotZeroDimensionalError, sign_of
+from charbounds.algsolve import Ideal, NotZeroDimensionalError
 from charbounds.charring import BranchPolynomial
 from charbounds.polynomials import Poly, qq
 from charbounds.rootdata import build_root_datum

@@ -159,6 +159,13 @@ def test_usage_exit_codes(capsys):
         ("corners", "--type", "A2", "--precision", "0"),
         ("corners", "--type", "G2", "--columns", "3"),
         ("corners", "--type", "G2", "--columns", "0,1"),
+        ("minimize", "--type", "G2", "--objective", "1/0*f1"),
+        ("minimize", "--type", "G2", "--objective", "3/0"),
+        ("branch-minimize", "--type", "G2", "--pins", "1=2,1=-2"),
+        ("table", "--max-rank", "0"),
+        ("su2", "--max-degree", "0"),
+        ("xfun", "--type", "A2", "--s", "nan,1", "--t", "1,1"),
+        ("xfun", "--type", "A2", "--s", "1,1", "--t", "1,inf"),
     ):
         code = cli.main(list(argv))
         captured = capsys.readouterr()
@@ -172,6 +179,12 @@ def test_infeasible_exit_codes(capsys):
         capsys, "xfun", "--type", "B5", "--s", "1,1,1,1,1", "--t", "1,2,3,4,5"
     )
     assert code == 2 and out == "" and "infeasible" in err
+    # the double-precision value is not finite, through either method
+    for s in ("1,1", "0.3,0.7"):
+        code, out, err = run_main(
+            capsys, "xfun", "--type", "A2", "--s", s, "--t", "1e308,1e308"
+        )
+        assert code == 2 and out == "" and "not a finite double" in err
     # full E8 corner table needs fundamental characters beyond the box cap
     code, out, err = run_main(capsys, "corners", "--type", "E8")
     assert code == 2 and "cap" in err
@@ -357,3 +370,35 @@ def test_text_extremum_assembles_only_its_fibre(capsys, monkeypatch, tmp_path):
     assert code == 0 and out.startswith("min = -15.5766 (root of 27*v^2")
     # one quadratic fibre, 27 T^2 - 196 T - 9604, not the D = 37 quotient
     assert len(calls) == 1 and calls[0] < 37
+
+
+@pytest.mark.parametrize("objective", ["3", "0*f1", "f1-f1"])
+def test_constant_objective_is_attained_at_the_identity(capsys, shared_cache, objective):
+    # the critical ideal is zero, so e(T) = T - c comes from the empty basis
+    value = "3" if objective == "3" else "0"
+    for command in ("minimize", "maximize"):
+        code, out, err = run_main(
+            capsys, command, "--type", "G2", "--objective", objective,
+            "--cache", shared_cache,
+        )
+        assert code == 0, err
+        tag = "min" if command == "minimize" else "max"
+        assert out == "%s = %s at corner (7, 14)\n" % (tag, value)
+
+
+def test_maximum_is_decided_by_its_fibre(capsys, tmp_path):
+    # -f2 on F4 mirrors the f2 minimum: its greatest critical value lies
+    # above every corner value and is attained at a compact critical point
+    argv = ("maximize", "--type", "F4", "--objective=-f2", "--cache", str(tmp_path))
+    code, out, err = run_main(capsys, *argv)
+    assert code == 0, err
+    assert out.startswith(
+        "max = 15.5766 (root of 27*v^2 + 196*v - 9604 = 0) at critical point ("
+    )
+    code, out, err = run_main(capsys, *argv, "--format", "json")
+    assert code == 0, err
+    report = json.loads(out)["report"]
+    assert report["max_witness"]["kind"] == "critical_point"
+    assert report["maximum"]["minpoly"] == [-9604, 196, 27]
+    # the F4 f2 minimum is (98 / 27) (1 - 2 sqrt 7)
+    assert abs(report["maximum"]["decimal"] + (98 / 27) * (1 - 2 * 7**0.5)) < 1e-9

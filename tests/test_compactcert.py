@@ -1,9 +1,18 @@
 import math
+from itertools import combinations
+from types import SimpleNamespace
 
 import pytest
 import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from charbounds.algsolve import eliminant, solve_zero_dim
+from charbounds.algsolve import (
+    NumberField,
+    eliminant,
+    isolate_real_roots,
+    solve_zero_dim,
+)
 from charbounds.compactcert import (
     NonRealObjectiveError,
     _cyc_to_algvalue,
@@ -103,6 +112,83 @@ def test_g2_interior_point_certificate(g2):
     assert is_compact_point(msig, rational_point([7, 14]))
     # far outside the moment polytope
     assert not is_compact_point(msig, rational_point([100, 0]))
+
+
+def _det(rows):
+    """Laplace expansion along the first row."""
+    n = len(rows)
+    if n == 1:
+        return rows[0][0]
+    total = rows[0][0] - rows[0][0]
+    for j in range(n):
+        minor = [[rows[i][k] for k in range(n) if k != j] for i in range(1, n)]
+        term = rows[0][j] * _det(minor)
+        total = total - term if j % 2 else total + term
+    return total
+
+
+def _at_sqrt2(rows):
+    """is_compact_point of -A for a symmetric A of (a, b) = a + b sqrt 2,
+    against the oracle: every principal minor of A is nonnegative."""
+    sqrt2 = NumberField((-2, 0, 1), isolate_real_roots([-2, 0, 1])[1]).generator()
+    r = len(rows)
+    m = SimpleNamespace(
+        datum=SimpleNamespace(rank=r),
+        entries=[[-Poly(1, {(0,): a, (1,): b}) for a, b in row] for row in rows],
+    )
+    a = [[sqrt2 * b + a for a, b in row] for row in rows]
+    psd = all(
+        _det([[a[i][j] for j in idx] for i in idx]).sign() >= 0
+        for size in range(1, r + 1)
+        for idx in combinations(range(r), size)
+    )
+    return is_compact_point(m, SimpleNamespace(coords=[sqrt2])), psd
+
+
+def _gram(vectors, shift, at):
+    """B B^T - shift e_at e_at^T over Q(sqrt 2), entries as (a, b)."""
+    r = len(vectors)
+    rows = [[[0, 0] for _ in range(r)] for _ in range(r)]
+    for i in range(r):
+        for j in range(r):
+            for (a, b), (c, d) in zip(vectors[i], vectors[j]):
+                rows[i][j][0] += a * c + 2 * b * d
+                rows[i][j][1] += a * d + b * c
+    rows[at][at][0] -= shift
+    return rows
+
+
+@st.composite
+def gram_matrices(draw):
+    r = draw(st.integers(1, 4))
+    k = draw(st.integers(0, r))
+    entry = st.tuples(st.integers(-2, 2), st.integers(-1, 1))
+    vectors = draw(st.lists(st.lists(entry, min_size=k, max_size=k),
+                            min_size=r, max_size=r))
+    return _gram(vectors, draw(st.sampled_from([0, 0, 1, 3])),
+                 draw(st.integers(0, r - 1)))
+
+
+@given(gram_matrices())
+@settings(max_examples=80, deadline=None)
+def test_elimination_agrees_with_principal_minors(rows):
+    got, psd = _at_sqrt2(rows)
+    assert got == psd
+
+
+@pytest.mark.parametrize("rows,expected", [
+    # a zero pivot with the rest of its row zero, then a positive one
+    ([[(0, 0), (0, 0)], [(0, 0), (1, 1)]], True),
+    # a zero pivot with a nonzero entry beside it
+    ([[(0, 0), (1, 0)], [(1, 0), (0, 0)]], False),
+    # every leading minor nonnegative, but not the trailing 1x1
+    ([[(0, 0), (0, 0)], [(0, 0), (-1, 0)]], False),
+    # 3 - 2 sqrt 2 > 0 is a positive pivot that needs the root refined
+    ([[(3, -2), (1, 0)], [(1, 0), (1, 0)]], False),
+    ([[(3, 2), (1, 0)], [(1, 0), (1, 0)]], True),
+])
+def test_elimination_pivots(rows, expected):
+    assert _at_sqrt2(rows) == (expected, expected)
 
 
 # -- exact corner values ----------------------------------------------------

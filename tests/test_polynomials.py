@@ -8,7 +8,6 @@ from charbounds.polynomials import (
     Poly,
     cyclotomic_polynomial,
     grevlex_key,
-    poly_interval,
     qq,
     qq_str,
 )
@@ -98,28 +97,6 @@ def test_content_primitive():
 def test_json_round_trip():
     p = P(2, {(1, 2): "7/5", (0, 0): -3})
     assert Poly.from_json(2, p.to_json()) == p
-
-
-@given(
-    st.lists(
-        st.tuples(
-            st.tuples(st.integers(0, 3), st.integers(0, 3)),
-            st.integers(-9, 9),
-        ),
-        max_size=6,
-    ),
-    st.integers(-4, 4),
-    st.integers(-4, 4),
-)
-@settings(max_examples=60, deadline=None)
-def test_interval_contains_exact_value(terms, a, b):
-    p = Poly(2, {})
-    for m, c in terms:
-        p = p + Poly(2, {m: qq(c)})
-    boxes = [(qq(a), qq(a) + qq(1, 2)), (qq(b), qq(b) + qq(1, 3))]
-    lo, hi = poly_interval(p, boxes)
-    val = p.evaluate((qq(a), qq(b)), convert=qq)
-    assert lo <= val <= hi
 
 
 def test_cyclotomic_small():

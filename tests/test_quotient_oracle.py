@@ -19,7 +19,7 @@ from charbounds.algsolve import Ideal, NotZeroDimensionalError, groebner, upoly_
 from charbounds.charring import FundamentalPolynomial
 from charbounds.compactcert import adjoint_objective, critical_ideal
 from charbounds.invder import derivation_matrix
-from charbounds.polynomials import QZERO, Poly, grevlex_key, qq
+from charbounds.polynomials import QZERO, Poly, qq
 from charbounds.rootdata import build_root_datum
 
 
@@ -145,14 +145,14 @@ def test_fraction_free_groebner_matches_rational_oracle(letter, rank, objective,
     assert gb == oracle.groebner(crit)
     # the fraction-free normal form rem / mult of every monomial of
     # degree <= 3 is the rational normal form, with mult in lowest terms
-    basis = [algsolve._basis_entry(algsolve._int_terms(g), grevlex_key) for g in gb.gens]
+    basis = algsolve._basis_entries(gb)
     ref_basis = [(lm, g.terms[lm], g) for (lm, _, _), g in zip(basis, gb.gens)]
     for mono in itertools.product(range(4), repeat=gb.nvars):
         if sum(mono) > 3:
             continue
-        rem, mult = algsolve.normal_form({mono: 1}, basis, "grevlex")
+        rem, mult = algsolve.normal_form({mono: 1}, basis)
         assert math.gcd(mult, *rem.values()) == 1
-        ref = oracle.normal_form(Poly(gb.nvars, {mono: qq(1)}), ref_basis, "grevlex")
+        ref = oracle.normal_form(Poly(gb.nvars, {mono: qq(1)}), ref_basis)
         assert {m: qq(c, mult) for m, c in rem.items()} == ref.terms
     if not zero_dim:
         with pytest.raises(NotZeroDimensionalError):
