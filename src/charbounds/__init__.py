@@ -1,6 +1,6 @@
 """Exact extreme values of characters on compact simple Lie groups."""
 
-from .polynomials import QQ, Cyc, Poly, qq, qq_str
+from .polynomials import QQ, Poly, qq, qq_str
 from .rootdata import (
     EnumerationCapError,
     InvalidTypeError,
@@ -17,7 +17,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "QQ",
-    "Cyc",
     "Poly",
     "qq",
     "qq_str",

@@ -48,6 +48,11 @@ dependence among 1, v, v^2, ... on integer rows; the same polynomial
 gives 1/v.  A value is its minimal polynomial with one RootInterval,
 which is exact, lo == hi, for a rational root.  sympy is used only to
 factor f and e over Q and for the gcds of large univariate polynomials.
+
+A character value at a torsion class of order m is an element of the
+cyclotomic field Q(zeta_m): the same power-basis arithmetic, modulo
+Phi_m, with the complex embedding zeta = exp(2 pi i / m) for decimals
+and conjugation.  cyclotomic_field(m) is the one instance per order.
 """
 
 from __future__ import annotations
@@ -56,12 +61,13 @@ import heapq
 import itertools
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 from .polynomials import (
     Poly,
     QONE,
     QZERO,
+    cyclotomic_polynomial,
     grevlex_key,
     monomial_div,
     monomial_divides,
@@ -996,6 +1002,54 @@ class NumberField:
             "sign refinement exhausted for %s" % (elem,)
         )
 
+    def approx(self, elem):
+        self.root.refine_to(qq(1, 2**40))
+        lo, hi = elem.interval()
+        return float((lo + hi) / 2)
+
+    def conjugate(self, elem):
+        # alpha is real, so the embedding commutes with complex conjugation
+        return elem
+
+    def repr(self, elem):
+        return "FieldElement(%s)" % ([qq_str(c) for c in elem.vec],)
+
+
+class CyclotomicField(NumberField):
+    """Q(zeta_m) on the power basis modulo Phi_m, embedded by
+    zeta = exp(2 pi i / m); use the cached cyclotomic_field(m)."""
+
+    def __init__(self, m):
+        super().__init__(cyclotomic_polynomial(m))
+        self.m = m
+
+    def approx(self, elem):
+        """The complex value, as one float sum over the powers of zeta."""
+        out = 0j
+        for i, c in enumerate(elem.vec):
+            if c:
+                ang = 2.0 * math.pi * i / self.m
+                out += float(c) * complex(math.cos(ang), math.sin(ang))
+        return out
+
+    def conjugate(self, elem):
+        # zeta^i -> zeta^(-i) = zeta^(m - i)
+        vec = [QZERO] * self.m
+        for i, c in enumerate(elem.vec):
+            vec[-i % self.m] = c
+        return self.reduce(vec)
+
+    def repr(self, elem):
+        if elem.is_rational():
+            return "Cyc(%s)" % qq_str(elem.vec[0])
+        return "Cyc(m=%d, %s)" % (self.m, [qq_str(v) for v in elem.vec])
+
+
+@lru_cache(maxsize=None)
+def cyclotomic_field(m):
+    """The one CyclotomicField of order m, so that its elements compare."""
+    return CyclotomicField(m)
+
 
 class FieldElement:
     __slots__ = ("field", "vec")
@@ -1009,6 +1063,20 @@ class FieldElement:
 
     def __bool__(self):
         return not self.is_zero()
+
+    def is_rational(self):
+        return all(not c for c in self.vec[1:])
+
+    def as_rational(self):
+        if not self.is_rational():
+            raise ValueError("not rational: %r" % (self,))
+        return self.vec[0]
+
+    def conjugate(self):
+        return self.field.conjugate(self)
+
+    def is_real(self):
+        return self == self.conjugate()
 
     def __eq__(self, other):
         if isinstance(other, FieldElement):
@@ -1086,13 +1154,11 @@ class FieldElement:
     def interval(self):
         return upoly_interval(list(self.vec), self.field.root_box())
 
-    def approx(self, width=qq(1, 2**40)):
-        self.field.root.refine_to(width)
-        lo, hi = self.interval()
-        return float((lo + hi) / 2)
+    def approx(self):
+        return self.field.approx(self)
 
     def __repr__(self):
-        return "FieldElement(%s)" % ([qq_str(c) for c in self.vec],)
+        return self.field.repr(self)
 
 
 class AlgebraicPoint:
@@ -1112,8 +1178,11 @@ class AlgebraicPoint:
         return self.field.degree == 1
 
     def rational_coords(self):
-        assert self.is_rational()
-        return tuple(c.vec[0] for c in self.coords)
+        if not self.is_rational():
+            raise ValueError(
+                "not a rational point: field degree %d" % self.field.degree
+            )
+        return tuple(c.as_rational() for c in self.coords)
 
     def approx(self):
         return tuple(c.approx() for c in self.coords)
@@ -1238,9 +1307,8 @@ def _minpoly_of_value(value):
     the field; minimality makes the result irreducible, so no factoring
     or resultants are needed."""
     field = value.field
-    if all(not c for c in value.vec[1:]):
-        c = value.vec[0]
-        return upoly_primitive_int([-c, QONE])
+    if value.is_rational():
+        return upoly_primitive_int([-value.as_rational(), QONE])
     ech = _Echelon(field.degree + 1)
     power = field.from_rational(1)
     scales = []
@@ -1308,7 +1376,8 @@ class AlgValue:
         return len(self.minpoly) == 2
 
     def as_rational(self):
-        assert self.is_rational()
+        if not self.is_rational():
+            raise ValueError("not rational: root of %s" % (list(self.minpoly),))
         return qq(-self.minpoly[0], self.minpoly[1])
 
     def box(self):

@@ -3,7 +3,8 @@
 Characters are stored by dominant-weight multiplicities; conversion to
 polynomials in the fundamental characters runs leading-term subtraction
 on exact q-evaluations, which gives the literal subtraction's output far
-faster.
+faster.  The value at a torsion class of order m is an element of
+algsolve.cyclotomic_field(m).
 """
 
 from __future__ import annotations
@@ -13,8 +14,8 @@ import random
 from collections import defaultdict
 from dataclasses import dataclass
 
-from .algsolve import CertificateError
-from .polynomials import QQ, QZERO, Cyc, Poly, qq, qq_str
+from .algsolve import CertificateError, cyclotomic_field
+from .polynomials import QQ, QZERO, Poly, qq, qq_str
 from .rootdata import RootDatum, weyl_orbit, weyl_stabilizer_order
 
 DEFAULT_ORBIT_CAP = 10_000_000
@@ -543,7 +544,7 @@ def evaluate_at_torsion(c, point, m):
     """Exact value of an invariant element at exp(2 pi i v).
 
     point is the covector of v: <mu, v> is the dot product with mu's
-    weight-basis coordinates.  Returns a cyclotomic value of order m.
+    weight-basis coordinates.  Returns an element of cyclotomic_field(m).
     """
     m = int(m)
     if m < 1:
@@ -561,7 +562,7 @@ def evaluate_at_torsion(c, point, m):
                 % (qq_str(qq(t // m, den)), nu, m)
             )
         counts[t // den % m] += mu_c
-    return Cyc(m, counts)
+    return cyclotomic_field(m).reduce(counts)
 
 
 # ---------------------------------------------------------------------------

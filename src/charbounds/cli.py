@@ -379,11 +379,12 @@ def _cmd_extremize(args):
 
 def _cmd_branch_minimize(args):
     pins = _parse_pins(args.pins, args.datum.rank)
-    problem = branch.adjoint_problem(args.datum, pins=pins, cap=args.orbit_cap)
     try:
+        problem = branch.adjoint_problem(args.datum, pins=pins, cap=args.orbit_cap)
         result = branch.branch_minimize(problem, pair_cap=args.pair_cap)
     except ValueError as e:
-        # too many free variables without pins is a feasibility refusal
+        # too many free variables without pins, or too few orthogonal roots
+        # for the A1^rank subgroup, is a feasibility refusal
         raise EnumerationCapError(str(e))
     if args.format == "json":
         return _emit_json("branch-minimize", {"result": result.to_json()})

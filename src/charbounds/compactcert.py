@@ -32,6 +32,7 @@ from .algsolve import (
     NumberField,
     RootInterval,
     _minpoly_of_value,
+    cyclotomic_field,
     eliminant,
     isolate_real_roots,
     real_roots_by_factor,
@@ -51,7 +52,7 @@ from .invder import (
     permute_variables,
     sigma_matrix,
 )
-from .polynomials import Cyc, Poly, cyclotomic_polynomial, qq
+from .polynomials import Poly, qq
 from .rootdata import corners
 
 
@@ -150,7 +151,7 @@ class CriticalPointRecord:
 class ExtremumReport:
     datum: object
     objective: object
-    corner_values: tuple   # (CornerClass, Cyc value, AlgValue or None)
+    corner_values: tuple   # (CornerClass, cyclotomic value, AlgValue or None)
     window: tuple          # (lower, upper) AlgValue bounds, or None
     minimum: AlgValue
     maximum: AlgValue
@@ -211,7 +212,7 @@ class ExtremumReport:
 
 
 def _corner_value(objective, corner):
-    lift = lambda c: Cyc.from_rational(corner.order, c)
+    lift = cyclotomic_field(corner.order).from_rational
     return objective.poly.evaluate(list(corner.values), convert=lift)
 
 
@@ -226,8 +227,8 @@ def _cyc_to_algvalue(v):
         raise ValueError("not a real cyclotomic number: %r" % (v,))
     if v.is_rational():
         return AlgValue.from_rational(v.as_rational())
-    z = NumberField(cyclotomic_polynomial(v.m)).generator()
-    psi = _minpoly_of_value(z + z ** (v.m - 1))
+    z = v.field.generator()
+    psi = _minpoly_of_value(z + z.conjugate())
     c = NumberField(psi, isolate_real_roots(psi)[-1]).generator()
     prev, cur = c.field.from_rational(2), c
     value = c.field.from_rational(v.vec[0])

@@ -17,9 +17,9 @@ import os
 import tempfile
 from dataclasses import dataclass
 
-from .algsolve import CertificateError
+from .algsolve import CertificateError, FieldElement
 from .charring import QevalContext, fundamental_characters, qconv
-from .polynomials import Cyc, Poly, qq
+from .polynomials import Poly, qq
 from .rootdata import EnumerationCapError, RootDatum
 
 CACHE_ENV = "CHARBOUNDS_CACHE"
@@ -193,23 +193,13 @@ def permute_variables(poly, perm):
     return Poly(poly.nvars, out)
 
 
-def _rational_lifter(point):
-    for x in point:
-        if isinstance(x, Cyc):
-            return lambda c: Cyc.from_rational(x.m, c)
-        if hasattr(x, "field"):
-            return x.field.from_rational
-    return qq
-
-
 def evaluate_matrix(m, point):
-    """Evaluate every entry at exact coordinates (rational, cyclotomic,
-    or algebraic); returns a list of lists of field elements."""
-    lift = _rational_lifter(point)
-    vals = [
-        x if isinstance(x, Cyc) or hasattr(x, "field") else lift(qq(x))
-        for x in point
-    ]
+    """Evaluate every entry at exact coordinates, rationals or elements of
+    one number field; returns a list of lists of field elements."""
+    lift = next(
+        (x.field.from_rational for x in point if isinstance(x, FieldElement)), qq
+    )
+    vals = [x if isinstance(x, FieldElement) else lift(x) for x in point]
     return [
         [e.evaluate(vals, convert=lift) for e in row]
         for row in m.entries

@@ -1,8 +1,9 @@
 """Exact scalar and sparse polynomial arithmetic shared across the package.
 
 Rationals are gmpy2.mpq when available (fractions.Fraction otherwise),
-monomials are exponent tuples, and cyclotomic values are coefficient
-vectors reduced modulo the m-th cyclotomic polynomial.
+monomials are exponent tuples, and cyclotomic polynomials are dense
+integer coefficient lists; the cyclotomic fields built on them live in
+algsolve.
 """
 
 from __future__ import annotations
@@ -313,7 +314,7 @@ class Poly:
 
 
 # ---------------------------------------------------------------------------
-# cyclotomic integers / rationals
+# cyclotomic polynomials
 
 def _int_poly_div(num, den):
     """Exact division of dense integer polynomial lists; den is monic."""
@@ -340,146 +341,3 @@ def cyclotomic_polynomial(m):
         if m % d == 0:
             poly = _int_poly_div(poly, cyclotomic_polynomial(d))
     return tuple(poly)
-
-
-class Cyc:
-    """Element of Q(zeta_m), stored in the power basis modulo Phi_m."""
-
-    __slots__ = ("m", "vec")
-
-    def __init__(self, m, vec):
-        phi = cyclotomic_polynomial(m)
-        deg = len(phi) - 1
-        vec = [qq(v) for v in vec]
-        if len(vec) > deg:
-            vec = _reduce_mod_phi(vec, phi)
-        vec += [QZERO] * (deg - len(vec))
-        self.m = m
-        self.vec = tuple(vec)
-
-    @staticmethod
-    def zeta_power(m, k):
-        vec = [QZERO] * (k % m) + [QONE]
-        return Cyc(m, vec)
-
-    @staticmethod
-    def from_rational(m, c):
-        return Cyc(m, [qq(c)])
-
-    def _pair(self, other):
-        if not isinstance(other, Cyc):
-            other = Cyc.from_rational(self.m, other)
-        if other.m == self.m:
-            return self, other
-        m = self.m * other.m // math.gcd(self.m, other.m)
-        return self.to_order(m), other.to_order(m)
-
-    def to_order(self, m):
-        if m == self.m:
-            return self
-        if m % self.m:
-            raise ValueError("not a multiple order")
-        k = m // self.m
-        vec = [QZERO] * ((len(self.vec) - 1) * k + 1)
-        for i, c in enumerate(self.vec):
-            vec[i * k] = c
-        return Cyc(m, vec)
-
-    def __add__(self, other):
-        a, b = self._pair(other)
-        return Cyc(a.m, [x + y for x, y in zip(a.vec, b.vec)])
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        a, b = self._pair(other)
-        return Cyc(a.m, [x - y for x, y in zip(a.vec, b.vec)])
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __neg__(self):
-        return Cyc(self.m, [-x for x in self.vec])
-
-    def __mul__(self, other):
-        if isinstance(other, Cyc):
-            a, b = self._pair(other)
-            prod = [QZERO] * (2 * len(a.vec) - 1)
-            for i, x in enumerate(a.vec):
-                if x:
-                    for j, y in enumerate(b.vec):
-                        if y:
-                            prod[i + j] += x * y
-            return Cyc(a.m, prod)
-        c = qq(other)
-        return Cyc(self.m, [x * c for x in self.vec])
-
-    __rmul__ = __mul__
-
-    def __pow__(self, k):
-        out = Cyc.from_rational(self.m, 1)
-        base = self
-        k = int(k)
-        while k:
-            if k & 1:
-                out = out * base
-            k >>= 1
-            if k:
-                base = base * base
-        return out
-
-    def __eq__(self, other):
-        a, b = self._pair(other)
-        return a.vec == b.vec
-
-    def __hash__(self):
-        return hash((self.m, self.vec))
-
-    def is_zero(self):
-        return all(not v for v in self.vec)
-
-    def __bool__(self):
-        return not self.is_zero()
-
-    def conjugate(self):
-        vec = [QZERO] * self.m
-        vec[0] = self.vec[0]
-        for i, c in enumerate(self.vec):
-            if i and c:
-                vec[(self.m - i) % self.m] += c
-        return Cyc(self.m, vec)
-
-    def is_real(self):
-        return self == self.conjugate()
-
-    def is_rational(self):
-        return all(not v for v in self.vec[1:])
-
-    def as_rational(self):
-        if not self.is_rational():
-            raise ValueError("not rational: %r" % (self,))
-        return self.vec[0]
-
-    def approx(self):
-        out = 0j
-        for i, c in enumerate(self.vec):
-            if c:
-                ang = 2.0 * math.pi * i / self.m
-                out += float(c) * complex(math.cos(ang), math.sin(ang))
-        return out
-
-    def __repr__(self):
-        if self.is_rational():
-            return "Cyc(%s)" % qq_str(self.vec[0])
-        return "Cyc(m=%d, %s)" % (self.m, [qq_str(v) for v in self.vec])
-
-
-def _reduce_mod_phi(vec, phi):
-    deg = len(phi) - 1
-    vec = list(vec)
-    for i in range(len(vec) - 1, deg - 1, -1):
-        c = vec[i]
-        if c:
-            for j in range(deg + 1):
-                vec[i - deg + j] -= c * phi[j]
-    return vec[:deg]

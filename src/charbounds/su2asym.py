@@ -234,11 +234,6 @@ _WEYL = {}
 
 
 def _weyl(datum, cap):
-    if datum.weyl_order > cap:
-        raise EnumerationCapError(
-            "enumeration refused: |W| = %d exceeds cap %d"
-            % (datum.weyl_order, cap)
-        )
     key = datum.content_hash()
     got = _WEYL.get(key)
     if got is None:

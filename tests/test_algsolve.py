@@ -356,6 +356,22 @@ def test_algvalue_distinguishes_conjugates():
     assert pos.cmp(neg) == 1
 
 
+def test_as_rational_raises_off_the_rationals():
+    # a ValueError, not an assert: python -O would return a wrong rational
+    v = var(1, 0)
+    point = solve_zero_dim(Ideal.of(1, [v * v - 2]))[1]
+    coord = point.coords[0]
+    for x in (coord, AlgValue.from_field_element(coord)):
+        assert not x.is_rational()
+        with pytest.raises(ValueError):
+            x.as_rational()
+    assert not point.is_rational()
+    with pytest.raises(ValueError):
+        point.rational_coords()
+    # a real field is its own complex conjugate
+    assert coord.is_real() and coord.conjugate() is coord
+
+
 # -- randomized oracles -----------------------------------------------------
 
 # x - 3/2, x^3 - x - 1 and x^4 - 10 x^2 + 1 (the minpoly of sqrt 2 + sqrt 3)

@@ -89,6 +89,25 @@ def test_g2_adjoint_json_report(capsys, tmp_path):
     assert report["maximum"]["minpoly"] == [-14, 1]
 
 
+def test_irrational_corner_values_json(capsys, tmp_path):
+    # the exact value of each corner prints through its repr
+    code, out, _ = run_main(
+        capsys, "minimize", "--type", "A4", "--objective", "f1+f4",
+        "--format", "json", "--cache", str(tmp_path),
+    )
+    assert code == 0
+    corners = json.loads(out)["report"]["corners"]
+    low = "Cyc(m=5, ['-5', '0', '-5', '-5'])"
+    high = "Cyc(m=5, ['0', '0', '5', '5'])"
+    assert [(c["value"], c["real"], c["decimal"]) for c in corners] == [
+        ("Cyc(10)", True, 10.0),
+        (low, True, 3.0901699437495136),
+        (high, True, -8.090169943749514),
+        (high, True, -8.090169943749514),
+        (low, True, 3.0901699437495136),
+    ]
+
+
 def test_matrix_cache_flag_and_byte_identical_reruns(capsys, tmp_path, monkeypatch):
     monkeypatch.delenv("CHARBOUNDS_CACHE", raising=False)
     argv = ("matrix", "--type", "G2", "--format", "json", "--cache", str(tmp_path))
@@ -191,6 +210,10 @@ def test_infeasible_exit_codes(capsys):
     # E8 restricted trace has too many free variables without pins
     code, out, err = run_main(capsys, "branch-minimize", "--type", "E8")
     assert code == 2 and "pin" in err
+    # A3 has no subgroup A1^3 on pairwise orthogonal roots
+    code, out, err = run_main(capsys, "branch-minimize", "--type", "A3")
+    assert (code, out) == (2, "")
+    assert err == "infeasible: no 3 pairwise orthogonal roots in A3\n"
 
 
 def test_not_zero_dimensional_has_its_own_exit_code(capsys, tmp_path):

@@ -2,9 +2,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from charbounds.algsolve import NumberField
+from charbounds.algsolve import NumberField, cyclotomic_field
 from charbounds.polynomials import (
-    Cyc,
     Poly,
     cyclotomic_polynomial,
     grevlex_key,
@@ -63,9 +62,10 @@ def test_evaluate_reuses_powers_exactly(kind):
         lift = qq
         point = (qq(2, 3), qq(-5, 7), qq(3))
     elif kind == "cyc":
-        def lift(c):
-            return Cyc.from_rational(5, c)
-        point = (Cyc(5, [0, 1]), Cyc(5, [1, 0, -1]), Cyc(5, [qq(1, 2), 0, 0, 2]))
+        field = cyclotomic_field(5)
+        lift = field.from_rational
+        point = (field.reduce([0, 1]), field.reduce([1, 0, -1]),
+                 field.reduce([qq(1, 2), 0, 0, 2]))
     else:
         field = NumberField([-2, 0, 0, 1])  # the real cube root of 2
         lift = field.from_rational
@@ -115,34 +115,70 @@ def test_cyclotomic_degree_is_totient():
         assert len(cyclotomic_polynomial(m)) - 1 == phi
 
 
+def zeta(m, k=1):
+    return cyclotomic_field(m).generator() ** k
+
+
 def test_cyc_zeta3_sum():
-    z = Cyc.zeta_power(3, 1)
+    z = zeta(3)
     s = z + z**2
     assert s.is_rational() and s.as_rational() == qq(-1)
 
 
 def test_cyc_zeta4_square():
-    z = Cyc.zeta_power(4, 1)
-    assert z**2 == Cyc.from_rational(4, qq(-1))
+    z = zeta(4)
+    assert z**2 == cyclotomic_field(4).from_rational(qq(-1))
+    assert z**2 == -1
 
 
 def test_cyc_real_detection():
-    z5 = Cyc.zeta_power(5, 1)
+    z5 = zeta(5)
     golden = z5 + z5**4  # 2 cos(2 pi/5)
     assert golden.is_real()
     assert not golden.is_rational()
+    with pytest.raises(ValueError):
+        golden.as_rational()
     assert abs(golden.approx().imag) < 1e-12
     assert golden.approx().real == pytest.approx(0.6180339887, abs=1e-9)
-
-
-def test_cyc_mixed_orders():
-    # -1 as a 2nd root equals zeta_6^3
-    a = Cyc.zeta_power(2, 1)
-    b = Cyc.zeta_power(6, 3)
-    assert (a - b).is_zero()
+    assert not z5.is_real()
 
 
 def test_cyc_conjugate_abs():
-    z = Cyc.zeta_power(7, 2)
+    z = zeta(7, 2)
+    assert z.conjugate() == zeta(7, 5)
     n = z * z.conjugate()
     assert n.is_rational() and n.as_rational() == qq(1)
+
+
+def test_cyclotomic_field_is_cached_and_keeps_its_repr():
+    assert cyclotomic_field(5) is cyclotomic_field(5)
+    # the corner "value" strings of the JSON report
+    assert repr(cyclotomic_field(5).from_rational(14)) == "Cyc(14)"
+    assert str(zeta(5) * -5) == "Cyc(m=5, ['0', '-5', '0', '0'])"
+    assert str(zeta(5, 4)) == "Cyc(m=5, ['-1', '-1', '-1', '-1'])"
+    # orders 1 and 2 are fields of degree 1: zeta is 1 and -1
+    assert zeta(1) == 1 and zeta(2) == -1 and zeta(2).approx() == -1
+    # the embedding is zeta = exp(2 pi i / m)
+    assert zeta(4).approx() == pytest.approx(1j)
+    assert zeta(6).approx() == pytest.approx(complex(0.5, 3**0.5 / 2))
+
+
+_rationals = st.fractions(-8, 8, max_denominator=12).map(
+    lambda f: qq(f.numerator, f.denominator)
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 30), st.data())
+def test_cyclotomic_arithmetic_matches_complex(m, data):
+    field = cyclotomic_field(m)
+    vec = st.lists(_rationals, min_size=1, max_size=m)
+    x = field.reduce(data.draw(vec))
+    y = field.reduce(data.draw(vec))
+    tol = 1e-9 * (1 + abs(x.approx()) * (1 + abs(y.approx())))
+    assert abs((x + y).approx() - (x.approx() + y.approx())) < tol
+    assert abs((x * y).approx() - x.approx() * y.approx()) < tol
+    assert abs(x.conjugate().approx() - x.approx().conjugate()) < tol
+    norm = x * x.conjugate()
+    assert norm.is_real()
+    assert abs(norm.approx().imag) < tol
