@@ -46,8 +46,13 @@ corner value, is an element v of a number field Q[alpha] with alpha one
 isolated real root.  Its minimal polynomial is the first linear
 dependence among 1, v, v^2, ... on integer rows; the same polynomial
 gives 1/v.  A value is its minimal polynomial with one RootInterval,
-which is exact, lo == hi, for a rational root.  sympy is used only to
-factor f and e over Q and for the gcds of large univariate polynomials.
+which is exact, lo == hi, for a rational root.
+
+Factoring f or e over Q first takes off every rational root: p-adic
+lifting, rational reconstruction and an exact evaluation.  A rest of
+degree 2 or 3 is then irreducible; only a rest of degree >= 4 goes to
+sympy, which is imported on that first use.  Univariate gcds are the
+heuristic GCDHEU on integers, with a primitive PRS behind it.
 
 A character value at a torsion class of order m is an element of the
 cyclotomic field Q(zeta_m): the same power-basis arithmetic, modulo
@@ -122,7 +127,7 @@ def _upoly_divmod(a, b):
     a = list(a)
     q = [QZERO] * max(len(a) - len(b) + 1, 0)
     db = len(b) - 1
-    inv = 1 / b[-1]
+    inv = QONE / b[-1]
     while a and len(a) - 1 >= db:
         c = a[-1] * inv
         shift = len(a) - 1 - db
@@ -139,29 +144,74 @@ def upoly_rem(a, b):
 
 
 def upoly_gcd(a, b):
-    """Monic gcd over QQ.  Delegates to sympy on integer primitives: a
-    plain rational Euclid blows up coefficient sizes on the degree-30+
-    characteristic polynomials this module produces."""
-    a, b = upoly_trim(list(a)), upoly_trim(list(b))
-    if not a or not b:
-        src = a or b
-        if not src:
-            return []
-        inv = 1 / src[-1]
-        return [c * inv for c in src]
-    if len(a) <= 3 and len(b) <= 3:
-        while b:
-            a, b = b, upoly_rem(a, b)
-        inv = 1 / a[-1]
-        return [c * inv for c in a]
-    import sympy
+    """Monic gcd over QQ, from the gcd of the primitive integer parts."""
+    a = upoly_primitive_int(upoly_trim(list(a)))
+    b = upoly_primitive_int(upoly_trim(list(b)))
+    g = _int_gcd(a, b) if a and b else a or b
+    return [qq(c, g[-1]) for c in g]
 
-    x = sympy.Symbol("x")
-    fa = sympy.Poly(list(reversed(upoly_primitive_int(a))), x)
-    fb = sympy.Poly(list(reversed(upoly_primitive_int(b))), x)
-    g = [qq(int(c)) for c in reversed(fa.gcd(fb).all_coeffs())]
-    inv = 1 / g[-1]
-    return [c * inv for c in g]
+
+# evaluation points tried by _int_gcd before the primitive PRS
+_HEU_TRIES = 6
+
+
+def _int_gcd(a, b):
+    """The primitive gcd, with positive lead, of two primitive integer
+    polynomials, by the heuristic gcd GCDHEU (Char, Geddes and Gonnet,
+    J. Symbolic Comput. 1989).
+
+    gamma = gcd(a(xi), b(xi)), written in symmetric xi-adic digits, is
+    H(xi) with |H| <= xi / 2, and h = pp(H).  If h divides a and b, then
+    gcd(a, b) = h k with k(xi) dividing the content of H; as
+    xi >= 2 + 2 |a| / |lc a|, every root of a lies further than xi / 2
+    from xi, so |k(xi)| > xi / 2 unless k is a constant."""
+    if len(a) == 1 or len(b) == 1:
+        return [1]
+    na, nb = max(map(abs, a)), max(map(abs, b))
+    bound = 2 * min(na, nb) + 29
+    xi = max(min(bound, 99 * math.isqrt(bound)),
+             2 * min(-(-na // a[-1]), -(-nb // b[-1])) + 2)
+    for _ in range(_HEU_TRIES):
+        gamma = math.gcd(_int_eval(a, xi), _int_eval(b, xi))
+        digits = []
+        while gamma:
+            d = gamma % xi
+            if 2 * d > xi:
+                d -= xi
+            digits.append(d)
+            gamma = (gamma - d) // xi
+        if digits:
+            h = upoly_primitive_int(digits)
+            if _int_exquo(a, h) is not None and _int_exquo(b, h) is not None:
+                return h
+        xi = 73794 * xi * math.isqrt(math.isqrt(xi)) // 27011
+    while b:  # primitive PRS
+        a, b = b, upoly_primitive_int(upoly_rem(a, b))
+    return a
+
+
+def _int_eval(p, x, mod=0):
+    """p(x) for an integer polynomial, modulo mod when it is nonzero."""
+    acc = 0
+    for c in reversed(p):
+        acc = acc * x + c
+        if mod:
+            acc %= mod
+    return acc
+
+
+def _int_exquo(a, b):
+    """a / b in Z[x], or None when b does not divide a there."""
+    a, db = list(a), len(b) - 1
+    q = []
+    for shift in range(len(a) - 1 - db, -1, -1):
+        c, r = divmod(a[shift + db], b[-1])
+        if r:
+            return None
+        q.append(c)
+        for j, y in enumerate(b):
+            a[shift + j] -= c * y
+    return None if any(a[:db]) else q[::-1]
 
 
 def upoly_primitive_int(p):
@@ -919,16 +969,83 @@ def real_roots_by_factor(e):
 
 
 def _factors(f):
-    """The irreducible factors over Q of a polynomial,
-    primitive integer with positive lead, ascending."""
-    import sympy
+    """The irreducible factors over Q of a squarefree polynomial, primitive
+    integer with positive lead, ascending, ordered as sympy's factor_list
+    orders them: by degree, then by coefficients from the top.
 
-    x = sympy.Symbol("x")
-    f_sym = sympy.Poly(list(reversed(upoly_primitive_int(f))), x)
-    return [
-        upoly_primitive_int([int(c) for c in reversed(fac.all_coeffs())])
-        for fac, _ in f_sym.factor_list()[1]
-    ]
+    A zero root and then every rational root come off exactly.  What is
+    left has no rational root, so in degree 2 or 3 it is irreducible; only
+    a rest of degree >= 4, or one that _rational_roots could not serve,
+    is factored by sympy."""
+    rest = upoly_primitive_int(f)
+    out = []
+    if len(rest) > 1 and not rest[0]:
+        out.append([0, 1])
+        rest = rest[1:]
+    roots = _rational_roots(rest)
+    for a, b in roots or ():
+        rest = _int_exquo(rest, [-a, b])
+        if rest is None:
+            raise CertificateError("a rational root does not divide out")
+        out.append([-a, b])
+    if len(rest) > 4 or (roots is None and len(rest) > 2):
+        import sympy
+
+        x = sympy.Symbol("x")
+        out += [
+            upoly_primitive_int([int(c) for c in reversed(fac.all_coeffs())])
+            for fac, _ in sympy.Poly(rest[::-1], x).factor_list()[1]
+        ]
+    elif len(rest) > 1:
+        out.append(rest)
+    return sorted(out, key=lambda fac: (len(fac), fac[::-1]))
+
+
+def _rational_roots(e):
+    """The rational roots (a, b), a / b in lowest terms with b > 0, of a
+    squarefree primitive integer polynomial e with e(0) != 0; None when no
+    odd prime below 1024 serves.
+
+    The first prime l that does not divide the lead and modulo which every
+    root of e is simple serves.  Each root mod l lifts by Newton's
+    iteration to a root r modulo some M > 2 |e_0| |e_n|.  A rational root
+    a / b has a | e_0 and b | e_n, and at most one fraction with
+    |a| <= |e_0| and 0 < b <= |e_n| is r modulo M; the Euclidean remainders
+    of (M, r) find it.  It is kept when sum e_i a^i b^(n-i) is zero."""
+    de = upoly_deriv(e)
+    for ell in range(3, 1024, 2):
+        if any(ell % d == 0 for d in range(3, math.isqrt(ell) + 1, 2)):
+            continue
+        if e[-1] % ell == 0:
+            continue
+        roots = [r for r in range(ell) if not _int_eval(e, r, ell)]
+        if all(_int_eval(de, r, ell) for r in roots):
+            break
+    else:
+        return None
+    bound, mod = 2 * abs(e[0]) * e[-1], ell
+    while mod <= bound:
+        mod *= mod
+        roots = [(r - _int_eval(e, r, mod) * pow(_int_eval(de, r, mod), -1, mod))
+                 % mod for r in roots]
+    out = []
+    for r in roots:
+        # the first Euclidean remainder <= |e_0|, over its cofactor t
+        r0, r1, t0, t1 = mod, r, 0, 1
+        while r1 > abs(e[0]):
+            q = r0 // r1
+            r0, r1, t0, t1 = r1, r0 - q * r1, t1, t0 - q * t1
+        if not t1 or abs(t1) > e[-1]:
+            continue
+        g = math.gcd(r1, t1) * (1 if t1 > 0 else -1)
+        a, b = r1 // g, t1 // g
+        acc, bpow = 0, 1
+        for c in reversed(e):
+            acc = acc * a + c * bpow
+            bpow *= b
+        if not acc:
+            out.append((a, b))
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -268,7 +268,8 @@ def _weyl_dimension(datum, lam):
         num *= datum.pairing(lam_rho, alpha)
         den *= datum.pairing(rho, alpha)
     val = num / den
-    assert val.denominator == 1
+    if val.denominator != 1:
+        raise CertificateError("Weyl dimension of %s is not an integer" % (lam,))
     return int(val)
 
 
@@ -654,7 +655,10 @@ def restrict_to_A1n(c, coroots=None, cap=DEFAULT_ORBIT_CAP):
         key = []
         for b in betas:
             k = datum.coroot_pairing(nu, b)
-            assert k.denominator == 1
+            if k.denominator != 1:
+                raise CertificateError(
+                    "weight %s pairs to %s with the coroot %s" % (nu, k, b)
+                )
             key.append(int(k))
         key = tuple(key)
         laurent[key] = laurent.get(key, 0) + mu_c

@@ -17,7 +17,13 @@ import cmath
 import math
 from dataclasses import dataclass, field
 
-from .algsolve import AlgValue, FieldElement, Ideal, solve_zero_dim
+from .algsolve import (
+    AlgValue,
+    CertificateError,
+    FieldElement,
+    Ideal,
+    solve_zero_dim,
+)
 from .polynomials import Poly, qq
 from .rootdata import EnumerationCapError, weyl_elements
 
@@ -122,9 +128,8 @@ def su2_min(d):
     if d % 2 == 0:
         # only powers matching the parity of d occur, so chi_d is an even
         # function here and t >= 0 already carries every critical value
-        assert all(
-            not c for k, c in enumerate(ch.coeffs) if (k - d) % 2
-        ), "parity of the recurrence broke"
+        if any(c for k, c in enumerate(ch.coeffs) if (k - d) % 2):
+            raise CertificateError("parity of the recurrence broke")
         points = [p for p in points if p.coords[0].sign() >= 0]
     entries = [min(ch.evaluate(qq(2)), ch.evaluate(qq(-2)))]
     entries.extend(p.value_of(full) for p in points)

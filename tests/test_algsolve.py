@@ -1,5 +1,8 @@
+import math
+
 import pytest
-from hypothesis import given, settings
+import sympy
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from charbounds import algsolve
@@ -469,3 +472,91 @@ def test_real_roots_by_factor():
     assert got.keys() == {(-1, 2), (-2, 0, 1), (1, 0, 1)}
     assert got[(-1, 2)] == [0.5] and got[(1, 0, 1)] == []
     assert got[(-2, 0, 1)] == pytest.approx([-(2 ** 0.5), 2 ** 0.5], abs=1e-11)
+
+
+# -- factoring and gcds, with sympy as the oracle ----------------------------
+
+_X = sympy.Symbol("x")
+
+
+def _sympy_poly(coeffs):
+    return sympy.Poly(list(reversed(coeffs)), _X)
+
+
+def _sympy_factors(f):
+    return sorted(
+        algsolve.upoly_primitive_int([int(c) for c in reversed(fac.all_coeffs())])
+        for fac, _ in _sympy_poly(f).factor_list()[1]
+    )
+
+
+def _odd_primes_below(n):
+    return [p for p in range(3, n, 2)
+            if all(p % d for d in range(3, math.isqrt(p) + 1, 2))]
+
+
+@st.composite
+def _squarefree_products(draw):
+    # rational roots a / b with |a|, b up to 2^64, maybe a zero root, maybe
+    # a lead that the first primes divide, and factors of degree 2 to 5 with
+    # small coefficients (a rest of degree >= 4 may split into quadratics)
+    big = st.integers(-2**64, 2**64)
+    factors = [[-a, b] for a, b in draw(st.lists(
+        st.tuples(big, st.integers(1, 2**64)), max_size=8))]
+    if draw(st.booleans()):
+        factors.append([0, 1])
+    if draw(st.booleans()):
+        lead = math.prod(_odd_primes_below(14)) * draw(st.integers(1, 4))
+        factors.append([draw(st.integers(-50, 50)), lead])
+    for deg in draw(st.lists(st.integers(2, 5), max_size=3)):
+        coeffs = draw(st.lists(st.integers(-20, 20), min_size=deg, max_size=deg))
+        factors.append(coeffs + [draw(st.integers(1, 20))])
+    product = sympy.Poly(1, _X)
+    for fac in factors:
+        product *= _sympy_poly(fac)
+    assume(product.degree() >= 1 and product.is_sqf)
+    return [int(c) for c in reversed(product.all_coeffs())]
+
+
+@settings(max_examples=80, deadline=None)
+@given(_squarefree_products())
+@example([-6, 12, 5, -10, -1, 2])  # (2x - 1)(x^2 - 2)(x^2 - 3): a reducible quartic rest
+@example([2, -2**65, -1, 2**64])  # (2^64 x - 1)(x^2 - 2): a root with a large denominator
+@example([6, 5, 4])  # a root mod 3 that lifts to -5 / 1 within the bounds, not a root
+def test_factors_match_sympy(f):
+    got = algsolve._factors([qq(c, 6) for c in f])
+    assert got == sorted(got, key=lambda fac: (len(fac), fac[::-1]))
+    assert sorted(got) == _sympy_factors(f)
+
+
+def test_factors_when_no_prime_serves():
+    # every odd prime below 1024 divides the lead, so no rational root is
+    # lifted and sympy factors the whole polynomial
+    lead = math.prod(_odd_primes_below(1024))
+    f = [int(c) for c in reversed(
+        (_sympy_poly([-1, lead]) * _sympy_poly([-2, 0, 1]) * _sympy_poly([-3, 1]))
+        .all_coeffs())]
+    assert algsolve._rational_roots(f) is None
+    assert sorted(algsolve._factors(f)) == _sympy_factors(f)
+
+
+_int_polys = st.lists(st.integers(-50, 50), min_size=1, max_size=7).filter(
+    lambda c: c[-1])
+
+
+@pytest.mark.parametrize("tries", [algsolve._HEU_TRIES, 0])  # 0: primitive PRS
+@settings(max_examples=40, deadline=None)
+@given(
+    st.lists(st.integers(-2**40, 2**40), min_size=1, max_size=5).filter(
+        lambda c: c[-1]),
+    _int_polys,
+    _int_polys,
+)
+def test_gcd_matches_sympy(tries, common, a, b):
+    pa, pb = _sympy_poly(common) * _sympy_poly(a), _sympy_poly(common) * _sympy_poly(b)
+    want = [qq(int(c.p), int(c.q)) for c in reversed(pa.gcd(pb).monic().all_coeffs())]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(algsolve, "_HEU_TRIES", tries)
+        got = algsolve.upoly_gcd([qq(int(c), 4) for c in reversed(pa.all_coeffs())],
+                                 [qq(int(c), 9) for c in reversed(pb.all_coeffs())])
+    assert got == want

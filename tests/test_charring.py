@@ -10,8 +10,9 @@ from hypothesis import strategies as st
 
 import ring_oracle
 from charbounds import charring as ch
+from charbounds.algsolve import CertificateError
 from charbounds.polynomials import Poly, qq
-from charbounds.rootdata import build_root_datum, corners
+from charbounds.rootdata import RootDatum, build_root_datum, corners
 
 A1 = build_root_datum("A", 1)
 A2 = build_root_datum("A", 2)
@@ -98,6 +99,26 @@ def test_weyl_formula_mismatch_raises_under_optimize():
         capture_output=True, text=True, env=env, timeout=120,
     )
     assert run.returncode == 0, run.stderr
+
+
+def test_fractional_weyl_dimension_is_rejected(monkeypatch):
+    # int() would truncate a fractional dimension; the check must raise,
+    # not assert, so that python -O keeps it
+    exact = RootDatum.pairing
+    monkeypatch.setattr(RootDatum, "pairing",
+                        lambda self, a, b: exact(self, a, b) + qq(1, 2))
+    with pytest.raises(CertificateError, match="not an integer"):
+        ch._weyl_dimension(build_root_datum("A", 1), (1,))
+
+
+def test_fractional_coroot_pairing_is_rejected(monkeypatch):
+    g2 = build_root_datum("G", 2)
+    adjoint = ch.irreducible_character(g2, g2.highest_root)
+    exact = RootDatum.coroot_pairing
+    monkeypatch.setattr(RootDatum, "coroot_pairing",
+                        lambda self, mu, beta: exact(self, mu, beta) + qq(1, 2))
+    with pytest.raises(CertificateError, match="coroot"):
+        ch.restrict_to_A1n(adjoint)
 
 
 def test_a2_weight_multiplicity():

@@ -255,6 +255,28 @@ def test_cli_import_loads_no_numpy():
     assert run.returncode == 0, run.stderr
 
 
+def test_rational_eliminants_load_no_sympy(tmp_path):
+    # G2 and F4 f4 factor e, its squarefree part and the separating
+    # polynomials into linear terms only, so sympy is never imported
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    probe = "\n".join([
+        "import sys",
+        "from charbounds import cli",
+        "cache = sys.argv[1]",
+        "assert cli.main(['minimize', '--type', 'G2', '--cache', cache]) == 0",
+        "assert cli.main(['minimize', '--type', 'F4', '--objective', 'f4',",
+        "                 '--format', 'json', '--cache', cache]) == 0",
+        "assert 'sympy' not in sys.modules, 'sympy was imported'",
+    ])
+    run = subprocess.run(
+        [sys.executable, "-c", probe, str(tmp_path)],
+        capture_output=True, text=True, env=env, timeout=300,
+    )
+    assert run.returncode == 0, run.stderr
+
+
 def test_e8_adjoint_column_works(capsys):
     code, out, _ = run_main(
         capsys, "corners", "--type", "E8", "--columns", "8", "--format", "csv"

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from charbounds import su2asym
-from charbounds.algsolve import AlgValue, cyclotomic_field
+from charbounds.algsolve import AlgValue, CertificateError, cyclotomic_field
 from charbounds.charring import irreducible_character
 from charbounds.polynomials import Poly, qq
 from charbounds.rootdata import (
@@ -148,6 +148,20 @@ def test_minimum_d6_frozen():
     for c in witnesses:
         assert (3 * c * c * c * c - 10 * c * c + 6).is_zero()
         assert abs(abs(c.approx()) - 1.59643) < 1e-4
+
+
+def test_broken_parity_is_rejected(monkeypatch):
+    # an odd power in an even chi_d would make the t < 0 critical points
+    # matter; the check must raise, not assert, so that python -O keeps it
+    exact = su2asym.chebyshev_character
+
+    def broken(d):
+        ch = exact(d)
+        return su2asym.ChebyshevCharacter(d, (ch.coeffs[0], 1) + ch.coeffs[2:])
+
+    monkeypatch.setattr(su2asym, "chebyshev_character", broken)
+    with pytest.raises(CertificateError, match="parity"):
+        su2_min(4)
 
 
 def test_even_band():
