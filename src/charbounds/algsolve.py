@@ -48,6 +48,16 @@ dependence among 1, v, v^2, ... on integer rows; the same polynomial
 gives 1/v.  A value is its minimal polynomial with one RootInterval,
 which is exact, lo == hi, for a rational root.
 
+The real-root layer decides on integers.  Sturm chains are primitive
+integer polynomials built by pseudo-remainders, each entry a positive
+multiple of the rational chain's, and the sign of p(a / b), b > 0, is
+that of the homogeneous sum sum p_i a^i b^(n-i).  Interval Horner puts
+the box and the coefficients over one denominator D and divides once at
+the end.  The endpoints stay rationals, the same ones the rational
+arithmetic gives, so every decision and every printed interval is the
+same.  Fractions remain in FieldElement vectors and NumberField.reduce,
+and in the rational scales of the quotient layer.
+
 Factoring f or e over Q first takes off every rational root: p-adic
 lifting, rational reconstruction and an exact evaluation.  A rest of
 degree 2 or 3 is then irreducible; only a rest of degree >= 4 goes to
@@ -110,13 +120,6 @@ def upoly_trim(p):
     while p and not p[-1]:
         p.pop()
     return p
-
-
-def upoly_eval(p, x):
-    acc = QZERO
-    for c in reversed(p):
-        acc = acc * x + c
-    return acc
 
 
 def upoly_deriv(p):
@@ -242,23 +245,59 @@ def upoly_squarefree(p):
 
 
 def sturm_chain(p):
-    chain = [ [qq(c) for c in p], [qq(c) for c in upoly_deriv(p)] ]
+    """The Sturm chain of p as primitive integer polynomials: p and p',
+    then minus each remainder, every entry a positive multiple of the
+    rational chain's, so the sign variations are the same."""
+    p = _int_row(p)[0]
+    chain = [p, _primitive(upoly_deriv(p))[0]]
     while chain[-1]:
-        r = [-c for c in upoly_rem(chain[-2], chain[-1])]
+        r = _pseudo_rem(chain[-2], chain[-1])
         if not r:
             break
-        # primitive rescale keeps signs and controls growth
-        ints = upoly_primitive_int(r)
-        sign = 1 if (r[-1] > 0) == (ints[-1] > 0) else -1
-        chain.append([qq(sign * c) for c in ints])
+        chain.append(_primitive([-c for c in r])[0])
     return chain
 
 
+def _pseudo_rem(a, b):
+    """A positive multiple of the remainder of a by b, for integer
+    polynomials: each step scales by |lc b| / g, never by a negative."""
+    a, db = list(a), len(b) - 1
+    lc = abs(b[-1])
+    s = 1 if b[-1] > 0 else -1
+    while len(a) - 1 >= db:
+        c = a.pop()
+        g = math.gcd(c, lc)
+        m, q = lc // g, s * (c // g)
+        shift = len(a) - db
+        if m != 1:
+            a = [m * x for x in a]
+        for j in range(db):
+            a[shift + j] -= q * b[j]
+        upoly_trim(a)
+    return a
+
+
+def _hom_eval(p, a, b):
+    """sum p_i a^i b^(n - i), for an integer polynomial p of degree n:
+    b^n p(a / b), so with b > 0 it has the sign of p(a / b)."""
+    acc, bpow = 0, 1
+    for c in reversed(p):
+        acc = acc * a + c * bpow
+        bpow *= b
+    return acc
+
+
+def _at(x):
+    """A rational as (numerator, denominator > 0) integers."""
+    return int(x.numerator), int(x.denominator)
+
+
 def _variations(chain, x):
+    a, b = _at(x)
     prev = 0
     count = 0
     for p in chain:
-        v = upoly_eval(p, x)
+        v = _hom_eval(p, a, b)
         s = 1 if v > 0 else (-1 if v < 0 else 0)
         if s and prev and s != prev:
             count += 1
@@ -272,15 +311,20 @@ def sturm_count(chain, lo, hi):
     return _variations(chain, lo) - _variations(chain, hi)
 
 
+def _nonzero_at(p, x):
+    return bool(_hom_eval(p, *_at(x)))
+
+
 def cauchy_bound(p):
-    lead = abs(p[-1])
-    m = max(abs(c) for c in p[:-1]) if len(p) > 1 else QZERO
-    return QONE + m / lead
+    """1 + max |p_i| / |p_n| over i < n, for an integer polynomial."""
+    m = max(map(abs, p[:-1])) if len(p) > 1 else 0
+    return QONE + qq(m, abs(p[-1]))
 
 
 class RootInterval:
-    """One real root of a squarefree polynomial, bisection-refinable.  A
-    rational root is exact, lo == hi, and refining it does nothing."""
+    """One real root of a squarefree integer polynomial, bisection-
+    refinable.  A rational root is exact, lo == hi, and refining it does
+    nothing."""
 
     __slots__ = ("poly", "chain", "lo", "hi")
 
@@ -295,7 +339,7 @@ class RootInterval:
         width = hi - lo
         mid = (lo + hi) / 2
         for k in range(2, 40):
-            if upoly_eval(self.poly, mid):
+            if _nonzero_at(self.poly, mid):
                 return mid
             mid = lo + width * qq(1, 2**k)
         raise SolveError("could not find a non-root split point")
@@ -318,17 +362,17 @@ class RootInterval:
 
 
 def isolate_real_roots(p):
-    """Disjoint isolating intervals for a squarefree QQ polynomial,
+    """Disjoint isolating intervals for a squarefree polynomial over QQ,
     sorted ascending."""
-    p = [qq(c) for c in p]
+    p = _int_row(p)[0]
     if len(p) <= 1:
         return []
     chain = sturm_chain(p)
     bound = cauchy_bound(p)
     lo, hi = -bound, bound
-    while not upoly_eval(p, lo):
+    while not _nonzero_at(p, lo):
         lo -= 1
-    while not upoly_eval(p, hi):
+    while not _nonzero_at(p, hi):
         hi += 1
     out = []
     stack = [(lo, hi, sturm_count(chain, lo, hi))]
@@ -341,7 +385,7 @@ def isolate_real_roots(p):
             continue
         mid = (a + b) / 2
         k = 2
-        while not upoly_eval(p, mid):
+        while not _nonzero_at(p, mid):
             mid = a + (b - a) * qq(1, 2**k)
             k += 1
         nl = sturm_count(chain, a, mid)
@@ -353,12 +397,20 @@ def isolate_real_roots(p):
 
 def upoly_interval(p, box):
     """Interval image over a closed interval, by interval Horner with
-    exact rational endpoints."""
-    lo = hi = QZERO
+    exact rational endpoints.  The endpoints and coefficients share one
+    denominator D, so after k steps the bounds are integers over D^k."""
+    lo_b, hi_b = box
+    den = math.lcm(int(lo_b.denominator), int(hi_b.denominator),
+                   *(int(c.denominator) for c in p))
+    x0, x1 = _times_den(lo_b, den), _times_den(hi_b, den)
+    lo = hi = 0
+    scale = 1  # D^k
     for c in reversed(p):
-        ends = (lo * box[0], lo * box[1], hi * box[0], hi * box[1])
+        ends = (lo * x0, lo * x1, hi * x0, hi * x1)
+        c = _times_den(c, den) * scale
         lo, hi = min(ends) + c, max(ends) + c
-    return lo, hi
+        scale *= den
+    return qq(lo, scale), qq(hi, scale)
 
 
 # ---------------------------------------------------------------------------
@@ -423,8 +475,10 @@ def normal_form(p, basis, reducers=None):
     gcd(mult, content of rem) = 1, so rem / mult is the rational normal
     form.  Where lc does not divide the coefficient c, all terms are
     scaled by lc / gcd(c, lc), then divided by their content with mult.
-    reducers, a dict kept by the caller across calls with one fixed
-    basis, remembers the entry that reduces each monomial, or None.
+    reducers, a dict kept by the caller across calls on a basis that is
+    only appended to, remembers for each monomial (entry, n): the first
+    entry that reduces it, or None when none of the first n entries does,
+    so that only the entries added since are scanned again.
 
     The largest remaining monomial comes off a heap; reduction brings in
     only smaller ones, so the terms passed over are the remainder, and a
@@ -438,11 +492,13 @@ def normal_form(p, basis, reducers=None):
         if m == last or m not in terms:
             continue
         last = m
-        entry = reducers.get(m, False) if reducers is not None else False
-        if entry is False:
-            entry = next((b for b in basis if monomial_divides(b[0], m)), None)
+        memo = reducers.get(m) if reducers is not None else None
+        entry, start = memo or (None, 0)
+        if entry is None and start < len(basis):
+            entry = next((basis[k] for k in range(start, len(basis))
+                          if monomial_divides(basis[k][0], m)), None)
             if reducers is not None:
-                reducers[m] = entry
+                reducers[m] = (entry, len(basis))
         if entry is None:
             continue  # a term of the remainder
         lm, lc, tail = entry
@@ -517,6 +573,7 @@ def groebner(ideal, pair_cap=200_000, known=0):
 
     pairs = {}
     done = set()
+    reducers = {}  # normal_form's memo; basis is only appended to
 
     def pair_sugar(i, j):
         l = monomial_lcm(lms[i], lms[j])
@@ -567,7 +624,7 @@ def groebner(ideal, pair_cap=200_000, known=0):
                     break
         if skip:
             continue
-        r, _ = normal_form(_spoly(G[i], G[j], lms[i], lms[j]), basis)
+        r, _ = normal_form(_spoly(G[i], G[j], lms[i], lms[j]), basis, reducers)
         if r:
             t = len(G)
             add_elem(_primitive_terms(r), max(sugar, max(map(sum, r))))
@@ -1039,11 +1096,7 @@ def _rational_roots(e):
             continue
         g = math.gcd(r1, t1) * (1 if t1 > 0 else -1)
         a, b = r1 // g, t1 // g
-        acc, bpow = 0, 1
-        for c in reversed(e):
-            acc = acc * a + c * bpow
-            bpow *= b
-        if not acc:
+        if not _hom_eval(e, a, b):
             out.append((a, b))
     return out
 
@@ -1063,7 +1116,7 @@ class NumberField:
         self.degree = len(self.minpoly) - 1
         if self.degree == 1:
             a = -self.monic[0]
-            root = RootInterval(list(self.monic), None, a, a)
+            root = RootInterval(list(self.minpoly), None, a, a)
         self.root = root
 
     @staticmethod
@@ -1371,7 +1424,7 @@ def _assemble_points(orig_ideal, rur, dim):
     for fac in factors:
         mu = _multiplicity(g_one, f_deriv, fac)
         total += (len(fac) - 1) * mu
-        roots = isolate_real_roots([qq(c) for c in fac])
+        roots = isolate_real_roots(fac)
         if not roots:
             continue
         # x_i = g_{x_i}(alpha) / g_1(alpha) in QQ[alpha]/(fac)
@@ -1384,7 +1437,7 @@ def _assemble_points(orig_ideal, rur, dim):
                 raise CertificateError("solution fails generator certificate")
         # minimal polynomials depend on the field element, not the root
         minpolys = tuple(tuple(_minpoly_of_value(c)) for c in coords)
-        chains = [sturm_chain([qq(c) for c in cand]) for cand in minpolys]
+        chains = [sturm_chain(cand) for cand in minpolys]
         for root in roots:
             at = NumberField(fac, root)
             at_coords = [FieldElement(at, c.vec) for c in coords]
@@ -1443,16 +1496,15 @@ def _minpoly_of_value(value):
 
 def _isolate_among(cand, chain, value):
     """Interval around a FieldElement containing exactly one root of the
-    squarefree polynomial cand (which the element is a root of)."""
-    cq = [qq(c) for c in cand]
+    squarefree integer polynomial cand (which the element is a root of)."""
     eps = qq(1, 2**10)
     for _ in range(512):
         lo, hi = value.interval()
         lo2, hi2 = lo - eps, hi + eps
         step = eps / 16
-        while not upoly_eval(cq, lo2):
+        while not _nonzero_at(cand, lo2):
             lo2 -= step
-        while not upoly_eval(cq, hi2):
+        while not _nonzero_at(cand, hi2):
             hi2 += step
         if sturm_count(chain, lo2, hi2) == 1:
             return (lo2, hi2)
@@ -1477,17 +1529,16 @@ class AlgValue:
     def from_rational(c):
         c = qq(c)
         p = (-int(c.numerator), int(c.denominator))
-        return AlgValue(p, RootInterval([qq(x) for x in p], None, c, c))
+        return AlgValue(p, RootInterval(list(p), None, c, c))
 
     @staticmethod
     def from_field_element(elem):
         cand = _minpoly_of_value(elem)
         if len(cand) == 2:
             return AlgValue.from_rational(qq(-cand[0], cand[1]))
-        qc = [qq(c) for c in cand]
-        chain = sturm_chain(qc)
+        chain = sturm_chain(cand)
         lo, hi = _isolate_among(cand, chain, elem)
-        return AlgValue(cand, RootInterval(qc, chain, lo, hi))
+        return AlgValue(cand, RootInterval(cand, chain, lo, hi))
 
     def is_rational(self):
         return len(self.minpoly) == 2

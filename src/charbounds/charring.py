@@ -10,6 +10,7 @@ algsolve.cyclotomic_field(m).
 from __future__ import annotations
 
 import math
+import operator
 import random
 from collections import defaultdict
 from dataclasses import dataclass
@@ -95,21 +96,24 @@ class CharacterElement:
                 out.append(w)
         return sorted(out)
 
+    def orbit_walk(self, cap=DEFAULT_ORBIT_CAP):
+        """(weight, multiplicity) over the whole Weyl orbit expansion, one
+        orbit at a time; the orbits of distinct dominant weights are
+        disjoint, so each weight comes once.  OrbitCapError, before any
+        weight, when there are more than cap of them."""
+        datum = self.datum
+        total = sum(datum.weyl_order // weyl_stabilizer_order(datum, w)
+                    for w in self.mult)
+        if total > cap:
+            raise OrbitCapError(
+                "orbit expansion refused: more than %d weights" % cap
+            )
+        return ((v, c) for w, c in self.mult.items()
+                for v in weyl_orbit(datum, w))
+
     def full_expansion(self, cap=DEFAULT_ORBIT_CAP):
         """Map weight -> multiplicity over the whole Weyl orbit expansion."""
-        datum = self.datum
-        out = {}
-        total = 0
-        for w, c in self.mult.items():
-            orbit = datum.weyl_order // weyl_stabilizer_order(datum, w)
-            total += orbit
-            if total > cap:
-                raise OrbitCapError(
-                    "orbit expansion refused: more than %d weights" % cap
-                )
-            for v in weyl_orbit(datum, w):
-                out[v] = out.get(v, 0) + c
-        return {w: c for w, c in out.items() if c}
+        return dict(self.orbit_walk(cap))
 
     def to_json(self):
         return {
@@ -547,23 +551,33 @@ def evaluate_at_torsion(c, point, m):
     point is the covector of v: <mu, v> is the dot product with mu's
     weight-basis coordinates.  Returns an element of cyclotomic_field(m).
     """
-    m = int(m)
-    if m < 1:
-        raise ValueError("order must be positive")
-    # <nu, v> = (ints . nu) / den
-    point = [qq(p) for p in point]
-    den = math.lcm(*(int(p.denominator) for p in point))
-    ints = [int(p.numerator) * (den // int(p.denominator)) for p in point]
-    counts = [0] * m
-    for nu, mu_c in c.full_expansion().items():
-        t = m * sum(p * x for p, x in zip(ints, nu))
-        if t % den:
-            raise ValueError(
-                "pairing %s of weight %s is not integral at order %d"
-                % (qq_str(qq(t // m, den)), nu, m)
-            )
-        counts[t // den % m] += mu_c
-    return cyclotomic_field(m).reduce(counts)
+    return evaluate_at_torsions(c, [(point, m)])[0]
+
+
+def evaluate_at_torsions(c, classes):
+    """evaluate_at_torsion(c, point, m) for each (point, m) of classes, in
+    one walk over the Weyl orbits of c's dominant weights, with one
+    residue-count vector per class."""
+    setup = []
+    for point, m in classes:
+        m = int(m)
+        if m < 1:
+            raise ValueError("order must be positive")
+        # <nu, v> = (ints . nu) / den
+        point = [qq(p) for p in point]
+        den = math.lcm(*(int(p.denominator) for p in point))
+        ints = [int(p.numerator) * (den // int(p.denominator)) for p in point]
+        setup.append((ints, den, m, [0] * m))
+    for nu, mu_c in c.orbit_walk():
+        for ints, den, m, counts in setup:
+            t = m * sum(map(operator.mul, ints, nu))
+            if t % den:
+                raise ValueError(
+                    "pairing %s of weight %s is not integral at order %d"
+                    % (qq_str(qq(t // m, den)), nu, m)
+                )
+            counts[t // den % m] += mu_c
+    return [cyclotomic_field(m).reduce(counts) for _, _, m, counts in setup]
 
 
 # ---------------------------------------------------------------------------

@@ -420,21 +420,25 @@ def corners(datum, columns=None):
         charring.irreducible_character(datum, datum.fundamental_weights[j - 1])
         for j in columns
     ]
-    out = []
+    classes = []
     for i in range(r + 1):
-        kac = tuple(1 if j == i else 0 for j in range(r + 1))
         # the functional u with <mu, v> = u . (weight coords of mu)
         if i == 0:
             point = (QZERO,) * r
         else:
             ai = datum.a_coeffs[i - 1]
             point = tuple(x / ai for x in datum.cartan_inv[i - 1])
-        order = math.lcm(*(int(x.denominator) for x in point))
-        values = tuple(
-            charring.evaluate_at_torsion(f, point, order) for f in fundamentals
+        classes.append((point, math.lcm(*(int(x.denominator) for x in point))))
+    # values[j][i]: fundamental j at corner i, one orbit walk per character
+    values = [charring.evaluate_at_torsions(f, classes) for f in fundamentals]
+    return [
+        CornerClass(
+            kac_coordinates=tuple(1 if j == i else 0 for j in range(r + 1)),
+            order=order,
+            values=tuple(v[i] for v in values),
         )
-        out.append(CornerClass(kac_coordinates=kac, order=order, values=values))
-    return out
+        for i, (_, order) in enumerate(classes)
+    ]
 
 
 _STAB_CACHE = {}

@@ -12,6 +12,12 @@ rational per coefficient: S-polynomials of monic leading terms and
 division by the leading coefficient.  The reduced basis is unique, so
 the solver's fraction-free groebner must return the same Ideal, and each
 fraction-free normal form rem / mult must equal the rational one.
+
+The real-root layer is Sturm isolation with one rational per coefficient
+and per value: the chain by rational remainders, signs from p(x) by
+Horner, and interval Horner on rational endpoints.  The solver's integer
+layer must take every decision the same way, so its bisection points,
+isolating intervals and interval images must equal these exactly.
 """
 
 import heapq
@@ -24,6 +30,9 @@ from charbounds.algsolve import (
     _heap_key,
     _normalize,
     staircase,
+    upoly_deriv,
+    upoly_primitive_int,
+    upoly_rem,
     upoly_trim,
 )
 from charbounds.polynomials import (
@@ -434,3 +443,97 @@ def upoly_sub(a, b):
     for i, y in enumerate(b):
         out[i] -= y
     return upoly_trim(out)
+
+
+def upoly_eval(p, x):
+    acc = QZERO
+    for c in reversed(p):
+        acc = acc * x + c
+    return acc
+
+
+def sturm_chain(p):
+    chain = [[qq(c) for c in p], [qq(c) for c in upoly_deriv(p)]]
+    while chain[-1]:
+        r = [-c for c in upoly_rem(chain[-2], chain[-1])]
+        if not r:
+            break
+        # primitive rescale keeps signs and controls growth
+        ints = upoly_primitive_int(r)
+        sign = 1 if (r[-1] > 0) == (ints[-1] > 0) else -1
+        chain.append([qq(sign * c) for c in ints])
+    return chain
+
+
+def _variations(chain, x):
+    prev = 0
+    count = 0
+    for p in chain:
+        v = upoly_eval(p, x)
+        s = 1 if v > 0 else (-1 if v < 0 else 0)
+        if s and prev and s != prev:
+            count += 1
+        if s:
+            prev = s
+    return count
+
+
+def sturm_count(chain, lo, hi):
+    return _variations(chain, lo) - _variations(chain, hi)
+
+
+def refine(p, chain, lo, hi):
+    """One bisection step of an isolating interval, as (lo, hi)."""
+    if lo == hi:
+        return lo, hi
+    width = hi - lo
+    mid = (lo + hi) / 2
+    for k in range(2, 40):
+        if upoly_eval(p, mid):
+            break
+        mid = lo + width * qq(1, 2**k)
+    else:
+        raise AssertionError("could not find a non-root split point")
+    if sturm_count(chain, lo, mid) == 1:
+        return lo, mid
+    return mid, hi
+
+
+def isolate_real_roots(p):
+    """[(lo, hi)] isolating the real roots of a squarefree polynomial."""
+    p = [qq(c) for c in p]
+    if len(p) <= 1:
+        return []
+    chain = sturm_chain(p)
+    bound = QONE + max(abs(c) for c in p[:-1]) / abs(p[-1])
+    lo, hi = -bound, bound
+    while not upoly_eval(p, lo):
+        lo -= 1
+    while not upoly_eval(p, hi):
+        hi += 1
+    out = []
+    stack = [(lo, hi, sturm_count(chain, lo, hi))]
+    while stack:
+        a, b, n = stack.pop()
+        if n == 0:
+            continue
+        if n == 1:
+            out.append((a, b))
+            continue
+        mid = (a + b) / 2
+        k = 2
+        while not upoly_eval(p, mid):
+            mid = a + (b - a) * qq(1, 2**k)
+            k += 1
+        nl = sturm_count(chain, a, mid)
+        stack.append((a, mid, nl))
+        stack.append((mid, b, n - nl))
+    return sorted(out)
+
+
+def upoly_interval(p, box):
+    lo = hi = QZERO
+    for c in reversed(p):
+        ends = (lo * box[0], lo * box[1], hi * box[0], hi * box[1])
+        lo, hi = min(ends) + c, max(ends) + c
+    return lo, hi

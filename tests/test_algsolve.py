@@ -5,6 +5,7 @@ import sympy
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+import fraction_oracle as oracle
 from charbounds import algsolve
 from charbounds.algsolve import (
     AlgValue,
@@ -18,6 +19,7 @@ from charbounds.algsolve import (
     solve_zero_dim,
     sturm_chain,
     sturm_count,
+    upoly_interval,
 )
 from charbounds.invder import derivation_matrix
 from charbounds.polynomials import Poly, qq
@@ -57,6 +59,20 @@ def test_groebner_idempotent_and_deterministic():
     assert [g.terms for g in a.gens] == [g.terms for g in b.gens]
     again = groebner(a)
     assert [g.terms for g in again.gens] == [g.terms for g in a.gens]
+
+
+def test_reducer_memo_rechecks_only_appended_entries():
+    # groebner appends to the basis between normal forms and keeps one
+    # memo: a monomial no entry reduced must be tried on the new entries
+    basis = [algsolve._basis_entry({(2, 0): 1, (0, 0): -1})]  # x^2 - 1
+    memo = {}
+    p = {(2, 0): 1, (0, 2): 1}  # x^2 + y^2
+    assert algsolve.normal_form(p, basis, memo) == ({(0, 2): 1, (0, 0): 1}, 1)
+    assert memo[(0, 2)] == (None, 1)
+    basis.append(algsolve._basis_entry({(0, 2): 1, (0, 0): -2}))  # y^2 - 2
+    assert algsolve.normal_form(p, basis, memo) == ({(0, 0): 3}, 1)
+    assert algsolve.normal_form(p, basis) == ({(0, 0): 3}, 1)
+    assert memo[(0, 2)] == (basis[1], 2) and memo[(2, 0)] == (basis[0], 1)
 
 
 def test_ideal_of_normalizes_and_groebner_only_reads():
@@ -113,6 +129,87 @@ def test_isolate_cubic_roots():
 
 def test_no_real_roots():
     assert isolate_real_roots([qq(1), qq(0), qq(1)]) == []
+
+
+# The integer root layer against the Fraction one in fraction_oracle: each
+# chain entry a positive multiple of the rational one, the same signs, the
+# same isolating intervals and refinements, the same interval images.
+
+@st.composite
+def _squarefree_rational_polys(draw):
+    # rational roots, some with denominators up to 2^64, and factors of
+    # degree 2 to 4, times a rational of either sign with a large denominator
+    num = st.integers(-8, 8) | st.integers(-2**40, 2**40)
+    den = st.integers(1, 8) | st.integers(1, 2**64)
+    factors = [[-a, b] for a, b in draw(st.lists(st.tuples(num, den), max_size=4))]
+    for deg in draw(st.lists(st.integers(2, 4), max_size=2)):
+        coeffs = draw(st.lists(st.integers(-9, 9), min_size=deg, max_size=deg))
+        factors.append(coeffs + [draw(st.integers(1, 9))])
+    product = sympy.Poly(1, _X)
+    for fac in factors:
+        product *= _sympy_poly(fac)
+    assume(product.degree() >= 1 and product.is_sqf)
+    scale = qq(draw(st.integers(1, 2**70)) * draw(st.sampled_from([1, -1])),
+               draw(den))
+    return [qq(int(c)) * scale for c in reversed(product.all_coeffs())]
+
+
+def _is_positive_multiple(ints, rats):
+    return len(ints) == len(rats) and (not ints or (
+        ints[-1] * rats[-1] > 0
+        and all(a * rats[-1] == r * ints[-1] for a, r in zip(ints, rats))
+    ))
+
+
+def _sign(x):
+    return (x > 0) - (x < 0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_squarefree_rational_polys(), st.lists(
+    st.fractions(max_denominator=2**66).map(lambda x: qq(x.numerator, x.denominator)),
+    max_size=4))
+@example([qq(c) for c in (0, 1, 0, -1)], [])  # negative lead; roots at the first two midpoints
+@example([qq(-30), qq(-40), qq(6), qq(8)], [])  # the root -3/4 is the midpoint of (-3/2, 0)
+@example([qq(1, 3), qq(-2, 7)], [qq(7, 6)])  # degree 1, at its root
+@example([qq(2, 3**40), qq(-2**65, 3**40), qq(-1, 3**40), qq(2**64, 3**40)], [])
+def test_integer_root_layer_matches_fraction_oracle(p, points):
+    chain = sturm_chain(p)
+    want = oracle.sturm_chain(p)
+    assert len(chain) == len(want)
+    assert all(_is_positive_multiple(a, r) for a, r in zip(chain, want))
+
+    roots = isolate_real_roots(p)
+    assert [(r.lo, r.hi) for r in roots] == oracle.isolate_real_roots(p)
+    ints = algsolve._int_row(p)[0]
+    points = list(points)
+    for r in roots:
+        lo, hi = r.lo, r.hi
+        for _ in range(8):
+            r.refine()
+            lo, hi = oracle.refine(p, want, lo, hi)
+            assert (r.lo, r.hi) == (lo, hi)
+            points.append(lo)
+    points = sorted(set(points))
+    for x in points:
+        assert _sign(algsolve._hom_eval(ints, *algsolve._at(x))) == _sign(
+            oracle.upoly_eval(p, x))
+    for x, y in zip(points, points[1:]):
+        assert sturm_count(chain, x, y) == oracle.sturm_count(want, x, y)
+
+
+_big_rationals = st.fractions(max_denominator=2**70).map(
+    lambda x: qq(x.numerator, x.denominator))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(_big_rationals, max_size=8), _big_rationals, _big_rationals)
+@example([qq(3, 7), qq(-1, 2**64), qq(5)], qq(-1, 3), qq(-1, 3))
+def test_upoly_interval_matches_fraction_oracle(p, a, b):
+    box = (min(a, b), max(a, b))
+    got = upoly_interval(p, box)
+    assert got == oracle.upoly_interval(p, box)
+    assert got[0] <= oracle.upoly_eval(p, box[0]) <= got[1]
 
 
 # -- solve_zero_dim oracles -------------------------------------------------

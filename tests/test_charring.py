@@ -1,4 +1,5 @@
 import itertools
+import math
 import os
 import subprocess
 import sys
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 
 import ring_oracle
 from charbounds import charring as ch
-from charbounds.algsolve import CertificateError
+from charbounds.algsolve import CertificateError, cyclotomic_field
 from charbounds.polynomials import Poly, qq
 from charbounds.rootdata import RootDatum, build_root_datum, corners
 
@@ -270,6 +271,47 @@ def test_torsion_integrality_error():
     f1 = ch.irreducible_character(A1, (1,))
     with pytest.raises(ValueError, match="not integral"):
         ch.evaluate_at_torsion(f1, (qq(1, 3),), 2)
+
+
+def _torsion_oracle(c, point, m):
+    """The value at one torsion class, from the materialised expansion."""
+    counts = [0] * m
+    for nu, mult in c.full_expansion().items():
+        t = m * sum(p * x for p, x in zip(point, nu))
+        assert t.denominator == 1
+        counts[int(t) % m] += mult
+    return cyclotomic_field(m).reduce(counts)
+
+
+@pytest.mark.parametrize("name, columns", [
+    ("G2", None), ("B3", None), ("D4", None), ("E6", None), ("E8", (8,)),
+])
+def test_corners_match_per_corner_oracle(name, columns):
+    d = build_root_datum(name[0], int(name[1:]))
+    chars = [ch.irreducible_character(d, d.fundamental_weights[j - 1])
+             for j in columns or range(1, d.rank + 1)]
+    found = corners(d, columns=columns)
+    assert len(found) == d.rank + 1
+    for i, corner in enumerate(found):
+        # the covector of the vertex of the alcove opposite node i
+        point = ((qq(0),) * d.rank if i == 0
+                 else tuple(x / d.a_coeffs[i - 1] for x in d.cartan_inv[i - 1]))
+        assert corner.order == math.lcm(*(int(x.denominator) for x in point))
+        assert corner.values == tuple(
+            _torsion_oracle(c, point, corner.order) for c in chars)
+
+
+def test_orbit_cap_is_checked_before_any_weight():
+    adj = ch.irreducible_character(G2, G2.highest_root)  # orbits 6 + 6 + 1
+    with pytest.raises(ch.OrbitCapError):
+        adj.orbit_walk(cap=12)
+    assert sum(1 for _ in adj.orbit_walk(cap=13)) == 13
+
+
+def test_torsion_integrality_error_among_several_classes():
+    adj = ch.irreducible_character(G2, G2.highest_root)
+    with pytest.raises(ValueError, match="not integral at order 2"):
+        ch.evaluate_at_torsions(adj, [((qq(0), qq(0)), 1), ((qq(1, 3), qq(0)), 2)])
 
 
 def test_g2_corner_table():

@@ -447,3 +447,21 @@ def test_maximum_is_decided_by_its_fibre(capsys, tmp_path):
     assert report["maximum"]["minpoly"] == [-9604, 196, 27]
     # the F4 f2 minimum is (98 / 27) (1 - 2 sqrt 7)
     assert abs(report["maximum"]["decimal"] + (98 / 27) * (1 - 2 * 7**0.5)) < 1e-9
+
+
+# Reports whose bytes are pinned.  The printed isolating intervals are the
+# roots as far as earlier sign decisions refined them, so any change in
+# how a sign, a Sturm count or an interval image is decided shows here.
+# Regenerate a file only for an intended change of the report.
+GOLDEN = Path(__file__).parent / "golden"
+
+
+@pytest.mark.parametrize("argv, golden", [
+    (["minimize", "--type", "F4", "--objective", "f2", "--format", "json"],
+     "minimize_F4_f2.json"),
+    (["su2", "--format", "json"], "su2.json"),
+])
+def test_json_report_bytes_are_pinned(capsys, tmp_path, argv, golden):
+    code, out, err = run_main(capsys, *argv, "--cache", str(tmp_path))
+    assert (code, err) == (0, "")
+    assert out == (GOLDEN / golden).read_text()
