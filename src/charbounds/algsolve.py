@@ -60,9 +60,14 @@ and in the rational scales of the quotient layer.
 
 Factoring f or e over Q first takes off every rational root: p-adic
 lifting, rational reconstruction and an exact evaluation.  A rest of
-degree 2 or 3 is then irreducible; only a rest of degree >= 4 goes to
-sympy, which is imported on that first use.  Univariate gcds are the
-heuristic GCDHEU on integers, with a primitive PRS behind it.
+degree 2 or 3 is then irreducible.  A rest of degree >= 4 is factored by
+Zassenhaus's method in the module zassenhaus, imported on that first
+use: modulo a small prime that keeps it squarefree, by distinct-degree
+and then equal-degree factorization; the modular factors are
+Hensel-lifted past the Mignotte bound, and subsets of them are
+recombined, a candidate kept only when it divides exactly over Z.
+Univariate gcds are the heuristic GCDHEU on integers, with a primitive
+PRS behind it.
 
 A character value at a torsion class of order m is an element of the
 cyclotomic field Q(zeta_m): the same power-basis arithmetic, modulo
@@ -1027,13 +1032,13 @@ def real_roots_by_factor(e):
 
 def _factors(f):
     """The irreducible factors over Q of a squarefree polynomial, primitive
-    integer with positive lead, ascending, ordered as sympy's factor_list
-    orders them: by degree, then by coefficients from the top.
+    integer with positive lead, ascending, ordered by degree, then by
+    coefficients from the top.
 
     A zero root and then every rational root come off exactly.  What is
-    left has no rational root, so in degree 2 or 3 it is irreducible; only
-    a rest of degree >= 4, or one that _rational_roots could not serve,
-    is factored by sympy."""
+    left has no rational root, so in degree 2 or 3 it is irreducible; a
+    rest of degree >= 4, or one that _rational_roots could not serve, is
+    factored by zassenhaus.factor, which is imported on that first use."""
     rest = upoly_primitive_int(f)
     out = []
     if len(rest) > 1 and not rest[0]:
@@ -1046,16 +1051,18 @@ def _factors(f):
             raise CertificateError("a rational root does not divide out")
         out.append([-a, b])
     if len(rest) > 4 or (roots is None and len(rest) > 2):
-        import sympy
+        from .zassenhaus import factor
 
-        x = sympy.Symbol("x")
-        out += [
-            upoly_primitive_int([int(c) for c in reversed(fac.all_coeffs())])
-            for fac, _ in sympy.Poly(rest[::-1], x).factor_list()[1]
-        ]
+        out += factor(rest)
     elif len(rest) > 1:
         out.append(rest)
     return sorted(out, key=lambda fac: (len(fac), fac[::-1]))
+
+
+def _odd_primes(limit=1 << 16):
+    for ell in range(3, limit, 2):
+        if all(ell % d for d in range(3, math.isqrt(ell) + 1, 2)):
+            yield ell
 
 
 def _rational_roots(e):
@@ -1070,9 +1077,7 @@ def _rational_roots(e):
     |a| <= |e_0| and 0 < b <= |e_n| is r modulo M; the Euclidean remainders
     of (M, r) find it.  It is kept when sum e_i a^i b^(n-i) is zero."""
     de = upoly_deriv(e)
-    for ell in range(3, 1024, 2):
-        if any(ell % d == 0 for d in range(3, math.isqrt(ell) + 1, 2)):
-            continue
+    for ell in _odd_primes(1024):
         if e[-1] % ell == 0:
             continue
         roots = [r for r in range(ell) if not _int_eval(e, r, ell)]
@@ -1491,7 +1496,7 @@ def _minpoly_of_value(value):
                 [qq(combo[j]) / scales[j] for j in range(k + 1)]
             )
         power = power * value
-    raise AssertionError("no dependence within the field degree")
+    raise CertificateError("no dependence within the field degree")
 
 
 def _isolate_among(cand, chain, value):

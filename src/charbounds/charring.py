@@ -9,6 +9,7 @@ algsolve.cyclotomic_field(m).
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 import random
@@ -404,7 +405,10 @@ class QevalContext:
         self.lookup = {}
         for m in self.cone:
             p = sum(a * b for a, b in zip(m, self.u))
-            assert p not in self.lookup
+            if p in self.lookup:
+                raise CertificateError(
+                    "the functional %s is not injective on the cone" % (self.u,)
+                )
             self.lookup[p] = m
         funds = fundamental_characters(datum)
         self.fund_qpolys = [self.char_qpoly(f) for f in funds]
@@ -429,15 +433,11 @@ class QevalContext:
     def pvalue(self, weight):
         return sum(a * b for a, b in zip(weight, self.u))
 
-    def char_qpoly(self, char, weight_index=None):
-        """Sparse q-image; weight_index weights each e^nu by nu_k."""
+    def char_qpoly(self, char):
+        """Sparse q-image."""
         full = char.full_expansion()
         out = {}
         for nu, c in full.items():
-            if weight_index is not None:
-                c = c * nu[weight_index]
-                if not c:
-                    continue
             p = self.pvalue(nu)
             s = out.get(p, 0) + c
             if s:
@@ -445,6 +445,17 @@ class QevalContext:
             else:
                 out.pop(p, None)
         return out
+
+    def weighted_qpolys(self, char):
+        """The q-images with each e^nu weighted by nu_k, k < rank, from one
+        orbit expansion."""
+        outs = [defaultdict(int) for _ in range(self.datum.rank)]
+        for nu, c in char.orbit_walk():
+            p = self.pvalue(nu)
+            for out, x in zip(outs, nu):
+                if x:
+                    out[p] += c * x
+        return [{p: v for p, v in out.items() if v} for out in outs]
 
     def monomial_qpoly(self, mono):
         cached = self._mono_cache.get(mono)
@@ -462,14 +473,16 @@ class QevalContext:
         return out
 
     def solve(self, qvalue):
-        """Peel leading q-terms; returns the exponent->coefficient map."""
+        """Peel leading q-terms; returns the monomial->coefficient map.
+        Every monomial image leads with coefficient 1 (monomial_qpoly
+        checks it), so an integer q-value peels on integers."""
         rem = dict(qvalue)
         out = {}
         while rem:
             e = max(rem)
             mono = self.lookup.get(e)
             if mono is None:
-                raise AssertionError("leading exponent %d outside cone" % e)
+                raise CertificateError("leading exponent %d outside cone" % e)
             c = rem.pop(e)
             out[mono] = c
             for p, v in self.monomial_qpoly(mono).items():
@@ -484,14 +497,71 @@ class QevalContext:
 
 
 def qconv(a, b):
-    """Exact sparse convolution of exponent->coefficient maps."""
-    if len(a) < len(b):
-        a, b = b, a
-    small = list(b.items())
+    """Exact convolution of exponent->coefficient maps with integer
+    coefficients."""
+    return qdot((a,), (b,))
+
+
+def qdot(lefts, rights):
+    """sum_k lefts[k] * rights[k], convolutions of exponent->coefficient
+    maps with integer coefficients, by Kronecker substitution.
+
+    Every exponent lies in lo + g Z.  A map is the integer
+    sum c 2^(8 w (p - min) / g), its slots w bytes wide, enough for every
+    input coefficient and every coefficient of the sum; so the
+    convolutions are integer products, added up shifted to the least
+    exponent, and read back one slot at a time after a bias of
+    2^(8 w - 1) per slot."""
+    pairs = [(a, b) for a, b in zip(lefts, rights) if a and b]
+    if not pairs:
+        return {}
+    lo = min(min(a) + min(b) for a, b in pairs)
+    hi = max(max(a) + max(b) for a, b in pairs)
+    g = math.gcd(*(min(a) + min(b) - lo for a, b in pairs))
+    for m in itertools.chain.from_iterable(pairs):
+        least = min(m)
+        g = math.gcd(g, *(p - least for p in m))
+    g = g or 1
+    peaks = [(max(map(abs, a.values())), max(map(abs, b.values()))) for a, b in pairs]
+    bound = sum(min(len(a), len(b)) * x * y for (a, b), (x, y) in zip(pairs, peaks))
+    w = max(bound, *itertools.chain.from_iterable(peaks)).bit_length() // 8 + 1
+    total = 0
+    for a, b in pairs:
+        shift = (min(a) + min(b) - lo) // g
+        total += (_kronecker(a, w, g) * _kronecker(b, w, g)) << (8 * w * shift)
+    slots = (hi - lo) // g + 1
+    total += int.from_bytes((bytes(w - 1) + b"\x80") * slots, "little")
+    raw = total.to_bytes(w * slots, "little")
+    half = 1 << (8 * w - 1)
+    out = {}
+    for i in range(slots):
+        v = int.from_bytes(raw[i * w:(i + 1) * w], "little") - half
+        if v:
+            out[lo + g * i] = v
+    return out
+
+
+def _kronecker(a, w, g):
+    """The integer sum c 2^(8 w (p - min a) / g) over the terms of a map."""
+    lo = min(a)
+    size = w * ((max(a) - lo) // g + 1)
+    pos, neg = bytearray(size), bytearray(size)
+    for p, c in a.items():
+        k = w * ((p - lo) // g)
+        if c > 0:
+            pos[k:k + w] = c.to_bytes(w, "little")
+        else:
+            neg[k:k + w] = (-c).to_bytes(w, "little")
+    return int.from_bytes(pos, "little") - int.from_bytes(neg, "little")
+
+
+def qsum(coeffs, maps):
+    """sum_l coeffs[l] * maps[l] for exponent->coefficient maps."""
     out = defaultdict(int)
-    for pa, va in a.items():
-        for pb, vb in small:
-            out[pa + pb] += va * vb
+    for c, m in zip(coeffs, maps):
+        if c:
+            for p, v in m.items():
+                out[p] += c * v
     return {p: v for p, v in out.items() if v}
 
 

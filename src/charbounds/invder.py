@@ -4,21 +4,27 @@ The pseudo-Casimir D_A scales each lattice exponential e^mu by A(mu, mu);
 the biderivation it induces, M_A(f, g) = D(fg) - f D(g) - D(f) g, is a
 polynomial in the fundamental characters, and the matrix of M_A on those
 characters generates all W-invariant derivations.  Entries are computed
-in a q-evaluation shadow: M(f_i, f_j) = sum_kl A[k][l] G_k^i G_l^j with
-G_k^i the nu_k-weighted image of f_i, then converted by leading-term
-elimination.  The literal character-ring route and the Casimir route
-live in the tests, as cross-checks.
+in a q-evaluation shadow, on integers: with G_k^i the nu_k-weighted
+q-image of f_i and A put over one denominator D, H_k^j = sum_l A[k][l]
+G_l^j is built once per j, so M(f_i, f_j) = sum_k G_k^i H_k^j takes r
+convolutions instead of r^2, each one integer product by Kronecker
+substitution (charring.qdot).  The sum is converted by leading-term
+elimination, whose monomial images all lead with coefficient 1, and each
+final coefficient is divided by D once.  The literal character-ring
+route, the Casimir route and the r^2 rational route live in the tests,
+as cross-checks.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import os
 import tempfile
 from dataclasses import dataclass
 
 from .algsolve import CertificateError, FieldElement
-from .charring import QevalContext, fundamental_characters, qconv
+from .charring import QevalContext, fundamental_characters, qdot, qsum
 from .polynomials import Poly, qq
 from .rootdata import EnumerationCapError, RootDatum
 
@@ -148,30 +154,18 @@ def _entries_qeval(datum):
             )
             tops.append(w)
     ctx = QevalContext(datum, sorted(set(tops)))
-    A = datum.form_A
-    # nu_k-weighted q-images of every fundamental character
-    weighted = [
-        [ctx.char_qpoly(funds[i], weight_index=k) for k in range(r)]
-        for i in range(r)
-    ]
+    # form_A over one integer denominator: every q-coefficient is an int
+    den = math.lcm(*(int(qq(a).denominator) for row in datum.form_A for a in row))
+    A = [[int(qq(a) * den) for a in row] for row in datum.form_A]
+    # nu_k-weighted q-images G_k^i of every fundamental character, and
+    # H_k^j = sum_l A[k][l] G_l^j, so M(f_i, f_j) = sum_k G_k^i * H_k^j
+    weighted = [ctx.weighted_qpolys(f) for f in funds]
+    paired = [[qsum(A[k], weighted[j]) for k in range(r)] for j in range(r)]
     grid = [[None] * r for _ in range(r)]
     for i in range(r):
         for j in range(i, r):
-            acc = {}
-            for k in range(r):
-                for l in range(r):
-                    a = A[k][l]
-                    if not a:
-                        continue
-                    conv = qconv(weighted[i][k], weighted[j][l])
-                    for p, v in conv.items():
-                        s = acc.get(p, 0) + a * v
-                        if s:
-                            acc[p] = s
-                        else:
-                            acc.pop(p, None)
-            coeffs = ctx.solve(acc)
-            poly = Poly(r, coeffs)
+            coeffs = ctx.solve(qdot(weighted[i], paired[j]))
+            poly = Poly(r, {m: qq(c, den) for m, c in coeffs.items()})
             grid[i][j] = poly
             grid[j][i] = poly
     return tuple(tuple(row) for row in grid)

@@ -116,3 +116,39 @@ def derivation_entries(datum, strategy):
             grid[i][j] = poly
             grid[j][i] = poly
     return tuple(tuple(row) for row in grid)
+
+
+def derivation_entries_r2(datum):
+    """The derivation matrix by r^2 rational convolutions per entry:
+    M(f_i, f_j) = sum_kl A[k][l] G_k^i G_l^j, the double sum over form_A
+    taken term by term with its rational entries."""
+    r = datum.rank
+    funds = fundamental_characters(datum)
+    tops = sorted({
+        tuple(a + b for a, b in zip(datum.fundamental_weights[i],
+                                    datum.fundamental_weights[j]))
+        for i in range(r) for j in range(i, r)
+    })
+    ctx = charring.QevalContext(datum, tops)
+    A = datum.form_A
+    weighted = [ctx.weighted_qpolys(f) for f in funds]
+    grid = [[None] * r for _ in range(r)]
+    for i in range(r):
+        for j in range(i, r):
+            acc = {}
+            for k in range(r):
+                for l in range(r):
+                    a = A[k][l]
+                    if not a:
+                        continue
+                    conv = charring.qconv(weighted[i][k], weighted[j][l])
+                    for p, v in conv.items():
+                        s = acc.get(p, 0) + a * v
+                        if s:
+                            acc[p] = s
+                        else:
+                            acc.pop(p, None)
+            poly = Poly(r, ctx.solve(acc))
+            grid[i][j] = poly
+            grid[j][i] = poly
+    return tuple(tuple(row) for row in grid)

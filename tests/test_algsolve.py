@@ -1,4 +1,6 @@
+import json
 import math
+from pathlib import Path
 
 import pytest
 import sympy
@@ -6,7 +8,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import fraction_oracle as oracle
-from charbounds import algsolve
+from charbounds import algsolve, zassenhaus
 from charbounds.algsolve import (
     AlgValue,
     CertificateError,
@@ -628,13 +630,75 @@ def test_factors_match_sympy(f):
 
 def test_factors_when_no_prime_serves():
     # every odd prime below 1024 divides the lead, so no rational root is
-    # lifted and sympy factors the whole polynomial
+    # lifted and Zassenhaus factors the whole polynomial
     lead = math.prod(_odd_primes_below(1024))
     f = [int(c) for c in reversed(
         (_sympy_poly([-1, lead]) * _sympy_poly([-2, 0, 1]) * _sympy_poly([-3, 1]))
         .all_coeffs())]
     assert algsolve._rational_roots(f) is None
     assert sorted(algsolve._factors(f)) == _sympy_factors(f)
+
+
+@st.composite
+def _irreducibles(draw):
+    degree, bits = draw(st.integers(4, 12)), draw(st.integers(2, 200))
+    coeffs = draw(st.lists(st.integers(-2**bits, 2**bits), min_size=degree,
+                           max_size=degree))
+    coeffs.append(draw(st.integers(1, 2**bits)))
+    assume(_sympy_poly(coeffs).is_irreducible)
+    return algsolve.upoly_primitive_int([qq(c) for c in coeffs])
+
+
+@st.composite
+def _products_of_irreducibles(draw):
+    # no rational roots, so every factor comes from Zassenhaus
+    factors = draw(st.lists(_irreducibles(), min_size=1, max_size=3, unique_by=tuple))
+    product = sympy.Poly(1, _X)
+    for fac in factors:
+        product *= _sympy_poly(fac)
+    return [int(c) for c in reversed(product.all_coeffs())], factors
+
+
+@settings(max_examples=40, deadline=None)
+@given(_products_of_irreducibles())
+def test_zassenhaus_recovers_random_irreducibles(case):
+    f, factors = case
+    got = algsolve._factors([qq(c) for c in f])
+    assert got == sorted(factors, key=lambda fac: (len(fac), fac[::-1]))
+
+
+# x^4 - 10 x^2 + 1 and the minimal polynomial of sqrt 2 + sqrt 3 + sqrt 5:
+# irreducible over Q but split into factors of degree <= 2 modulo every
+# prime, so recombination must try every subset
+_SWINNERTON_DYER_4 = [1, 0, -10, 0, 1]
+_SWINNERTON_DYER_8 = [576, 0, -960, 0, 352, 0, -40, 0, 1]
+
+
+def test_swinnerton_dyer_polynomials_are_irreducible():
+    for f in (_SWINNERTON_DYER_4, _SWINNERTON_DYER_8):
+        assert algsolve._factors([qq(c) for c in f]) == [f]
+    both = _sympy_poly(_SWINNERTON_DYER_4) * _sympy_poly(_SWINNERTON_DYER_8)
+    f = [int(c) for c in reversed(both.all_coeffs())]
+    assert algsolve._factors([qq(c) for c in f]) == [_SWINNERTON_DYER_4,
+                                                      _SWINNERTON_DYER_8]
+
+
+_RESTS = json.loads((Path(__file__).parent / "golden" / "factor_rests.json").read_text())
+
+
+@pytest.mark.parametrize("name", sorted(_RESTS))
+def test_recorded_rests_match_sympy(name):
+    # the rests of degree >= 4 that minimize sends to zassenhaus.factor
+    f = _RESTS[name]
+    got = algsolve._factors([qq(c) for c in f])
+    assert len(got) > 1
+    assert sorted(got) == _sympy_factors(f)
+
+
+def test_recombination_cap_raises_its_own_error(monkeypatch):
+    monkeypatch.setattr(zassenhaus, "_RECOMBINATION_CAP", 3)
+    with pytest.raises(zassenhaus.RecombinationCapError, match="passed 3 subsets"):
+        algsolve._factors([qq(c) for c in _SWINNERTON_DYER_8])
 
 
 _int_polys = st.lists(st.integers(-50, 50), min_size=1, max_size=7).filter(
@@ -657,3 +721,11 @@ def test_gcd_matches_sympy(tries, common, a, b):
         got = algsolve.upoly_gcd([qq(int(c), 4) for c in reversed(pa.all_coeffs())],
                                  [qq(int(c), 9) for c in reversed(pb.all_coeffs())])
     assert got == want
+
+
+def test_minpoly_without_dependence_raises(monkeypatch):
+    # must raise, not assert, so that the check holds under -O
+    value = NumberField((1, 0, -10, 0, 1)).generator()
+    monkeypatch.setattr(algsolve._Echelon, "insert", lambda self, vec, tag=None: None)
+    with pytest.raises(CertificateError, match="no dependence"):
+        algsolve._minpoly_of_value(value)

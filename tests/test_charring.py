@@ -243,6 +243,28 @@ def test_qconv_matches_naive_convolution(a, b):
     assert ch.qconv(b, a) == _schoolbook_conv(a, b)
 
 
+_qmaps = st.builds(
+    lambda offset, step, terms: {offset + step * e: c for e, c in terms.items()},
+    st.integers(-50, 50), st.sampled_from([1, 2, 6]),
+    st.dictionaries(st.integers(-20, 20), st.integers(-(2**70), 2**70), max_size=10),
+)
+
+
+@given(st.lists(st.tuples(_qmaps, _qmaps), max_size=4))
+@settings(max_examples=200, deadline=None)
+def test_qdot_matches_sum_of_naive_convolutions(pairs):
+    # exponents on a common grid of step 1, 2 or 6, or on offset grids,
+    # and sums that cancel across pairs
+    want = {}
+    for a, b in pairs:
+        for p, v in _schoolbook_conv(a, b).items():
+            want[p] = want.get(p, 0) + v
+    want = {p: v for p, v in want.items() if v}
+    assert ch.qdot([a for a, _ in pairs], [b for _, b in pairs]) == want
+    negated = [{p: -v for p, v in b.items()} for _, b in pairs]
+    assert ch.qdot([a for a, _ in pairs] * 2, [b for _, b in pairs] + negated) == {}
+
+
 def test_qconv_drops_cancelled_terms_and_keeps_big_coefficients():
     # (1 + q)(1 - q) = 1 - q^2: the q^1 coefficient cancels and is absent
     assert ch.qconv({0: 1, 1: 1}, {0: 1, 1: -1}) == {0: 1, 2: -1}
@@ -454,3 +476,20 @@ def test_restrict_rejects_non_roots():
     adj = ch.irreducible_character(G2, G2.highest_root)
     with pytest.raises(ValueError):
         ch.restrict_to_A1n(adj, coroots=[(1, 1), (0, 1)])
+
+
+# -- exact checks that must raise, not assert, so that they hold under -O
+
+
+def test_non_injective_functional_raises(monkeypatch):
+    monkeypatch.setattr(ch.QevalContext, "_pick_functional",
+                        lambda self, tops: (0,) * self.datum.rank)
+    with pytest.raises(CertificateError, match="not injective"):
+        ch.QevalContext(G2, [(1, 1)])
+
+
+def test_leading_exponent_outside_cone_raises(monkeypatch):
+    ctx = ch.QevalContext(G2, [(1, 1)])
+    monkeypatch.setattr(ctx, "lookup", {})
+    with pytest.raises(CertificateError, match="outside cone"):
+        ctx.solve(ctx.fund_qpolys[0])

@@ -256,19 +256,23 @@ def test_cli_import_loads_no_numpy():
 
 
 def test_rational_eliminants_load_no_sympy(tmp_path):
-    # G2 and F4 f4 factor e, its squarefree part and the separating
-    # polynomials into linear terms only, so sympy is never imported
+    # G2 and F4 f4 split into linear factors; su2 and F4 f2 send rests of
+    # degree >= 4 to the package's Zassenhaus factoring.  A None entry in
+    # sys.modules makes any import of sympy fail loudly.
     env = dict(os.environ)
     src = str(Path(__file__).resolve().parents[1] / "src")
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     probe = "\n".join([
         "import sys",
+        "sys.modules['sympy'] = None",
         "from charbounds import cli",
         "cache = sys.argv[1]",
         "assert cli.main(['minimize', '--type', 'G2', '--cache', cache]) == 0",
         "assert cli.main(['minimize', '--type', 'F4', '--objective', 'f4',",
         "                 '--format', 'json', '--cache', cache]) == 0",
-        "assert 'sympy' not in sys.modules, 'sympy was imported'",
+        "assert cli.main(['su2', '--cache', cache]) == 0",
+        "assert cli.main(['minimize', '--type', 'F4', '--objective', 'f2',",
+        "                 '--format', 'json', '--cache', cache]) == 0",
     ])
     run = subprocess.run(
         [sys.executable, "-c", probe, str(tmp_path)],
@@ -465,3 +469,16 @@ def test_json_report_bytes_are_pinned(capsys, tmp_path, argv, golden):
     code, out, err = run_main(capsys, *argv, "--cache", str(tmp_path))
     assert (code, err) == (0, "")
     assert out == (GOLDEN / golden).read_text()
+
+
+def test_e7_adjoint_minimum_from_the_committed_matrix(capsys, tmp_path):
+    # the committed E7 matrix as a warm cache; test_invder checks that a
+    # cold build writes the same bytes
+    e7 = build_root_datum("E", 7)
+    (tmp_path / ("matrix-%s.json" % e7.content_hash())).write_bytes(
+        (GOLDEN / "matrix-E7.json").read_bytes())
+    code, out, err = run_main(capsys, "minimize", "--type", "E7", "--long-running",
+                              "--cache", str(tmp_path))
+    assert (code, err) == (0, "")
+    assert out.startswith("min = -7 at corner (")
+    assert len(list(tmp_path.iterdir())) == 1

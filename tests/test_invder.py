@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import json
+from pathlib import Path
 
 import pytest
 
@@ -74,6 +75,39 @@ def test_g2_matrix_matches_ring_strategies(tmp_path):
     fast = invder.derivation_matrix(G2, cache_dir=str(tmp_path))
     slow = ring_oracle.derivation_entries(G2, strategy="subtract")
     assert fast.entries == slow
+
+
+# cache files written by the earlier r^2 rational route; E7's is also the
+# warm fixture of the E7 solver test in test_cli
+GOLDEN = Path(__file__).parent / "golden"
+
+
+@pytest.mark.parametrize("name", ["G2", "B3", "C4", "F4", "E6", "E7"])
+def test_cold_matrix_reproduces_golden_cache_bytes(tmp_path, name):
+    datum = build_root_datum(name[0], int(name[1:]))
+    invder.derivation_matrix(datum, cache_dir=str(tmp_path), allow_large=True)
+    (written,) = tmp_path.iterdir()
+    assert written.read_bytes() == (GOLDEN / ("matrix-%s.json" % name)).read_bytes()
+
+
+@pytest.mark.parametrize("name", ["A1", "A2", "A3", "A4", "B2", "B3", "B4",
+                                  "C3", "D4", "G2"])
+def test_integer_route_matches_r2_rational_oracle(name):
+    datum = build_root_datum(name[0], int(name[1:]))
+    assert invder._entries_qeval(datum) == ring_oracle.derivation_entries_r2(datum)
+
+
+def test_fractional_form_is_divided_once():
+    # M_A is linear in A, so a form over the denominator 3 gives M / 3
+    third = dataclasses.replace(
+        G2, form_A=tuple(tuple(qq(x, 3) for x in row) for row in G2.form_A)
+    )
+    got = invder.derivation_matrix(third, use_cache=False)
+    assert got.entries == ring_oracle.derivation_entries_r2(third)
+    plain = invder.derivation_matrix(G2, use_cache=False)
+    for i in range(2):
+        for j in range(2):
+            assert got.entry(i, j) == plain.entry(i, j).scale(qq(1, 3))
 
 
 def test_casimir_route_agrees():
