@@ -41,6 +41,13 @@ Tr(p^k) by the same Newton identities.  Otherwise e is read off the
 first linear dependency among the normal forms of 1, p, p^2, ... modulo
 the grevlex basis, each the previous remainder times p, reduced.
 
+A fibre of a zero-dimensional ideal, the ideal plus <p>, has the
+quotient algebra A / pA, read off A with no second Groebner basis.  pA is
+the column span of M_p; a fraction-free echelon of those columns,
+pivoting on the grevlex-largest monomial, leaves the fibre's staircase,
+and reducing x_i b by the pivot rows gives the same integer columns and
+scales as the fibre's own normal forms.
+
 Every real algebraic number here, a coordinate, a critical value or a
 corner value, is an element v of a number field Q[alpha] with alpha one
 isolated real root.  Its minimal polynomial is the first linear
@@ -792,31 +799,42 @@ class _Quotient:
     use, is the number of distinct complex points (Stickelberger)."""
 
     def __init__(self, basis_ideal):
-        self.nvars = n = basis_ideal.nvars
-        self.basis = _basis_entries(basis_ideal)
-        mons = staircase([lm for lm, _, _ in self.basis], n)
+        n = basis_ideal.nvars
+        basis = _basis_entries(basis_ideal)
+        mons = staircase([lm for lm, _, _ in basis], n)
         if mons is None:
             raise NotZeroDimensionalError(
                 "leading terms admit no pure power in some variable"
             )
-        self.monomials = mons
-        self.index = {m: i for i, m in enumerate(mons)}
-        self.dim = D = len(mons)
+        index = {m: i for i, m in enumerate(mons)}
         reducers = {}
-        # sparse columns [(row, coeff), ...] and scale of each N_i
-        self.cols = []
-        self.scales = []
+        cols, dens = [], []
         for i in range(n):
             # (rem, mult) of x_i * b_j
             qcols = [normal_form({m[:i] + (m[i] + 1,) + m[i + 1:]: 1},
-                                 self.basis, reducers)
+                                 basis, reducers)
                      for m in mons]
             den = math.lcm(*(mult for _, mult in qcols))
-            self.cols.append([
-                [(self.index[mm], c * (den // mult)) for mm, c in r.items()]
-                for r, mult in qcols
-            ])
-            self.scales.append(qq(1, den))
+            cols.append([[(index[mm], c * (den // mult)) for mm, c in r.items()]
+                         for r, mult in qcols])
+            dens.append(den)
+        self._setup(n, mons, cols, dens)
+
+    def _setup(self, nvars, mons, cols, dens):
+        """N_i = cols[i] / dens[i], for sparse integer columns, kept over
+        the least denominator with entries sorted by row: the canonical
+        form of the rational normal forms, whichever route gave them."""
+        self.nvars = nvars
+        self.monomials = mons
+        self.index = {m: i for i, m in enumerate(mons)}
+        self.dim = D = len(mons)
+        # sparse columns [(row, coeff), ...] and scale of each N_i
+        self.cols = []
+        self.scales = []
+        for icols, den in zip(cols, dens):
+            g = math.gcd(den, *(c for col in icols for _, c in col))
+            self.cols.append([sorted((k, c // g) for k, c in col) for col in icols])
+            self.scales.append(qq(1, den // g))
         if not D:
             return
         # tau = sum_j scale_j * row_j with row_j = e_j^T prod N_i^{m_i}
@@ -848,12 +866,84 @@ class _Quotient:
         ech = _Echelon(0)
         brows = [self.tau[0]]
         for mono in self.monomials[1:]:
-            i = next(k for k in range(self.nvars) if mono[k])
-            parent = self.index[mono[:i] + (mono[i] - 1,) + mono[i + 1:]]
+            i, parent = self._parent(mono)
             brows.append(_primitive(_row_times(brows[parent], self.cols[i]))[0])
         for row in brows:
             ech.insert(row)
         return len(ech.rows)
+
+    def _parent(self, mono):
+        """(i, index of mono / x_i) for the first variable x_i in mono."""
+        i = next(k for k in range(self.nvars) if mono[k])
+        return i, self.index[mono[:i] + (mono[i] - 1,) + mono[i + 1:]]
+
+    def fibre(self, poly, upoly):
+        """The quotient A / pA for p = upoly(poly), upoly an ascending
+        integer list: the quotient algebra of the ideal plus <p>,
+        with no Groebner basis.  pA is spanned by the columns p b_j,
+        eliminated fraction-free with the grevlex-largest monomial as
+        pivot; the pivots are the leading monomials of the larger ideal
+        inside the staircase, so the fibre's staircase is the rest.  The
+        normal form of x_i b there is that of A, projected through the
+        fully reduced pivot rows."""
+        D = self.dim
+        mat = self.matrix(poly)
+        # p = upoly(M_poly) 1 by Horner, as scale * vec
+        vec, scale = [upoly[-1]] + [0] * (D - 1), QONE
+        for c in reversed(upoly[:-1]):
+            vec, scale = self.times(mat, vec, scale)
+            a, b = int(scale.numerator), int(scale.denominator)
+            vec = [a * x for x in vec]
+            vec[0] += b * c
+            vec, g = _primitive(vec)
+            scale = qq(g, b)
+        # p b_j = x_i (p b_parent); reversed, so the pivot is the largest
+        pcols = [vec]
+        for mono in self.monomials[1:]:
+            i, parent = self._parent(mono)
+            col = self._times_x(i, dict(enumerate(pcols[parent])))
+            pcols.append(_primitive([col.get(k, 0) for k in range(D)])[0])
+        ech = _Echelon()
+        for col in pcols:
+            ech.insert(col[::-1])
+        reduced = {}  # back-substituted: zero at every other pivot
+        for t in sorted(ech.rows, reverse=True):
+            row = ech.rows[t]
+            for u, other in reduced.items():
+                if row[u]:
+                    row = _eliminate(row, other, u)
+            reduced[t] = row
+        piv = {D - 1 - t: row[::-1] for t, row in reduced.items()}
+        keep = [k for k in range(D) if k not in piv]
+        mons = [self.monomials[k] for k in keep]
+        if not mons:
+            raise CertificateError("the fibre polynomial is a unit")
+        kept = set(mons)
+        if any(e and m[:i] + (e - 1,) + m[i + 1:] not in kept
+               for m in mons for i, e in enumerate(m)):
+            raise CertificateError("the fibre staircase is not an order ideal")
+        # L times the projection of e_k, over the fibre's indices: the pivot
+        # rows scaled to pivot entry L
+        new = {k: j for j, k in enumerate(keep)}
+        L = math.lcm(*(row[k] for k, row in piv.items()))
+        proj = {k: [(new[k], L)] for k in keep}
+        for k, row in piv.items():
+            m = L // row[k]
+            proj[k] = [(new[kk], -m * row[kk]) for kk in keep if row[kk]]
+        cols = []
+        for icols in self.cols:
+            cols.append([])
+            for k in keep:
+                acc = {}
+                for kk, c in icols[k]:
+                    for j, v in proj[kk]:
+                        acc[j] = acc.get(j, 0) + c * v
+                cols[-1].append([(j, v) for j, v in acc.items() if v])
+        out = _Quotient.__new__(_Quotient)
+        # every scale of A is 1 / den
+        out._setup(self.nvars, mons, cols,
+                   [L * int(s.denominator) for s in self.scales])
+        return out
 
     def matrix(self, poly):
         """M_p for a Poly p, as (sparse integer rows, scale).  A term c x^m
@@ -1393,13 +1483,14 @@ class AlgebraicPoint:
 # ---------------------------------------------------------------------------
 # the zero-dimensional solver
 
-def solve_zero_dim(ideal, pair_cap=200_000, known=0):
-    """All real points of a zero-dimensional system, certified exactly.
-    The first `known` generators may already form a Groebner basis (see
-    groebner)."""
+def solve_zero_dim(ideal, pair_cap=200_000, quot=None):
+    """All real points of a zero-dimensional system, certified exactly on
+    its generators.  quot is the _Quotient of the ideal, when the caller
+    has it; otherwise it comes from the ideal's Groebner basis."""
     if not ideal.gens:
         raise NotZeroDimensionalError("zero ideal has no finite solution set")
-    quot = _Quotient(groebner(ideal, pair_cap=pair_cap, known=known))
+    if quot is None:
+        quot = _Quotient(groebner(ideal, pair_cap=pair_cap))
     if quot.dim == 0:
         return []
 

@@ -10,14 +10,18 @@ real corner value, or strictly above the greatest, and inside the window
 [-f(1), f(1)] when f is a true character.  For the minimum they are
 taken from the least upward, for the maximum from the greatest downward.
 The fibre of crit over the irreducible factor e_c of a candidate,
-crit + <e_c(f)>, is solved exactly; each of its real points is tested for
-reality of the compact-form coordinates (the -w0 permutation must fix
-the coordinate vector) and for membership in the compact image, decided
-exactly by negative semidefiniteness of the row-permuted matrix in one
-fraction-free symmetric elimination.  The
-first compact point found is the extremum; otherwise the corner value
-is.  The report carries an exact witness for both; its full list of
-critical points is built only when read, as the JSON report does.
+crit + <e_c(f)>, is solved exactly.  When crit is zero-dimensional its
+quotient algebra is A / e_c(f) A, read off crit's algebra A with no
+second Groebner basis; otherwise it comes from a Groebner basis seeded
+with crit's.  Either way its points are certified on crit's own
+generators and e_c(f).  Each real point is tested for reality of the
+compact-form coordinates (the -w0 permutation must fix the coordinate
+vector) and for membership in the compact image, decided exactly by
+negative semidefiniteness of the row-permuted matrix in one
+fraction-free symmetric elimination.  The first compact point found is
+the extremum; otherwise the corner value is.  The report carries an
+exact witness for both; its full list of critical points is built only
+when read, as the JSON report does.
 """
 
 from __future__ import annotations
@@ -32,8 +36,10 @@ from .algsolve import (
     NumberField,
     RootInterval,
     _minpoly_of_value,
+    _Quotient,
     cyclotomic_field,
     eliminant,
+    groebner,
     isolate_real_roots,
     real_roots_by_factor,
     solve_zero_dim,
@@ -346,11 +352,19 @@ def extremum(
         """The first candidate value a compact critical point attains."""
         for v, fac in candidates:
             if fac not in fibres:
-                # basis is normal already; only e_c(f) is brought to form
+                # the fibre crit + <e_c(f)>: its quotient is A / e_c(f) A
+                # when crit is zero-dimensional; else it needs a Groebner
+                # basis, seeded with crit's, which is normal already
                 e_c = Ideal.of(crit.nvars, [_substitute(fac, objective.poly)])
+                if quot is not None:
+                    fq = quot.fibre(objective.poly, fac)
+                else:
+                    fq = _Quotient(groebner(
+                        Ideal(crit.nvars, basis.gens + e_c.gens), pair_cap,
+                        known=len(basis.gens),
+                    ))
                 points = solve_zero_dim(
-                    Ideal(crit.nvars, basis.gens + e_c.gens), pair_cap,
-                    known=len(basis.gens),
+                    Ideal(crit.nvars, crit.gens + e_c.gens), quot=fq
                 )
                 fibres[fac] = [_record(m, msig, objective, window, p, low, high)
                                for p in points]

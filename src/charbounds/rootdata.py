@@ -26,6 +26,10 @@ class EnumerationCapError(RuntimeError):
     """Raised when a requested enumeration exceeds the configured cap."""
 
 
+class RootDatumError(RuntimeError):
+    """An exact consistency check of a root datum failed."""
+
+
 _DIM_FORMULAS = {
     "A": lambda n: n * (n + 2),
     "B": lambda n: n * (2 * n + 1),
@@ -101,7 +105,8 @@ def symmetrizers(letter, rank, C):
         d = [1, 3]
     for i in range(n):
         for j in range(n):
-            assert d[i] * C[i][j] == d[j] * C[j][i]
+            if d[i] * C[i][j] != d[j] * C[j][i]:
+                raise RootDatumError("d C is not symmetric")
     return tuple(d)
 
 
@@ -330,7 +335,8 @@ def _build_root_datum(letter, rank, form_scale=1):
             for i in range(r)
         )
         if all(x >= 0 for x in rc):
-            assert all(x.denominator == 1 for x in rc)
+            if any(x.denominator != 1 for x in rc):
+                raise RootDatumError("a root has non-integral coordinates")
             positives.append((tuple(int(x) for x in rc), root))
     positives.sort(key=lambda p: (sum(p[0]), p[0]))
     pos_rc = tuple(p[0] for p in positives)
@@ -338,15 +344,19 @@ def _build_root_datum(letter, rank, form_scale=1):
 
     dim_formula = _DIM_FORMULAS[letter]
     dim = dim_formula[rank] if isinstance(dim_formula, dict) else dim_formula(rank)
-    assert len(seen) == dim - r, "root count disagrees with the classification"
+    if len(seen) != dim - r:
+        raise RootDatumError("root count disagrees with the classification")
 
     highest = pos_roots[-1]
     a_coeffs = pos_rc[-1]
-    assert all(sum(rc) < sum(a_coeffs) for rc in pos_rc[:-1])
+    if any(sum(rc) >= sum(a_coeffs) for rc in pos_rc[:-1]):
+        raise RootDatumError("no unique highest root")
 
     det = qmat_det(C)
     pq = int(det)
-    assert det == pq and pq >= 1
+    if det != pq or pq < 1:
+        raise RootDatumError("Cartan determinant %s is not a positive integer"
+                             % qq_str(det))
 
     # Gram matrix of the basic form b (short roots have b-length^2 two)
     Db = tuple(tuple(QQ(d[i] * C[i][j]) for j in range(r)) for i in range(r))
@@ -377,7 +387,8 @@ def _build_root_datum(letter, rank, form_scale=1):
     for i in range(r):
         neg = tuple(-1 if j == i else 0 for j in range(r))
         img = datum.dominantize(neg)
-        assert sum(img) == 1 and all(x in (0, 1) for x in img)
+        if sum(img) != 1 or any(x not in (0, 1) for x in img):
+            raise RootDatumError("-w0 does not permute the fundamental weights")
         perm.append(img.index(1))
     object.__setattr__(datum, "minus_w0", tuple(perm))
     return datum
@@ -509,7 +520,9 @@ def weyl_elements(datum, cap=10_000_000, with_sign=False):
         frontier = grown
         elements.extend(w for w, _ in grown)
         signs.extend(sign for _, sign in grown)
-    assert len(elements) == datum.weyl_order
+    if len(elements) != datum.weyl_order:
+        raise RootDatumError("%d Weyl elements, not |W| = %d"
+                             % (len(elements), datum.weyl_order))
     if with_sign:
         return elements, signs
     return elements

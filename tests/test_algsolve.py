@@ -559,8 +559,36 @@ def test_seeded_groebner_skips_only_redundant_pairs(g2_matrix):
     gens = base.gens + (var(2, 1) * 27 - 10,)
     seeded = groebner(Ideal.of(2, gens), known=len(base.gens))
     assert seeded == groebner(Ideal.of(2, gens))
-    pts = solve_zero_dim(Ideal.of(2, gens), known=len(base.gens))
+    quot = algsolve._Quotient(seeded)
+    pts = solve_zero_dim(Ideal.of(2, gens), quot=quot)
     assert [p.rational_coords() for p in pts] == [(qq(7, 9), qq(10, 27))]
+    # the same quotient, read off the second column's own
+    fibre = algsolve._Quotient(base).fibre(var(2, 1), [-10, 27])
+    assert (fibre.monomials, fibre.cols, fibre.scales, fibre.tau) == (
+        quot.monomials, quot.cols, quot.scales, quot.tau)
+
+
+@pytest.mark.parametrize("upoly, dim", [
+    ([-2, 0, 1], 2), ([-3, 1], 1), ([-1, 2], 1), ([-2, 0, -1, 0, 1], 2),
+    ([-6, 14, -1, -7, 2], 4),
+])
+def test_fibre_of_a_fractional_quotient_is_its_groebner_quotient(upoly, dim):
+    # x^4 = (7x^3 + x^2 - 14x + 6) / 2 in A, so Horner past degree 3
+    # carries a denominator into the constant term
+    x = var(1, 0)
+    base = groebner(Ideal.of(1, [(x * x * 2 - x * 7 + 3) * (x * x - 2)]))
+    p = Poly.const(1, 0)
+    for c in reversed(upoly):
+        p = p * x + c
+    ref = algsolve._Quotient(groebner(Ideal.of(1, list(base.gens) + [p]),
+                                      known=len(base.gens)))
+    fibre = algsolve._Quotient(base).fibre(x, upoly)
+    assert (fibre.monomials, fibre.cols, fibre.scales, fibre.tau) == (
+        ref.monomials, ref.cols, ref.scales, ref.tau)
+    assert fibre.dim == dim
+    # (x - 1)^2 (x + 2) vanishes nowhere on the zero set: a unit of A
+    with pytest.raises(CertificateError, match="unit"):
+        algsolve._Quotient(base).fibre(x, [2, -3, 0, 1])
 
 
 def test_real_roots_by_factor():

@@ -464,6 +464,9 @@ GOLDEN = Path(__file__).parent / "golden"
     (["minimize", "--type", "F4", "--objective", "f2", "--format", "json"],
      "minimize_F4_f2.json"),
     (["su2", "--format", "json"], "su2.json"),
+    # the minimum -2 is attained at a critical point of a fibre read off
+    # the critical quotient algebra
+    (["minimize", "--type", "B2", "--format", "json"], "minimize_B2.json"),
 ])
 def test_json_report_bytes_are_pinned(capsys, tmp_path, argv, golden):
     code, out, err = run_main(capsys, *argv, "--cache", str(tmp_path))

@@ -8,15 +8,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from charbounds.algsolve import (
+    Ideal,
     NumberField,
     cyclotomic_field,
     eliminant,
+    groebner,
     isolate_real_roots,
     solve_zero_dim,
 )
 from charbounds.compactcert import (
     NonRealObjectiveError,
     _cyc_to_algvalue,
+    _substitute,
     adjoint_objective,
     critical_ideal,
     extremum,
@@ -52,8 +55,6 @@ def test_critical_ideal_of_fundamental_is_matrix_column(g2):
     ideal = critical_ideal(m, fund_objective(g2, 0))
     col = [m.entry(0, 0), m.entry(1, 0)]
     pts_a = solve_zero_dim(ideal)
-    from charbounds.algsolve import Ideal
-
     pts_b = solve_zero_dim(Ideal.of(2, col))
     assert [p.to_json() for p in pts_a] == [p.to_json() for p in pts_b]
 
@@ -372,3 +373,67 @@ def test_list_that_disagrees_with_the_values_route_is_refused(f4, monkeypatch, t
     monkeypatch.setattr(compactcert, "is_compact_point", lambda msig, p: False)
     with pytest.raises(CertificateError, match="disagree"):
         rep.to_json()
+
+
+# -- fibres read off the critical quotient algebra --------------------------
+
+@pytest.fixture(scope="module")
+def matrix_cache(tmp_path_factory):
+    return str(tmp_path_factory.mktemp("matrices"))
+
+
+def _objective(datum, name):
+    if name == "adjoint":
+        return adjoint_objective(datum)
+    return fund_objective(datum, int(name[1:]) - 1)
+
+
+@pytest.mark.parametrize("letter,rank,objective", [
+    ("F", 4, "f1"), ("F", 4, "f2"), ("F", 4, "f3"), ("F", 4, "f4"),
+    ("D", 4, "adjoint"), ("B", 4, "f2"), ("A", 2, "adjoint"),
+    ("B", 2, "adjoint"), ("B", 3, "adjoint"), ("B", 3, "f2"), ("D", 4, "f2"),
+])
+def test_fibre_read_off_A_is_the_fibre_groebner_quotient(
+        monkeypatch, matrix_cache, letter, rank, objective):
+    from charbounds import algsolve
+
+    datum = build_root_datum(letter, rank)
+    obj = _objective(datum, objective)
+    built = []
+    real = algsolve._Quotient.fibre
+
+    def spy(quot, poly, upoly):
+        out = real(quot, poly, upoly)
+        built.append((upoly, out))
+        return out
+
+    monkeypatch.setattr(algsolve._Quotient, "fibre", spy)
+    extremum(datum, obj, cache_dir=matrix_cache)
+    assert built
+    crit = critical_ideal(derivation_matrix(datum, cache_dir=matrix_cache), obj)
+    _, basis, quot = eliminant(crit, obj.poly)
+    assert quot is not None
+    for upoly, fibre in built:
+        e_c = Ideal.of(crit.nvars, [_substitute(upoly, obj.poly)])
+        ref = algsolve._Quotient(groebner(Ideal(crit.nvars, basis.gens + e_c.gens),
+                                          known=len(basis.gens)))
+        for attr in ("monomials", "cols", "scales", "tau", "dim"):
+            assert getattr(fibre, attr) == getattr(ref, attr), attr
+
+
+def test_zero_dimensional_extremum_runs_one_groebner_basis(f4, monkeypatch, matrix_cache):
+    from charbounds import algsolve, compactcert
+
+    calls = []
+    real = algsolve.groebner
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    for module in (algsolve, compactcert):
+        monkeypatch.setattr(module, "groebner", counted)
+    rep = extremum(f4, fund_objective(f4, 1), cache_dir=matrix_cache)
+    # the minimum is attained at a critical point of a decided fibre
+    assert not hasattr(rep.min_witness, "kac_coordinates")
+    assert len(calls) == 1

@@ -1,9 +1,11 @@
+import dataclasses
 import itertools
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from charbounds import rootdata
 from charbounds.polynomials import qq
 from charbounds.rootdata import (
     EnumerationCapError,
@@ -255,3 +257,58 @@ def test_form_scale_hook():
         tuple(3 * x for x in row) for row in base.form_A
     )
     assert g2.content_hash() != base.content_hash()
+
+
+# -- the datum's exact checks raise, so they still run under python -O -------
+
+def _breaks(match):
+    return pytest.raises(rootdata.RootDatumError, match=match)
+
+
+def test_non_symmetrizable_cartan_matrix_is_refused(monkeypatch):
+    real = rootdata.cartan_matrix
+    monkeypatch.setattr(rootdata, "cartan_matrix",
+                        lambda letter, rank: tuple(zip(*real(letter, rank))))
+    with _breaks("not symmetric"):
+        rootdata._build_root_datum("B", 2)
+
+
+def test_non_integral_root_coordinates_are_refused(monkeypatch):
+    real = rootdata.qmat_inv
+    monkeypatch.setattr(rootdata, "qmat_inv", lambda m: tuple(
+        tuple(x / 2 for x in row) for row in real(m)))
+    with _breaks("non-integral"):
+        rootdata._build_root_datum("G", 2)
+
+
+def test_root_count_against_the_classification(monkeypatch):
+    monkeypatch.setitem(rootdata._DIM_FORMULAS, "G", {2: 16})
+    with _breaks("root count"):
+        rootdata._build_root_datum("G", 2)
+
+
+def test_a_reducible_system_has_no_highest_root(monkeypatch):
+    # A1 x A1 passed off as A2, with its own dimension 6
+    monkeypatch.setattr(rootdata, "cartan_matrix", lambda letter, rank: ((2, 0), (0, 2)))
+    monkeypatch.setitem(rootdata._DIM_FORMULAS, "A", lambda n: 6)
+    with _breaks("highest root"):
+        rootdata._build_root_datum("A", 2)
+
+
+def test_non_integral_cartan_determinant_is_refused(monkeypatch):
+    monkeypatch.setattr(rootdata, "qmat_det", lambda m: qq(1, 2))
+    with _breaks("determinant 1/2"):
+        rootdata._build_root_datum("G", 2)
+
+
+def test_minus_w0_must_permute_fundamental_weights(monkeypatch):
+    monkeypatch.setattr(rootdata.RootDatum, "dominantize",
+                        lambda self, n: tuple(0 for _ in n))
+    with _breaks("-w0"):
+        rootdata._build_root_datum("A", 2)
+
+
+def test_weyl_elements_against_the_group_order():
+    g2 = dataclasses.replace(build_root_datum("G", 2), weyl_order=13)
+    with _breaks("12 Weyl elements, not"):
+        weyl_elements(g2)
