@@ -53,7 +53,9 @@ corner value, is an element v of a number field Q[alpha] with alpha one
 isolated real root.  Its minimal polynomial is the first linear
 dependence among 1, v, v^2, ... on integer rows; the same polynomial
 gives 1/v.  A value is its minimal polynomial with one RootInterval,
-which is exact, lo == hi, for a rational root.
+which is exact, lo == hi, for a rational root.  It prints from the
+minimal polynomial and the value alone: the least isolating dyadic cell
+of width at most 2^-40, and the nearest double.
 
 The real-root layer decides on integers.  Sturm chains are primitive
 integer polynomials built by pseudo-remainders, each entry a positive
@@ -61,9 +63,9 @@ multiple of the rational chain's, and the sign of p(a / b), b > 0, is
 that of the homogeneous sum sum p_i a^i b^(n-i).  Interval Horner puts
 the box and the coefficients over one denominator D and divides once at
 the end.  The endpoints stay rationals, the same ones the rational
-arithmetic gives, so every decision and every printed interval is the
-same.  Fractions remain in FieldElement vectors and NumberField.reduce,
-and in the rational scales of the quotient layer.
+arithmetic gives, so every decision is the same.  Fractions remain in
+FieldElement vectors and NumberField.reduce, and in the rational scales
+of the quotient layer.
 
 Factoring f or e over Q first takes off every rational root: p-adic
 lifting, rational reconstruction and an exact evaluation.  A rest of
@@ -368,9 +370,6 @@ class RootInterval:
     def refine_to(self, width):
         while self.hi - self.lo > width:
             self.refine()
-
-    def mid(self):
-        return (self.lo + self.hi) / 2
 
 
 def isolate_real_roots(p):
@@ -1268,9 +1267,7 @@ class NumberField:
         )
 
     def approx(self, elem):
-        self.root.refine_to(qq(1, 2**40))
-        lo, hi = elem.interval()
-        return float((lo + hi) / 2)
+        return AlgValue.from_field_element(elem).approx()
 
     def conjugate(self, elem):
         # alpha is real, so the embedding commutes with complex conjugation
@@ -1429,12 +1426,16 @@ class FieldElement:
 class AlgebraicPoint:
     """A real solution with coordinates in one number field."""
 
-    def __init__(self, nvars, field, coords, minpolys, multiplicity):
+    def __init__(self, nvars, field, coords, values, multiplicity):
         self.nvars = nvars
         self.field = field
         self.coords = coords          # FieldElement per variable
-        self.minpolys = minpolys      # primitive integer minpoly per variable
+        self.values = values          # AlgValue per variable
         self.multiplicity = multiplicity  # dimension of the local algebra
+
+    @property
+    def minpolys(self):
+        return tuple(v.minpoly for v in self.values)
 
     def value_of(self, poly):
         return poly.evaluate(self.coords, convert=self.field.from_rational)
@@ -1450,7 +1451,7 @@ class AlgebraicPoint:
         return tuple(c.as_rational() for c in self.coords)
 
     def approx(self):
-        return tuple(c.approx() for c in self.coords)
+        return tuple(v.approx() for v in self.values)
 
     def sort_key(self):
         out = []
@@ -1460,18 +1461,8 @@ class AlgebraicPoint:
         return tuple(out)
 
     def to_json(self):
-        out = []
-        for minpoly, c in zip(self.minpolys, self.coords):
-            lo, hi = c.interval()
-            out.append(
-                {
-                    "minpoly": list(minpoly),
-                    "interval": [qq_str(lo), qq_str(hi)],
-                    "decimal": c.approx(),
-                }
-            )
         return {
-            "coordinates": out,
+            "coordinates": [v.to_json() for v in self.values],
             "field_degree": self.field.degree,
             "multiplicity": self.multiplicity,
         }
@@ -1537,12 +1528,11 @@ def _assemble_points(orig_ideal, rur, dim):
         for root in roots:
             at = NumberField(fac, root)
             at_coords = [FieldElement(at, c.vec) for c in coords]
-            # the isolation refines the root until each coordinate's
-            # interval holds one root of its minpoly; to_json prints
-            # the intervals of that refined root
-            for cand, chain, c in zip(minpolys, chains, at_coords):
-                _isolate_among(cand, chain, c)
-            points.append(AlgebraicPoint(n, at, at_coords, minpolys, mu))
+            # isolating each coordinate refines the root, and the points
+            # are sorted on that refinement
+            values = tuple(AlgValue.from_field_element(c, cand, chain)
+                           for cand, chain, c in zip(minpolys, chains, at_coords))
+            points.append(AlgebraicPoint(n, at, at_coords, values, mu))
     if total != dim:
         raise CertificateError(
             "multiplicities add up to %d, not the quotient dimension %d"
@@ -1628,11 +1618,13 @@ class AlgValue:
         return AlgValue(p, RootInterval(list(p), None, c, c))
 
     @staticmethod
-    def from_field_element(elem):
-        cand = _minpoly_of_value(elem)
+    def from_field_element(elem, minpoly=None, chain=None):
+        """The value of elem; pass its minimal polynomial, and that
+        polynomial's Sturm chain, when they are known."""
+        cand = minpoly or tuple(_minpoly_of_value(elem))
         if len(cand) == 2:
             return AlgValue.from_rational(qq(-cand[0], cand[1]))
-        chain = sturm_chain(cand)
+        chain = chain or sturm_chain(cand)
         lo, hi = _isolate_among(cand, chain, elem)
         return AlgValue(cand, RootInterval(cand, chain, lo, hi))
 
@@ -1647,9 +1639,36 @@ class AlgValue:
     def box(self):
         return (self.root.lo, self.root.hi)
 
+    def interval(self):
+        """The printed interval, a function of the value alone: [x, x] for
+        a rational x, else the dyadic cell [k, k + 1] / 2^j that holds the
+        value, at the least j >= 40 where one Sturm count finds no other
+        root of the minimal polynomial in it.  The minimal polynomial has
+        no rational root, so no cell ends on one."""
+        r = self.root
+        if r.lo == r.hi:
+            return r.lo, r.hi
+        j = 40
+        while True:
+            r.refine_to(qq(1, 2**j))
+            # (lo, hi) holds no more than one grid point
+            k = math.floor(r.lo * 2**j)
+            edge = qq(k + 1, 2**j)
+            if edge < r.hi and sturm_count(r.chain, r.lo, edge) == 0:
+                k += 1
+            lo, hi = qq(k, 2**j), qq(k + 1, 2**j)
+            if sturm_count(r.chain, lo, hi) == 1:
+                return lo, hi
+            j += 1
+
     def approx(self):
-        self.root.refine_to(qq(1, 2**40))
-        return float(self.root.mid())
+        """The double nearest the value.  Rounding is monotone, so once both
+        ends of the isolating interval round to one double, so does the
+        value; an irrational value is never a tie between two doubles."""
+        r = self.root
+        while float(r.lo) != float(r.hi):
+            r.refine()
+        return float(r.lo)
 
     def cmp(self, other):
         if self.minpoly == other.minpoly:
@@ -1678,7 +1697,7 @@ class AlgValue:
         return sturm_count(self.root.chain, lo, hi) >= 1
 
     def to_json(self):
-        lo, hi = self.box()
+        lo, hi = self.interval()
         return {
             "minpoly": list(self.minpoly),
             "interval": [qq_str(lo), qq_str(hi)],

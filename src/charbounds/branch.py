@@ -7,10 +7,10 @@ variable: either the coordinate sits on the boundary or the partial
 vanishes.  Solving that system exactly gives an oracle for the torus
 pipeline that knows nothing about derivation matrices.
 
-For three or more free variables the factored generators are split by
-cases t_i in {2, -2, interior} instead of being fed to the solver
-whole; the union of the subsystem varieties is exactly the original
-variety, and each subsystem is far shallower.
+The factored generators are split by cases t_i in {2, -2, interior}
+instead of being fed to the solver whole; the union of the subsystem
+varieties is exactly the original variety, and each subsystem is far
+shallower.
 """
 
 from dataclasses import dataclass
@@ -23,7 +23,7 @@ from .charring import (
     irreducible_character,
     restrict_to_A1n,
 )
-from .polynomials import Poly, QONE, QZERO, qq
+from .polynomials import Poly, QZERO, qq
 
 _PIN_VALUES = (qq(2), qq(-2))
 # unpinned eliminations beyond this many variables are out of desk range
@@ -102,12 +102,6 @@ def _substitute(poly, assignment):
     return Poly(len(keep), terms), keep
 
 
-def _box_factor(nvars, i):
-    """t_i^2 - 4 as a polynomial in nvars variables."""
-    sq = tuple(2 if j == i else 0 for j in range(nvars))
-    return Poly(nvars, {sq: QONE, (0,) * nvars: qq(-4)})
-
-
 def _in_box(point):
     for c in point.coords:
         if (c - 2).sign() > 0 or (c + 2).sign() < 0:
@@ -115,28 +109,21 @@ def _in_box(point):
     return True
 
 
-def _solved_candidates(g, pair_cap):
-    """Critical values of the full factored system (few variables)."""
-    m = g.nvars
-    gens = [_box_factor(m, k) * g.diff(k) for k in range(m)]
-    out = []
-    for pt in solve_zero_dim(Ideal.of(m, gens), pair_cap=pair_cap):
-        if not _in_box(pt):
-            continue
-        val = AlgValue.from_field_element(pt.value_of(g))
-        coords = tuple(AlgValue.from_field_element(c) for c in pt.coords)
-        out.append((val, coords))
-    return out
-
-
 def _split_candidates(g, pair_cap):
     """Case decomposition t_i in {2, -2, interior} over all variables.
 
     Exact: every generator factors as (t_i - 2)(t_i + 2) * d_i g, so the
-    variety is the union over choices of which factor vanishes.
+    variety is the union over choices of which factor vanishes.  A point
+    on several faces is kept once, where it is first found.
     """
     m = g.nvars
     out = []
+
+    def add(val, coords):
+        if not any(all(a.cmp(b) == 0 for a, b in zip(coords, seen))
+                   for _, seen in out):
+            out.append((val, coords))
+
     for sigma in product((qq(2), qq(-2), None), repeat=m):
         fixed = {i: v for i, v in enumerate(sigma) if v is not None}
         h, free = _substitute(g, fixed)
@@ -149,7 +136,7 @@ def _split_candidates(g, pair_cap):
             coords = {i: AlgValue.from_rational(v) for i, v in fixed.items()}
             for k, j in enumerate(free):
                 coords[j] = AlgValue.from_rational(0)
-            out.append((val, tuple(coords[i] for i in range(m))))
+            add(val, tuple(coords[i] for i in range(m)))
             continue
         gens = [h2.diff(k) for k in range(len(live))]
         for pt in solve_zero_dim(Ideal.of(len(live), gens), pair_cap=pair_cap):
@@ -161,10 +148,8 @@ def _split_candidates(g, pair_cap):
                 if k in unused:
                     coords[j] = AlgValue.from_rational(0)
                 else:
-                    coords[j] = AlgValue.from_field_element(
-                        pt.coords[live.index(k)]
-                    )
-            out.append((val, tuple(coords[i] for i in range(m))))
+                    coords[j] = pt.values[live.index(k)]
+            add(val, tuple(coords[i] for i in range(m)))
     return out
 
 
@@ -175,19 +160,13 @@ def branch_minimize(p, *, pair_cap=200_000):
     # variables the polynomial does not mention contribute nothing
     unused = {k: QZERO for k in range(len(keep)) if k not in g0.used_vars()}
     g, live = _substitute(g0, unused)
-    m = len(live)
-    if m > _FREE_CAP:
+    if len(live) > _FREE_CAP:
         raise ValueError(
             "%d free variables exceeds the unpinned limit (%d); "
-            "supply pinning assignments" % (m, _FREE_CAP)
+            "supply pinning assignments" % (len(live), _FREE_CAP)
         )
 
-    if m == 0:
-        found = [(AlgValue.from_rational(g.constant()), ())]
-    elif m <= 2:
-        found = _solved_candidates(g, pair_cap)
-    else:
-        found = _split_candidates(g, pair_cap)
+    found = _split_candidates(g, pair_cap)
     if not found:
         raise ValueError("no critical point survived the box filter")
 

@@ -226,7 +226,7 @@ def _witness_text(w, precision):
         return "corner (%s)" % ", ".join(
             _fmt_cyc(v, precision) for v in w.values
         )
-    coords = ", ".join(_fmt_float(c.approx(), precision) for c in w.coords)
+    coords = ", ".join(_fmt_float(x, precision) for x in w.approx())
     return "critical point (%s)" % coords
 
 

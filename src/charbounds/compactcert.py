@@ -34,7 +34,6 @@ from .algsolve import (
     CertificateError,
     Ideal,
     NumberField,
-    RootInterval,
     _minpoly_of_value,
     _Quotient,
     cyclotomic_field,
@@ -163,25 +162,16 @@ class ExtremumReport:
     maximum: AlgValue
     min_witness: object    # CornerClass or AlgebraicPoint
     max_witness: object
-    # () -> (records, (min, witness), (max, witness)), for to_json
-    list_points: object = field(repr=False, compare=False)
+    list_points: object = field(repr=False, compare=False)  # () -> records
 
     @cached_property
-    def _listed(self):
-        return self.list_points()
-
-    @property
     def points(self):
         """CriticalPointRecord per non-corner critical point: all of them
         for a zero-dimensional critical ideal, else those of the fibres
         decided.  Built on first access."""
-        return self._listed[0]
+        return self.list_points()
 
     def to_json(self):
-        # the extremes and witnesses are the list's own objects, refined as
-        # its records were, so JSON is the same as from the full solve
-        records, (minimum, min_witness), (maximum, max_witness) = self._listed
-
         def witness_json(w):
             if hasattr(w, "kac_coordinates"):
                 return {
@@ -204,16 +194,16 @@ class ExtremumReport:
                 }
                 for c, v, a in self.corner_values
             ],
-            "critical_points": [p.to_json() for p in records],
+            "critical_points": [p.to_json() for p in self.points],
             "window": (
                 [self.window[0].to_json(), self.window[1].to_json()]
                 if self.window
                 else None
             ),
-            "minimum": minimum.to_json(),
-            "maximum": maximum.to_json(),
-            "min_witness": witness_json(min_witness),
-            "max_witness": witness_json(max_witness),
+            "minimum": self.minimum.to_json(),
+            "maximum": self.maximum.to_json(),
+            "min_witness": witness_json(self.min_witness),
+            "max_witness": witness_json(self.max_witness),
         }
 
 
@@ -275,7 +265,6 @@ def extremum(
     objective,
     *,
     cache_dir=None,
-    use_cache=True,
     rank_cap=6,
     allow_large=False,
     pair_cap=200_000,
@@ -294,8 +283,8 @@ def extremum(
             % (objective.to_str().replace(" ", ""), datum.name(),
                real.to_str().replace(" ", ""))
         )
-    matrix_options = dict(cache_dir=cache_dir, use_cache=use_cache,
-                          rank_cap=rank_cap, allow_large=allow_large)
+    matrix_options = dict(cache_dir=cache_dir, rank_cap=rank_cap,
+                          allow_large=allow_large)
     m = derivation_matrix(datum, **matrix_options)
     msig = sigma_matrix(m)
     corner_classes = corners(datum)
@@ -330,18 +319,15 @@ def extremum(
         window = (AlgValue.from_rational(-bound), AlgValue.from_rational(bound))
 
     # Every critical value is a root of e.  Only the roots beyond the corner
-    # extremes, and inside the window, can be extrema; the values route
-    # compares copies, so the report's corner values are refined only as
-    # the critical-point list refines them.
+    # extremes, and inside the window, can be extrema.
     crit = critical_ideal(m, objective)
     e, basis, quot = eliminant(crit, objective.poly, pair_cap=pair_cap)
-    low, high = _copy(corner_min), _copy(corner_max)
     below, above = [], []
     for fac, roots in real_roots_by_factor(e):
         for v in roots:
-            if v.cmp(low) < 0 and (window is None or v.cmp(window[0]) >= 0):
+            if v.cmp(corner_min) < 0 and (window is None or v.cmp(window[0]) >= 0):
                 below.append((v, fac))
-            elif v.cmp(high) > 0 and (window is None or v.cmp(window[1]) <= 0):
+            elif v.cmp(corner_max) > 0 and (window is None or v.cmp(window[1]) <= 0):
                 above.append((v, fac))
     below.sort(key=lambda t: by_value(t[0]))
     above.sort(key=lambda t: by_value(t[0]), reverse=True)
@@ -366,8 +352,10 @@ def extremum(
                 points = solve_zero_dim(
                     Ideal(crit.nvars, crit.gens + e_c.gens), quot=fq
                 )
-                fibres[fac] = [_record(m, msig, objective, window, p, low, high)
-                               for p in points]
+                fibres[fac] = [
+                    _record(m, msig, objective, window, p, corner_min, corner_max)
+                    for p in points
+                ]
             for rec in fibres[fac]:
                 if rec.compact and rec.value.cmp(v) == 0:
                     return v, rec.point
@@ -416,14 +404,13 @@ def extremum(
         for (value, witness), (v, w) in ((lo, (min_value, min_witness)),
                                          (hi, (max_value, max_witness))):
             same = witness is w if hasattr(w, "kac_coordinates") else (
-                not hasattr(witness, "kac_coordinates")
-                and _copy(value).cmp(v) == 0
+                not hasattr(witness, "kac_coordinates") and value.cmp(v) == 0
             )
             if not same:
                 raise CertificateError(
                     "the critical-point list and the critical values disagree"
                 )
-        return tuple(records), lo, hi
+        return tuple(records)
 
     return ExtremumReport(
         datum=datum,
@@ -436,12 +423,6 @@ def extremum(
         max_witness=max_witness,
         list_points=list_points,
     )
-
-
-def _copy(value):
-    """An AlgValue whose refinement leaves value's interval as it is."""
-    r = value.root
-    return AlgValue(value.minpoly, RootInterval(r.poly, r.chain, r.lo, r.hi))
 
 
 def _substitute(upoly, poly):

@@ -116,7 +116,6 @@ def _store_cache(m, path):
 def derivation_matrix(
     datum,
     cache_dir=None,
-    use_cache=True,
     rank_cap=DEFAULT_RANK_CAP,
     allow_large=False,
 ):
@@ -131,14 +130,11 @@ def derivation_matrix(
     if any(A[i][j] != A[j][i] for i in range(datum.rank) for j in range(i)):
         raise CertificateError("form_A of %s is not symmetric" % datum.name())
     path = _cache_path(datum, cache_dir)
-    if use_cache:
-        entries = _load_cache(datum, path)
-        if entries is not None:
-            return DerivationMatrix(datum, entries, cache_hit=True)
-    entries = _entries_qeval(datum)
-    m = DerivationMatrix(datum, entries, cache_hit=False)
-    if use_cache:
-        _store_cache(m, path)
+    entries = _load_cache(datum, path)
+    if entries is not None:
+        return DerivationMatrix(datum, entries, cache_hit=True)
+    m = DerivationMatrix(datum, _entries_qeval(datum), cache_hit=False)
+    _store_cache(m, path)
     return m
 
 

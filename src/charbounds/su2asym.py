@@ -5,7 +5,10 @@ is a polynomial in the fundamental trace t: chi_d(2 cos a) equals
 sin((d+1)a)/sin(a).  The minimum of chi_d/(d+1) over the group tends to
 -c as d grows, where c is the negative of the least value of sin(a)/a.
 Both the exact per-degree minima and the limit constant are computed
-here.  In higher rank the analogous limits are values of the function
+here.  A minimum is read off values, as in compactcert: the endpoint
+value, and the roots of the eliminant of chi_d on <chi_d'>, all of them
+values inside (-2, 2) by Rolle's theorem, certified with one Sturm
+count.  In higher rank the analogous limits are values of the function
 
     X(s, t) = (prod over positive roots r of (r, rho)/((r, s)(r, t)))
               * sum over W of sgn(w) exp((s, w t)),
@@ -20,9 +23,11 @@ from dataclasses import dataclass, field
 from .algsolve import (
     AlgValue,
     CertificateError,
-    FieldElement,
     Ideal,
-    solve_zero_dim,
+    eliminant,
+    real_roots_by_factor,
+    sturm_chain,
+    sturm_count,
 )
 from .polynomials import Poly, qq
 from .rootdata import EnumerationCapError, weyl_elements
@@ -34,7 +39,6 @@ __all__ = [
     "chebyshev_character",
     "eval_X",
     "limit_constant",
-    "su2_critical_points",
     "su2_min",
 ]
 
@@ -94,70 +98,35 @@ def chebyshev_character(d):
     return ChebyshevCharacter(d, _CHEB[d])
 
 
-def su2_critical_points(d):
-    """Interior critical points of chi_d on [-2, 2], certified exactly."""
-    ch = chebyshev_character(d)
-    deriv = {(k - 1,): k * c for k, c in enumerate(ch.coeffs) if k and c}
-    gen = Poly(1, deriv)
-    if gen.total_degree() < 1:
-        return []
-    points = []
-    for p in solve_zero_dim(Ideal.of(1, [gen])):
-        c = p.coords[0]
-        if (c - 2).sign() > 0 or (c + 2).sign() < 0:
-            continue
-        points.append(p)
-    return points
-
-
 def su2_min(d):
     """Exact minimum of chi_d over t in [-2, 2].
 
-    Candidates are the endpoints (where chi_d takes the values
-    (+-1)^d (d+1)) and the interior roots of the derivative.  The least
-    candidate is found by refining certified intervals until everything
-    else is excluded; only the winner pays for a minimal polynomial, so
-    the degree-50 sweep stays cheap.  Ties that refuse to separate fall
-    back to exact comparison.
+    The candidates are the endpoint value (+-1)^d (d+1) and the critical
+    values, the real roots of the eliminant of chi_d on <chi_d'> (the
+    values route of compactcert).  chi_d has d simple zeros in (-2, 2),
+    so by Rolle all d - 1 roots of chi_d' lie there too; one Sturm count
+    on (-2, 2] certifies that, so every root of the eliminant is a value
+    attained inside the interval.
     """
     if d < 1:
         raise ValueError("degree must be positive")
     ch = chebyshev_character(d)
-    full = Poly(1, {(k,): c for k, c in enumerate(ch.coeffs) if c})
-    points = su2_critical_points(d)
-    if d % 2 == 0:
-        # only powers matching the parity of d occur, so chi_d is an even
-        # function here and t >= 0 already carries every critical value
-        if any(c for k, c in enumerate(ch.coeffs) if (k - d) % 2):
-            raise CertificateError("parity of the recurrence broke")
-        points = [p for p in points if p.coords[0].sign() >= 0]
-    entries = [min(ch.evaluate(qq(2)), ch.evaluate(qq(-2)))]
-    entries.extend(p.value_of(full) for p in points)
-
-    def box(e):
-        if isinstance(e, FieldElement):
-            return e.interval()
-        return (e, e)
-
-    for _ in range(64):
-        least_upper = min(box(e)[1] for e in entries)
-        entries = [e for e in entries if box(e)[0] <= least_upper]
-        if len(entries) == 1:
-            break
-        for e in entries:
-            if isinstance(e, FieldElement):
-                e.field.refine_root()
-
-    def lift(e):
-        if isinstance(e, FieldElement):
-            return AlgValue.from_field_element(e)
-        return AlgValue.from_rational(e)
-
-    best = lift(entries[0])
-    for e in entries[1:]:
-        v = lift(e)
-        if v.cmp(best) < 0:
-            best = v
+    best = AlgValue.from_rational(min(ch.evaluate(qq(2)), ch.evaluate(qq(-2))))
+    deriv = [k * c for k, c in enumerate(ch.coeffs)][1:]
+    if len(deriv) < 2:
+        return best
+    if sturm_count(sturm_chain(deriv), qq(-2), qq(2)) != len(deriv) - 1:
+        raise CertificateError(
+            "chi_%d' has a root outside (-2, 2]: Rolle's count failed" % d
+        )
+    full, crit = (
+        Poly(1, {(k,): c for k, c in enumerate(coeffs) if c})
+        for coeffs in (ch.coeffs, deriv)
+    )
+    e, _, _ = eliminant(Ideal.of(1, [crit]), full)
+    for _, roots in real_roots_by_factor(e):
+        if roots and roots[0].cmp(best) < 0:
+            best = roots[0]
     return best
 
 

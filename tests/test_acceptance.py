@@ -83,9 +83,9 @@ F4_CORNER_TABLE = {
 }
 
 
-def test_gate_01_g2_derivation_matrix(cache):
+def test_gate_01_g2_derivation_matrix(cache, tmp_path):
     with budget(5, "G2 matrix"):
-        m = invder.derivation_matrix(G2, use_cache=False)
+        m = invder.derivation_matrix(G2, cache_dir=tmp_path)
     assert m.entry(0, 0) == G2_MATRIX[(0, 0)]
     assert m.entry(0, 1) == G2_MATRIX[(0, 1)]
     assert m.entry(1, 0) == G2_MATRIX[(0, 1)]
@@ -388,9 +388,9 @@ def test_gate_11_property_suites_and_determinism(cache):
     assert freeze(f2_once) == freeze(f2_twice)
 
 
-def test_gate_12_a1_acceptance_region():
+def test_gate_12_a1_acceptance_region(tmp_path):
     a1 = build_root_datum("A", 1)
-    msig = invder.sigma_matrix(invder.derivation_matrix(a1, use_cache=False))
+    msig = invder.sigma_matrix(invder.derivation_matrix(a1, cache_dir=tmp_path))
     probes = [qq(-3), qq(-2), qq(-1), qq(0), qq(1), qq(2), qq(5, 2)]
     inside = [is_compact_point(msig, rational_point([t])) for t in probes]
     assert inside == [False, True, True, True, True, True, False]

@@ -124,7 +124,7 @@ def test_isolate_cubic_roots():
     mids = []
     for r in roots:
         r.refine_to(qq(1, 2**30))
-        mids.append(float(r.mid()))
+        mids.append(float((r.lo + r.hi) / 2))
     assert mids == sorted(mids)
     assert abs(mids[1] - (-0.323628)) < 1e-5
 
@@ -376,8 +376,9 @@ def test_points_sorted_by_midpoints():
 # -- G2 critical systems ----------------------------------------------------
 
 @pytest.fixture(scope="module")
-def g2_matrix():
-    return derivation_matrix(build_root_datum("G", 2), use_cache=False)
+def g2_matrix(tmp_path_factory):
+    return derivation_matrix(build_root_datum("G", 2),
+                             cache_dir=tmp_path_factory.mktemp("g2"))
 
 
 def test_g2_corner_ideal_three_rational_points(g2_matrix):
@@ -474,6 +475,65 @@ def test_as_rational_raises_off_the_rationals():
     assert coord.is_real() and coord.conjugate() is coord
 
 
+# -- printed forms ----------------------------------------------------------
+
+def test_printed_value_does_not_depend_on_its_refinement():
+    # a root of 27 v^2 + 14 v - 49, once as isolated and once refined far
+    # past the printed cell and the nearest double
+    p = [-49, 14, 27]
+    fresh = [AlgValue(p, r) for r in isolate_real_roots(p)]
+    refined = [AlgValue(p, r) for r in isolate_real_roots(p)]
+    for v in refined:
+        for _ in range(90):
+            v.root.refine()
+    assert [v.to_json() for v in refined] == [v.to_json() for v in fresh]
+    again = AlgValue.from_field_element(
+        solve_zero_dim(Ideal.of(1, [upoly(*p)]))[1].coords[0])
+    for _ in range(90):
+        again.root.refine()
+    assert again.to_json() == fresh[1].to_json()
+
+
+def test_printed_point_does_not_depend_on_its_field_root():
+    # x = sqrt 2 + sqrt 3 and y = x^3: coordinates of degree 4
+    x, y = var(2, 0), var(2, 1)
+    ideal = Ideal.of(2, [x ** 4 - 10 * x * x + 1, y - x * x * x])
+    fresh = [p.to_json() for p in solve_zero_dim(ideal)]
+    points = solve_zero_dim(ideal)
+    for p in points:
+        for _ in range(90):
+            p.field.refine_root()
+    assert [p.to_json() for p in points] == fresh
+    assert [p.approx() for p in points] == [
+        tuple(c["decimal"] for c in doc["coordinates"]) for doc in fresh]
+
+
+def test_printed_interval_is_the_least_isolating_dyadic_cell():
+    # the roots 1/3 +- 2^-50.5 of (3v - 1)^2 = 9 * 2^-101 need cells of
+    # narrower than 2^-48
+    close = [2 ** 101 - 9, -6 * 2 ** 101, 9 * 2 ** 101]
+    for p in ([-2, 0, 1], [-49, 14, 27], [-1, -1, 0, 1], close):
+        chain = sturm_chain(p)
+        for r in isolate_real_roots(p):
+            lo, hi = (qq(x) for x in AlgValue(p, r).to_json()["interval"])
+            j = (hi - lo).denominator.bit_length() - 1
+            assert hi - lo == qq(1, 2 ** j) and j >= 40
+            assert (lo * 2 ** j).denominator == 1
+            assert sturm_count(chain, lo, hi) == 1
+            if j > 40:
+                k = math.floor(lo * 2 ** (j - 1))
+                assert sturm_count(chain, qq(k, 2 ** (j - 1)),
+                                   qq(k + 1, 2 ** (j - 1))) > 1
+            assert p != close or j >= 49
+
+
+def test_printed_rational_is_exact():
+    v = AlgValue.from_rational(qq(-5, 4))
+    assert v.to_json() == {"minpoly": [5, 4], "interval": ["-5/4", "-5/4"],
+                           "decimal": -1.25}
+    assert AlgValue.from_rational(qq(1, 3)).approx() == 1 / 3
+
+
 # -- randomized oracles -----------------------------------------------------
 
 # x - 3/2, x^3 - x - 1 and x^4 - 10 x^2 + 1 (the minpoly of sqrt 2 + sqrt 3)
@@ -530,11 +590,11 @@ def test_grid_systems(xs, ys):
 # -- the values of a polynomial on a zero set -------------------------------
 
 @pytest.mark.parametrize("letter,rank,column", [("G", 2, 1), ("B", 3, 0), ("F", 4, 1)])
-def test_eliminant_routes_agree(letter, rank, column):
+def test_eliminant_routes_agree(letter, rank, column, tmp_path):
     # the power sums on the quotient and the first dependency among normal
     # forms of f^k give the same e(T) on a zero-dimensional ideal
     datum = build_root_datum(letter, rank)
-    m = derivation_matrix(datum, use_cache=False)
+    m = derivation_matrix(datum, cache_dir=tmp_path)
     ideal = Ideal.of(rank, [m.entry(i, column) for i in range(rank)])
     f = var(rank, column) * var(rank, column) - var(rank, 0) * qq(1, 2) + 3
     e, basis, quot = algsolve.eliminant(ideal, f)

@@ -3,14 +3,20 @@
 import pytest
 
 from charbounds import branch, compactcert
-from charbounds.algsolve import Ideal, NotZeroDimensionalError
+from charbounds.algsolve import Ideal
 from charbounds.charring import BranchPolynomial
-from charbounds.polynomials import Poly, qq
+from charbounds.polynomials import Poly, QONE, qq
 from charbounds.rootdata import build_root_datum
 
 
 def bpoly(n, terms):
     return BranchPolynomial(n, Poly(n, {m: qq(c) for m, c in terms.items()}))
+
+
+def box_factor(nvars, i):
+    """t_i^2 - 4 as a polynomial in nvars variables."""
+    sq = tuple(2 if j == i else 0 for j in range(nvars))
+    return Poly(nvars, {sq: QONE, (0,) * nvars: qq(-4)})
 
 
 def branch_critical_ideal(p):
@@ -21,7 +27,7 @@ def branch_critical_ideal(p):
     for k in range(m):
         d = g.diff(k)
         if d:
-            gens.append(branch._box_factor(m, k) * d)
+            gens.append(box_factor(m, k) * d)
     return Ideal.of(m, gens)
 
 
@@ -129,10 +135,24 @@ def test_agrees_with_derivation_pipeline():
 
 def test_non_zero_dimensional_rejected():
     # f = (t1^2-4)*t2 has df/dt2 = t1^2-4, so the whole line t1 = 2 is
-    # critical and the system is not finite
+    # critical and the full system is not finite; split into the faces
+    # t_i = +-2 and the interior, every case is, and the minimum is exact
     f = bpoly(2, {(2, 1): 1, (0, 1): -4})
-    with pytest.raises(NotZeroDimensionalError):
-        branch.branch_minimize(branch.BranchProblem.of(f))
+    r = branch.branch_minimize(branch.BranchProblem.of(f))
+    assert r.minimum.as_rational() == -8
+    assert [w.as_rational() for w in r.witness] == [0, 2]
+
+
+def test_points_on_several_faces_count_once():
+    # f = t1^2 has df/dt1 = 2 t1, and its interior case finds only t1 = 0;
+    # f = (t1 - 2)^2 puts its interior critical point on the face t1 = 2
+    r = branch.branch_minimize(branch.BranchProblem.of(bpoly(1, {(2,): 1})))
+    assert r.candidates == 3
+    shifted = bpoly(1, {(2,): 1, (1,): -4, (0,): 4})
+    r = branch.branch_minimize(branch.BranchProblem.of(shifted))
+    assert r.candidates == 2
+    assert r.minimum.as_rational() == 0
+    assert r.witness[0].as_rational() == 2
 
 
 def test_free_variable_cap():

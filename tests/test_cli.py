@@ -1,6 +1,7 @@
 """End-to-end checks of the command-line surface and its exit codes."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -9,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from charbounds import cli
+from charbounds.algsolve import sturm_chain, sturm_count
 from charbounds.compactcert import adjoint_objective
 from charbounds.polynomials import qq
 from charbounds.rootdata import build_root_datum
@@ -101,10 +103,10 @@ def test_irrational_corner_values_json(capsys, tmp_path):
     high = "Cyc(m=5, ['0', '0', '5', '5'])"
     assert [(c["value"], c["real"], c["decimal"]) for c in corners] == [
         ("Cyc(10)", True, 10.0),
-        (low, True, 3.0901699437495136),
-        (high, True, -8.090169943749514),
-        (high, True, -8.090169943749514),
-        (low, True, 3.0901699437495136),
+        (low, True, 3.090169943749474),
+        (high, True, -8.090169943749475),
+        (high, True, -8.090169943749475),
+        (low, True, 3.090169943749474),
     ]
 
 
@@ -319,9 +321,10 @@ def test_su2_csv_rows(capsys):
 
 
 def test_branch_minimize_text(capsys):
+    # (-2, 2) attains -2 too; the faces are tried t_i = 2 first
     code, out, _ = run_main(capsys, "branch-minimize", "--type", "G2")
     assert code == 0
-    assert out == "min = -2 at t = (-2, 2)\n"
+    assert out == "min = -2 at t = (2, -2)\n"
 
 
 def test_branch_minimize_pins_json(capsys):
@@ -453,11 +456,67 @@ def test_maximum_is_decided_by_its_fibre(capsys, tmp_path):
     assert abs(report["maximum"]["decimal"] + (98 / 27) * (1 - 2 * 7**0.5)) < 1e-9
 
 
-# Reports whose bytes are pinned.  The printed isolating intervals are the
-# roots as far as earlier sign decisions refined them, so any change in
-# how a sign, a Sturm count or an interval image is decided shows here.
-# Regenerate a file only for an intended change of the report.
+# Reports whose bytes are pinned.  Every printed interval and decimal is a
+# function of the value alone, so only a change of a value, a minimal
+# polynomial or the report's shape shows here.  Regenerate a file only for
+# an intended change of the report.
 GOLDEN = Path(__file__).parent / "golden"
+
+
+def assert_nearest_double(minpoly, lo, hi, decimal):
+    """The one root of minpoly in (lo, hi] rounds to decimal: it lies
+    between the midpoints from decimal to its neighbouring doubles."""
+    chain = sturm_chain(list(minpoly))
+    below = (qq(decimal) + qq(math.nextafter(decimal, -math.inf))) / 2
+    above = (qq(decimal) + qq(math.nextafter(decimal, math.inf))) / 2
+    assert sturm_count(chain, max(lo, below), min(hi, above)) == 1
+
+
+def assert_printed_form(doc):
+    """A rational prints [x, x] and float(x); any other value prints a
+    dyadic cell of width at most 2^-40 holding one root of its minimal
+    polynomial, and the double nearest that root."""
+    lo, hi = (qq(x) for x in doc["interval"])
+    if len(doc["minpoly"]) == 2:
+        c0, c1 = doc["minpoly"]
+        assert lo == hi == qq(-c0, c1) and doc["decimal"] == float(lo)
+        return
+    j = (hi - lo).denominator.bit_length() - 1
+    assert hi - lo == qq(1, 2 ** j) and j >= 40 and (lo * 2 ** j).denominator == 1
+    assert sturm_count(sturm_chain(list(doc["minpoly"])), lo, hi) == 1
+    assert_nearest_double(doc["minpoly"], lo, hi, doc["decimal"])
+
+
+def printed_values(doc):
+    if isinstance(doc, dict):
+        if {"minpoly", "interval", "decimal"} <= doc.keys():
+            yield doc
+        for v in doc.values():
+            yield from printed_values(v)
+    elif isinstance(doc, list):
+        for v in doc:
+            yield from printed_values(v)
+
+
+def test_printed_intervals_isolate_and_decimals_are_nearest(capsys, tmp_path):
+    code, out, _ = run_main(capsys, "minimize", "--type", "F4", "--objective", "f2",
+                            "--format", "json", "--cache", str(tmp_path))
+    assert code == 0
+    printed = list(printed_values(json.loads(out)))
+    assert len(printed) > 40
+    assert any(len(doc["minpoly"]) > 2 for doc in printed)
+    for doc in printed:
+        assert_printed_form(doc)
+    code, out, _ = run_main(capsys, "su2", "--format", "json")
+    assert code == 0
+    for row in json.loads(out)["rows"]:
+        if len(row["minpoly"]) == 2:
+            assert row["min"] == float(qq(-row["minpoly"][0], row["minpoly"][1]))
+        else:
+            # a root of the minimal polynomial rounds to the printed double
+            eps = qq(1, 2 ** 30)
+            assert_nearest_double(row["minpoly"], qq(row["min"]) - eps,
+                                  qq(row["min"]) + eps, row["min"])
 
 
 @pytest.mark.parametrize("argv, golden", [

@@ -50,8 +50,8 @@ def f4():
 
 # -- critical ideals --------------------------------------------------------
 
-def test_critical_ideal_of_fundamental_is_matrix_column(g2):
-    m = derivation_matrix(g2, use_cache=False)
+def test_critical_ideal_of_fundamental_is_matrix_column(g2, tmp_path):
+    m = derivation_matrix(g2, cache_dir=tmp_path)
     ideal = critical_ideal(m, fund_objective(g2, 0))
     col = [m.entry(0, 0), m.entry(1, 0)]
     pts_a = solve_zero_dim(ideal)
@@ -59,14 +59,14 @@ def test_critical_ideal_of_fundamental_is_matrix_column(g2):
     assert [p.to_json() for p in pts_a] == [p.to_json() for p in pts_b]
 
 
-def test_constant_objective_gives_zero_ideal(g2):
-    m = derivation_matrix(g2, use_cache=False)
+def test_constant_objective_gives_zero_ideal(g2, tmp_path):
+    m = derivation_matrix(g2, cache_dir=tmp_path)
     ideal = critical_ideal(m, FundamentalPolynomial(g2, Poly.const(2, 5)))
     assert ideal.gens == ()
 
 
-def test_mismatched_datum_rejected(g2):
-    m = derivation_matrix(g2, use_cache=False)
+def test_mismatched_datum_rejected(g2, tmp_path):
+    m = derivation_matrix(g2, cache_dir=tmp_path)
     a2 = build_root_datum("A", 2)
     with pytest.raises(ValueError):
         critical_ideal(m, fund_objective(a2, 0))
@@ -74,41 +74,41 @@ def test_mismatched_datum_rejected(g2):
 
 # -- sigma reality ----------------------------------------------------------
 
-def test_sigma_reality_a2():
+def test_sigma_reality_a2(tmp_path):
     a2 = build_root_datum("A", 2)
-    m = derivation_matrix(a2, use_cache=False)
+    m = derivation_matrix(a2, cache_dir=tmp_path)
     assert sigma_reality(m, rational_point([3, 3])) is True
     assert sigma_reality(m, rational_point([3, 4])) is False
 
 
-def test_sigma_reality_trivial_when_minus_one_in_weyl(g2):
-    m = derivation_matrix(g2, use_cache=False)
+def test_sigma_reality_trivial_when_minus_one_in_weyl(g2, tmp_path):
+    m = derivation_matrix(g2, cache_dir=tmp_path)
     assert sigma_reality(m, rational_point([3, 4])) is True
 
 
-def test_non_real_objective_rejected_with_its_real_part():
+def test_non_real_objective_rejected_with_its_real_part(tmp_path):
     a3 = build_root_datum("A", 3)  # -w0 swaps f1 and f3, fixes f2
     f1, f2, f3 = (Poly.variable(3, i) for i in range(3))
     objective = FundamentalPolynomial(a3, f1 * f2 * f2 + f2)
     want = (f1 * f2 * f2 + f3 * f2 * f2).scale(qq(1, 2)) + f2
     assert real_part(objective).poly == want
     with pytest.raises(NonRealObjectiveError, match="real part is"):
-        extremum(a3, objective, use_cache=False)
+        extremum(a3, objective, cache_dir=tmp_path)
     assert issubclass(NonRealObjectiveError, ValueError)
 
 
 # -- compactness probes -----------------------------------------------------
 
-def test_a1_compact_region_probes():
+def test_a1_compact_region_probes(tmp_path):
     a1 = build_root_datum("A", 1)
-    msig = sigma_matrix(derivation_matrix(a1, use_cache=False))
+    msig = sigma_matrix(derivation_matrix(a1, cache_dir=tmp_path))
     probes = [qq(-3), qq(-2), qq(-1), qq(0), qq(1), qq(2), qq(5, 2)]
     got = [is_compact_point(msig, rational_point([t])) for t in probes]
     assert got == [False, True, True, True, True, True, False]
 
 
-def test_g2_interior_point_certificate(g2):
-    msig = sigma_matrix(derivation_matrix(g2, use_cache=False))
+def test_g2_interior_point_certificate(g2, tmp_path):
+    msig = sigma_matrix(derivation_matrix(g2, cache_dir=tmp_path))
     assert is_compact_point(msig, rational_point([qq(7, 9), qq(10, 27)]))
     # corners evaluate the matrix to zero
     assert is_compact_point(msig, rational_point([7, 14]))
@@ -235,8 +235,8 @@ def test_a4_irrational_corner_minimum(tmp_path):
 
 # -- extremum reports -------------------------------------------------------
 
-def test_g2_f2_extremum(g2):
-    rep = extremum(g2, fund_objective(g2, 1), use_cache=False)
+def test_g2_f2_extremum(g2, tmp_path):
+    rep = extremum(g2, fund_objective(g2, 1), cache_dir=tmp_path)
     assert rep.minimum.is_rational() and rep.minimum.as_rational() == qq(-2)
     assert hasattr(rep.min_witness, "kac_coordinates")
     witness_values = tuple(v.as_rational() for v in rep.min_witness.values)
@@ -263,15 +263,15 @@ def test_g2_f2_extremum(g2):
     assert rep.window[1].as_rational() == qq(14)
 
 
-def test_g2_f1_extremum_is_corner_only(g2):
-    rep = extremum(g2, fund_objective(g2, 0), use_cache=False)
+def test_g2_f1_extremum_is_corner_only(g2, tmp_path):
+    rep = extremum(g2, fund_objective(g2, 0), cache_dir=tmp_path)
     assert rep.minimum.as_rational() == qq(-2)
     assert rep.maximum.as_rational() == qq(7)
     assert rep.points == ()
 
 
-def test_f4_f2_extremum_beats_corners(f4):
-    rep = extremum(f4, fund_objective(f4, 1), use_cache=False)
+def test_f4_f2_extremum_beats_corners(f4, tmp_path):
+    rep = extremum(f4, fund_objective(f4, 1), cache_dir=tmp_path)
     assert rep.minimum.minpoly == (-9604, -196, 27)
     assert abs(rep.minimum.approx() - (98 / 27) * (1 - 2 * 7**0.5)) < 1e-9
     assert not hasattr(rep.min_witness, "kac_coordinates")
@@ -285,53 +285,53 @@ def test_f4_f2_extremum_beats_corners(f4):
     "column,expected",
     [(0, -4), (2, -15), (3, -6)],
 )
-def test_f4_other_minima_attained_at_corners(f4, column, expected):
-    rep = extremum(f4, fund_objective(f4, column), use_cache=False)
+def test_f4_other_minima_attained_at_corners(f4, column, expected, tmp_path):
+    rep = extremum(f4, fund_objective(f4, column), cache_dir=tmp_path)
     assert rep.minimum.is_rational()
     assert rep.minimum.as_rational() == qq(expected)
     assert hasattr(rep.min_witness, "kac_coordinates")
 
 
-def test_adjoint_matches_weyl_min_trace():
+def test_adjoint_matches_weyl_min_trace(tmp_path):
     for letter, rank in [("G", 2), ("F", 4), ("A", 2), ("B", 2)]:
         datum = build_root_datum(letter, rank)
-        rep = extremum(datum, adjoint_objective(datum), use_cache=False)
+        rep = extremum(datum, adjoint_objective(datum), cache_dir=tmp_path)
         assert rep.minimum.is_rational()
         assert rep.minimum.as_rational() == weyl_min_trace(datum)
 
 
-def test_max_of_fundamental_is_its_dimension(g2):
+def test_max_of_fundamental_is_its_dimension(g2, tmp_path):
     from charbounds.charring import irreducible_character
 
     for i in range(2):
-        rep = extremum(g2, fund_objective(g2, i), use_cache=False)
+        rep = extremum(g2, fund_objective(g2, i), cache_dir=tmp_path)
         lam = tuple(1 if j == i else 0 for j in range(2))
         dim = irreducible_character(g2, lam).dimension()
         assert rep.maximum.as_rational() == qq(dim)
         assert rep.max_witness.order == 1
 
 
-def test_scale_invariance_of_verdicts_and_extrema():
+def test_scale_invariance_of_verdicts_and_extrema(tmp_path):
     base = build_root_datum("G", 2)
     doubled = build_root_datum("G", 2, form_scale=2)
-    rep_a = extremum(base, fund_objective(base, 1), use_cache=False)
-    rep_b = extremum(doubled, fund_objective(doubled, 1), use_cache=False)
+    rep_a = extremum(base, fund_objective(base, 1), cache_dir=tmp_path)
+    rep_b = extremum(doubled, fund_objective(doubled, 1), cache_dir=tmp_path)
     assert rep_a.minimum.cmp(rep_b.minimum) == 0
     assert rep_a.maximum.cmp(rep_b.maximum) == 0
     assert [r.compact for r in rep_a.points] == [r.compact for r in rep_b.points]
 
-    msig = sigma_matrix(derivation_matrix(doubled, use_cache=False))
+    msig = sigma_matrix(derivation_matrix(doubled, cache_dir=tmp_path))
     assert is_compact_point(msig, rational_point([qq(7, 9), qq(10, 27)]))
     assert not is_compact_point(msig, rational_point([100, 0]))
 
 
-def test_report_json_round_trip(g2):
+def test_report_json_round_trip(g2, tmp_path):
     import json
 
-    rep = extremum(g2, fund_objective(g2, 1), use_cache=False)
+    rep = extremum(g2, fund_objective(g2, 1), cache_dir=tmp_path)
     blob = json.dumps(rep.to_json(), sort_keys=True)
     assert "minimum" in blob and "critical_points" in blob
-    again = extremum(g2, fund_objective(g2, 1), use_cache=False)
+    again = extremum(g2, fund_objective(g2, 1), cache_dir=tmp_path)
     assert json.dumps(again.to_json(), sort_keys=True) == blob
 
 

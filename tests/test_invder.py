@@ -97,14 +97,14 @@ def test_integer_route_matches_r2_rational_oracle(name):
     assert invder._entries_qeval(datum) == ring_oracle.derivation_entries_r2(datum)
 
 
-def test_fractional_form_is_divided_once():
+def test_fractional_form_is_divided_once(tmp_path):
     # M_A is linear in A, so a form over the denominator 3 gives M / 3
     third = dataclasses.replace(
         G2, form_A=tuple(tuple(qq(x, 3) for x in row) for row in G2.form_A)
     )
-    got = invder.derivation_matrix(third, use_cache=False)
+    got = invder.derivation_matrix(third, cache_dir=tmp_path)
     assert got.entries == ring_oracle.derivation_entries_r2(third)
-    plain = invder.derivation_matrix(G2, use_cache=False)
+    plain = invder.derivation_matrix(G2, cache_dir=tmp_path)
     for i in range(2):
         for j in range(2):
             assert got.entry(i, j) == plain.entry(i, j).scale(qq(1, 3))
@@ -151,10 +151,10 @@ def test_matrix_cache_corruption_recovers(tmp_path):
     assert again.entries == cold.entries
 
 
-def test_rank_cap():
+def test_rank_cap(tmp_path):
     e7 = build_root_datum("E", 7)
     with pytest.raises(EnumerationCapError, match="refused"):
-        invder.derivation_matrix(e7, use_cache=False)
+        invder.derivation_matrix(e7, cache_dir=tmp_path)
 
 
 def test_sigma_matrix_g2_identity(tmp_path):
@@ -267,9 +267,9 @@ def test_cache_misses_on_another_form(tmp_path):
     assert doubled.content_hash() == G2.content_hash()
     got = invder.derivation_matrix(doubled, cache_dir=tmp_path)
     assert not got.cache_hit
-    fresh = invder.derivation_matrix(doubled, use_cache=False)
+    fresh = invder.derivation_matrix(doubled, cache_dir=tmp_path / "fresh")
     assert got.entries == fresh.entries
-    plain = invder.derivation_matrix(G2, use_cache=False)
+    plain = invder.derivation_matrix(G2, cache_dir=tmp_path / "plain")
     assert got.entries != plain.entries
 
 
@@ -280,6 +280,6 @@ def test_asymmetric_form_is_refused(tmp_path):
     A[0][1] += 1
     bad = dataclasses.replace(G2, form_A=tuple(tuple(row) for row in A))
     invder.derivation_matrix(G2, cache_dir=tmp_path)
-    for use_cache in (True, False):
+    for cache_dir in (tmp_path, tmp_path / "empty"):
         with pytest.raises(CertificateError, match="not symmetric"):
-            invder.derivation_matrix(bad, cache_dir=tmp_path, use_cache=use_cache)
+            invder.derivation_matrix(bad, cache_dir=cache_dir)

@@ -114,21 +114,21 @@ def test_integer_path_matches_rational_oracle(factors, repeat):
     assert sum(p.multiplicity for p in points) == dim
 
 
-def test_f4_f3_matches_rational_oracle():
+def test_f4_f3_matches_rational_oracle(tmp_path):
     f4 = build_root_datum("F", 4)
-    m = derivation_matrix(f4, use_cache=False)
+    m = derivation_matrix(f4, cache_dir=tmp_path)
     crit = critical_ideal(m, FundamentalPolynomial(f4, Poly.variable(4, 2)))
     assert algsolve._Quotient(groebner(crit)).dim == 16
     assert assert_same_quotient_layer(crit)[0] == 1
 
 
-def critical(letter, rank, objective):
+def critical(letter, rank, objective, cache_dir):
     datum = build_root_datum(letter, rank)
     if objective == "adjoint":
         fp = adjoint_objective(datum)
     else:
         fp = FundamentalPolynomial(datum, Poly.variable(rank, int(objective[1:]) - 1))
-    return critical_ideal(derivation_matrix(datum, use_cache=False), fp)
+    return critical_ideal(derivation_matrix(datum, cache_dir=cache_dir), fp)
 
 
 @pytest.mark.parametrize("letter,rank,objective,zero_dim", [
@@ -139,8 +139,9 @@ def critical(letter, rank, objective):
     ("F", 4, "f2", True),
     ("C", 3, "f2", False),
 ], ids=lambda v: str(v))
-def test_fraction_free_groebner_matches_rational_oracle(letter, rank, objective, zero_dim):
-    crit = critical(letter, rank, objective)
+def test_fraction_free_groebner_matches_rational_oracle(letter, rank, objective, zero_dim,
+                                                        tmp_path):
+    crit = critical(letter, rank, objective, tmp_path)
     gb = groebner(crit)
     assert gb == oracle.groebner(crit)
     # the fraction-free normal form rem / mult of every monomial of

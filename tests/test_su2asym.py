@@ -2,6 +2,11 @@
 
 import cmath
 import math
+import os
+import subprocess
+import sys
+from functools import cmp_to_key
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,7 +14,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from charbounds import su2asym
-from charbounds.algsolve import AlgValue, CertificateError, cyclotomic_field
+from charbounds.algsolve import (
+    AlgValue,
+    CertificateError,
+    FieldElement,
+    Ideal,
+    cyclotomic_field,
+    solve_zero_dim,
+)
 from charbounds.charring import irreducible_character
 from charbounds.polynomials import Poly, qq
 from charbounds.rootdata import (
@@ -22,7 +34,6 @@ from charbounds.su2asym import (
     chebyshev_character,
     eval_X,
     limit_constant,
-    su2_critical_points,
     su2_min,
 )
 from closedform_oracle import chebyshev_value
@@ -120,10 +131,55 @@ def test_sine_quotient_formula(d, theta):
 # exact minima
 
 
+def su2_critical_points(d):
+    """The critical points of chi_d on [-2, 2], from the points route:
+    solve chi_d' = 0 and keep the points in the interval."""
+    ch = chebyshev_character(d)
+    deriv = {(k - 1,): k * c for k, c in enumerate(ch.coeffs) if k and c}
+    gen = Poly(1, deriv)
+    if gen.total_degree() < 1:
+        return []
+    return [p for p in solve_zero_dim(Ideal.of(1, [gen]))
+            if (p.coords[0] - 2).sign() <= 0 and (p.coords[0] + 2).sign() >= 0]
+
+
+def su2_min_oracle(d):
+    """The least of the endpoint value and chi_d at each critical point.
+    The values' intervals are refined until one is below all the others,
+    and only what survives pays for a minimal polynomial."""
+    ch = chebyshev_character(d)
+    full = Poly(1, {(k,): c for k, c in enumerate(ch.coeffs) if c})
+    entries = [min(ch.evaluate(qq(2)), ch.evaluate(qq(-2)))]
+    entries += [p.value_of(full) for p in su2_critical_points(d)]
+
+    def box(e):
+        return e.interval() if isinstance(e, FieldElement) else (e, e)
+
+    for _ in range(64):
+        least_upper = min(box(e)[1] for e in entries)
+        entries = [e for e in entries if box(e)[0] <= least_upper]
+        if len(entries) == 1:
+            break
+        for e in entries:
+            if isinstance(e, FieldElement):
+                e.field.refine_root()
+    values = [AlgValue.from_field_element(e) if isinstance(e, FieldElement)
+              else AlgValue.from_rational(e) for e in entries]
+    return min(values, key=cmp_to_key(lambda a, b: a.cmp(b)))
+
+
 def test_odd_minimum_is_endpoint():
     for d in range(1, 22, 2):
         m = su2_min(d)
         assert m.is_rational() and m.as_rational() == -(d + 1)
+
+
+def test_minimum_matches_the_critical_point_route():
+    for d in range(1, 31):
+        got, want = su2_min(d), su2_min_oracle(d)
+        assert got.minpoly == want.minpoly
+        assert got.cmp(want) == 0
+        assert got.to_json() == want.to_json()
 
 
 def test_minimum_d2():
@@ -150,18 +206,34 @@ def test_minimum_d6_frozen():
         assert abs(abs(c.approx()) - 1.59643) < 1e-4
 
 
-def test_broken_parity_is_rejected(monkeypatch):
-    # an odd power in an even chi_d would make the t < 0 critical points
-    # matter; the check must raise, not assert, so that python -O keeps it
-    exact = su2asym.chebyshev_character
+def test_critical_point_outside_the_interval_is_rejected(monkeypatch):
+    # t^3 - 27 t has its critical points at +-3: Rolle's count on (-2, 2]
+    # must find them missing and raise, not assert, so python -O keeps it
+    def wide(d):
+        return su2asym.ChebyshevCharacter(d, (0, -27, 0, 1))
 
-    def broken(d):
-        ch = exact(d)
-        return su2asym.ChebyshevCharacter(d, (ch.coeffs[0], 1) + ch.coeffs[2:])
-
-    monkeypatch.setattr(su2asym, "chebyshev_character", broken)
-    with pytest.raises(CertificateError, match="parity"):
-        su2_min(4)
+    monkeypatch.setattr(su2asym, "chebyshev_character", wide)
+    with pytest.raises(CertificateError, match="outside"):
+        su2_min(3)
+    probe = "\n".join([
+        "from charbounds import su2asym",
+        "from charbounds.algsolve import CertificateError",
+        "su2asym.chebyshev_character = (",
+        "    lambda d: su2asym.ChebyshevCharacter(d, (0, -27, 0, 1)))",
+        "try:",
+        "    su2asym.su2_min(3)",
+        "except CertificateError:",
+        "    raise SystemExit(0)",
+        "raise SystemExit('no CertificateError')",
+    ])
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    run = subprocess.run(
+        [sys.executable, "-O", "-c", probe],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert run.returncode == 0, run.stderr
 
 
 def test_even_band():
