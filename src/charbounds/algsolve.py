@@ -8,6 +8,16 @@ coefficient, once; Groebner and the normal forms then run on integers:
 S-polynomials are integer cross-multiples, and a normal form
 pseudo-reduces to an integer remainder and multiplier.
 
+Inside Groebner and the normal forms a monomial is one int: its
+exponents in 16-bit fields, the last variable's highest, minus its degree
+times 2^(16 n).  A product is a sum; the least int is the grevlex-largest
+monomial, so a min-heap pops leading terms; and a divides b exactly when
+b - a has no field's top bit set.  Grevlex is degree-compatible, so no
+exponent exceeds the degree of the input it came from: every input,
+S-pair lcm and Krylov product is checked to have degree below 2^15, or
+MonomialWidthError is raised, and no field wraps.  Poly and the
+staircase keep exponent tuples.
+
 All linear algebra on A runs on integer rows.  Multiplication by x_i is
 an integer matrix N_i times one rational scale, built once from the
 normal forms.  A vector is a primitive integer list carried with a
@@ -98,10 +108,7 @@ from .polynomials import (
     QZERO,
     cyclotomic_polynomial,
     grevlex_key,
-    monomial_div,
     monomial_divides,
-    monomial_lcm,
-    monomial_mul,
     qq,
     qq_str,
 )
@@ -125,6 +132,10 @@ class UndecidedSignError(SolveError):
 
 class CertificateError(SolveError):
     """An exact check of a computed result failed."""
+
+
+class MonomialWidthError(SolveError):
+    """A degree too large for the packed exponent fields."""
 
 
 # ---------------------------------------------------------------------------
@@ -329,12 +340,6 @@ def _nonzero_at(p, x):
     return bool(_hom_eval(p, *_at(x)))
 
 
-def cauchy_bound(p):
-    """1 + max |p_i| / |p_n| over i < n, for an integer polynomial."""
-    m = max(map(abs, p[:-1])) if len(p) > 1 else 0
-    return QONE + qq(m, abs(p[-1]))
-
-
 class RootInterval:
     """One real root of a squarefree integer polynomial, bisection-
     refinable.  A rational root is exact, lo == hi, and refining it does
@@ -343,10 +348,7 @@ class RootInterval:
     __slots__ = ("poly", "chain", "lo", "hi")
 
     def __init__(self, poly, chain, lo, hi):
-        self.poly = poly
-        self.chain = chain
-        self.lo = lo
-        self.hi = hi
+        self.poly, self.chain, self.lo, self.hi = poly, chain, lo, hi
 
     def _split_point(self):
         lo, hi = self.lo, self.hi
@@ -379,7 +381,7 @@ def isolate_real_roots(p):
     if len(p) <= 1:
         return []
     chain = sturm_chain(p)
-    bound = cauchy_bound(p)
+    bound = QONE + qq(max(map(abs, p[:-1])), abs(p[-1]))  # Cauchy's
     lo, hi = -bound, bound
     while not _nonzero_at(p, lo):
         lo -= 1
@@ -459,30 +461,66 @@ def _normalize(p):
     return prim
 
 
+_W = 16  # bits per packed exponent field
+_LIMIT = 1 << (_W - 1)
+
+
+def _fits(degree):
+    if degree >= _LIMIT:
+        raise MonomialWidthError(
+            "degree %d does not fit the packed exponent fields (limit %d)"
+            % (degree, _LIMIT - 1))
+
+
+class _Packing:
+    def __init__(self, nvars):
+        self.shift = _W * nvars
+        self.offsets = range(0, self.shift, _W)
+        self.guard = sum(_LIMIT << s for s in self.offsets)
+
+    def pack(self, mono):
+        _fits(sum(mono))
+        return sum(e << s for e, s in zip(mono, self.offsets)) - (sum(mono) << self.shift)
+
+    def unpack(self, r):
+        return tuple((r >> s) & (2 * _LIMIT - 1) for s in self.offsets)
+
+    def degree(self, r):
+        return -(r >> self.shift)
+
+    def lcm(self, a, b):
+        return self.pack(tuple(map(max, self.unpack(a), self.unpack(b))))
+
+
+_packing = lru_cache(maxsize=None)(_Packing)
+
+
 def _int_terms(p):
-    """The integer terms {monomial: int} of a generator of an Ideal."""
+    """The integer terms {packed monomial: int} of a generator of an Ideal."""
     if any(c.denominator != 1 for c in p.terms.values()):
         raise CertificateError("generator with a non-integral coefficient")
-    return {m: int(c) for m, c in p.terms.items()}
+    pack = _packing(p.nvars).pack
+    return {pack(m): int(c) for m, c in p.terms.items()}
 
 
 def _primitive_terms(terms):
     """Integer terms over their content, grevlex leading coefficient > 0."""
     g = math.gcd(*terms.values())
-    if terms[max(terms, key=grevlex_key)] < 0:
+    if terms[min(terms)] < 0:
         g = -g
     return {m: c // g for m, c in terms.items()}
 
 
 def _basis_entry(terms):
     """(lm, lc, tail) of integer terms; tail holds the other terms."""
-    lm = max(terms, key=grevlex_key)
+    lm = min(terms)
     return lm, terms[lm], [(m, c) for m, c in terms.items() if m != lm]
 
 
-def normal_form(p, basis, reducers=None):
+def normal_form(p, basis, guard, reducers=None):
     """Full fraction-free reduction of integer terms p by basis entries
-    (lm, lc, tail): (rem, mult) with mult * p = rem modulo the basis and
+    (lm, lc, tail), on packed monomials with the guard bits of their
+    _Packing: (rem, mult) with mult * p = rem modulo the basis and
     gcd(mult, content of rem) = 1, so rem / mult is the rational normal
     form.  Where lc does not divide the coefficient c, all terms are
     scaled by lc / gcd(c, lc), then divided by their content with mult.
@@ -491,43 +529,43 @@ def normal_form(p, basis, reducers=None):
     entry that reduces it, or None when none of the first n entries does,
     so that only the entries added since are scanned again.
 
-    The largest remaining monomial comes off a heap; reduction brings in
-    only smaller ones, so the terms passed over are the remainder, and a
-    monomial queued twice pops twice in a row."""
+    The largest remaining monomial, the least int, comes off a heap;
+    reduction brings in only smaller ones, so the terms passed over are
+    the remainder, and a monomial queued twice pops twice in a row."""
     terms = dict(p)  # mult * p modulo the basis
-    heap = [(_heap_key(m), m) for m in terms]
+    heap = list(terms)
     heapq.heapify(heap)
-    mult, last = 1, None
+    pop, push = heapq.heappop, heapq.heappush
+    reducers = {} if reducers is None else reducers
+    mult, last, n = 1, None, len(basis)
     while heap:
-        m = heapq.heappop(heap)[1]
+        m = pop(heap)
         if m == last or m not in terms:
             continue
         last = m
-        memo = reducers.get(m) if reducers is not None else None
-        entry, start = memo or (None, 0)
-        if entry is None and start < len(basis):
-            entry = next((basis[k] for k in range(start, len(basis))
-                          if monomial_divides(basis[k][0], m)), None)
-            if reducers is not None:
-                reducers[m] = (entry, len(basis))
+        entry, start = reducers.get(m, (None, 0))
+        if entry is None and start < n:
+            entry = next((basis[k] for k in range(start, n)
+                          if not (m - basis[k][0]) & guard), None)
+            reducers[m] = (entry, n)
         if entry is None:
             continue  # a term of the remainder
         lm, lc, tail = entry
         c = terms.pop(m)
         g = math.gcd(c, lc)
-        a, b = lc // g, c // g
+        a, b = lc // g, -c // g
         if a != 1:
             mult *= a
             terms = {k: a * v for k, v in terms.items()}
-        shift = monomial_div(m, lm)
+        shift = m - lm
         for mq, cq in tail:
-            mm = monomial_mul(mq, shift)
+            mm = mq + shift
             old = terms.get(mm)
             if old is None:
-                terms[mm] = -b * cq
-                heapq.heappush(heap, (_heap_key(mm), mm))
+                terms[mm] = b * cq
+                push(heap, mm)
             else:
-                s = old - b * cq
+                s = old + b * cq
                 if s:
                     terms[mm] = s
                 else:
@@ -543,21 +581,15 @@ def _divide_content(terms, mult):
     return {m: c // g for m, c in terms.items()}, mult // g
 
 
-def _heap_key(m):
-    """A min-heap key whose order is the reverse of grevlex_key."""
-    return (-sum(m), m[::-1])
-
-
-def _spoly(f, g, lmf, lmg):
-    """(lc_g/h) m_f f - (lc_f/h) m_g g for integer terms, h = gcd(lc_f,
-    lc_g) and m_f, m_g the cofactors of lm_f, lm_g in their lcm."""
-    l = monomial_lcm(lmf, lmg)
+def _spoly(f, g, lmf, lmg, l):
+    """(lc_g/h) (l/lm_f) f - (lc_f/h) (l/lm_g) g for integer terms, h =
+    gcd(lc_f, lc_g) and l the lcm of the packed lm_f, lm_g."""
     h = math.gcd(f[lmf], g[lmg])
     out = {}
     for p, lm, c in ((f, lmf, g[lmg] // h), (g, lmg, -(f[lmf] // h))):
-        shift = monomial_div(l, lm)
+        shift = l - lm
         for m, v in p.items():
-            mm = monomial_mul(m, shift)
+            mm = m + shift
             out[mm] = out.get(mm, 0) + c * v
     return {m: v for m, v in out.items() if v}
 
@@ -568,10 +600,10 @@ def groebner(ideal, pair_cap=200_000, known=0):
     positive leading coefficient.  The first `known` generators may
     already form a Groebner basis: the pairs among them reduce to zero, so
     they are not formed.  The zero ideal has the empty basis."""
-    G = []
-    basis = []  # (lm, lc, tail) of each element of G, for normal_form
-    sugars = []
-    lms = []
+    pk = _packing(ideal.nvars)
+    guard, deg = pk.guard, pk.degree
+    # each element of G as terms, (lm, lc, tail) for normal_form, sugar, lm
+    G, basis, sugars, lms = [], [], [], []
 
     def add_elem(terms, sugar):
         G.append(terms)
@@ -582,27 +614,22 @@ def groebner(ideal, pair_cap=200_000, known=0):
     for g in ideal.gens:
         add_elem(_int_terms(g), g.total_degree())
 
-    pairs = {}
-    done = set()
+    pairs, done = {}, set()
     reducers = {}  # normal_form's memo; basis is only appended to
-
-    def pair_sugar(i, j):
-        l = monomial_lcm(lms[i], lms[j])
-        si = sugars[i] + sum(monomial_div(l, lms[i]))
-        sj = sugars[j] + sum(monomial_div(l, lms[j]))
-        return max(si, sj)
 
     def push_pair(i, j):
         if i > j:
             i, j = j, i
         if (i, j) in done or (i, j) in pairs:
             return
+        l = pk.lcm(lms[i], lms[j])
         # product criterion
-        if monomial_mul(lms[i], lms[j]) == monomial_lcm(lms[i], lms[j]):
+        if l == lms[i] + lms[j]:
             done.add((i, j))
             return
-        pairs[(i, j)] = (pair_sugar(i, j), grevlex_key(monomial_lcm(lms[i], lms[j])),
-                         i, j)
+        # least sugar first, then the grevlex-least lcm: the greatest int
+        sugar = max(sugars[i] - deg(lms[i]), sugars[j] - deg(lms[j])) + deg(l)
+        pairs[(i, j)] = (sugar, -l, i, j)
 
     n0 = len(G)
     done.update((i, j) for j in range(known) for i in range(j))
@@ -614,56 +641,44 @@ def groebner(ideal, pair_cap=200_000, known=0):
     while pairs:
         processed += 1
         if processed > pair_cap:
-            raise PairCapError(
-                "pair-queue limit %d exceeded; refusing silent truncation"
-                % pair_cap
-            )
+            raise PairCapError("pair-queue limit %d exceeded; refusing silent "
+                               "truncation" % pair_cap)
         best = min(pairs, key=pairs.get)
-        sugar, _, i, j = pairs.pop(best)
+        sugar, l, i, j = pairs.pop(best)
+        l = -l
         done.add(best)
         # chain criterion
-        l = monomial_lcm(lms[i], lms[j])
-        skip = False
-        for k in range(len(G)):
-            if k in (i, j):
-                continue
-            if monomial_divides(lms[k], l):
-                a = (min(i, k), max(i, k))
-                b = (min(j, k), max(j, k))
-                if a in done and b in done:
-                    skip = True
-                    break
-        if skip:
+        if any(k not in (i, j) and not (l - lms[k]) & guard
+               and (min(i, k), max(i, k)) in done and (min(j, k), max(j, k)) in done
+               for k in range(len(G))):
             continue
-        r, _ = normal_form(_spoly(G[i], G[j], lms[i], lms[j]), basis, reducers)
+        r, _ = normal_form(_spoly(G[i], G[j], lms[i], lms[j], l), basis, guard,
+                           reducers)
         if r:
             t = len(G)
-            add_elem(_primitive_terms(r), max(sugar, max(map(sum, r))))
+            add_elem(_primitive_terms(r), max(sugar, deg(min(r))))
             for u in range(t):
                 push_pair(u, t)
 
     # minimalize and inter-reduce; no kept leading monomial divides
     # another, so each element keeps its leading monomial
-    keep = []
-    for i, lm in enumerate(lms):
-        if not any(
-            j != i and monomial_divides(lms[j], lm)
-            and (lms[j] != lm or j < i)
-            for j in range(len(G))
-        ):
-            keep.append(i)
+    keep = [i for i, lm in enumerate(lms)
+            if not any(j != i and not (lm - lms[j]) & guard and (lms[j] != lm or j < i)
+                       for j in range(len(G)))]
     reduced = []
     for i in keep:
-        r, _ = normal_form(G[i], [basis[j] for j in keep if j != i])
+        r, _ = normal_form(G[i], [basis[j] for j in keep if j != i], guard)
         if not r:
             raise CertificateError("minimal basis element reduced away")
         reduced.append(_basis_entry(_primitive_terms(r)))
-    reduced.sort(key=lambda e: grevlex_key(e[0]))
+    reduced.sort(key=lambda e: -e[0])
 
     for g in G[:n0]:
-        if normal_form(g, reduced)[0]:
+        if normal_form(g, reduced, guard)[0]:
             raise CertificateError("generator fails membership in its basis")
-    gens = (Poly(ideal.nvars, {lm: qq(lc), **{m: qq(c) for m, c in tail}}, _trusted=True)
+    unpack = pk.unpack
+    gens = (Poly(ideal.nvars, {unpack(lm): qq(lc), **{unpack(m): qq(c) for m, c in tail}},
+                 _trusted=True)
             for lm, lc, tail in reduced)
     return Ideal(ideal.nvars, tuple(gens))
 
@@ -799,19 +814,20 @@ class _Quotient:
 
     def __init__(self, basis_ideal):
         n = basis_ideal.nvars
+        pk = _packing(n)
         basis = _basis_entries(basis_ideal)
-        mons = staircase([lm for lm, _, _ in basis], n)
+        mons = staircase([pk.unpack(lm) for lm, _, _ in basis], n)
         if mons is None:
             raise NotZeroDimensionalError(
                 "leading terms admit no pure power in some variable"
             )
-        index = {m: i for i, m in enumerate(mons)}
+        index = {pk.pack(m): i for i, m in enumerate(mons)}
         reducers = {}
         cols, dens = [], []
         for i in range(n):
             # (rem, mult) of x_i * b_j
-            qcols = [normal_form({m[:i] + (m[i] + 1,) + m[i + 1:]: 1},
-                                 basis, reducers)
+            qcols = [normal_form({pk.pack(m[:i] + (m[i] + 1,) + m[i + 1:]): 1},
+                                 basis, pk.guard, reducers)
                      for m in mons]
             den = math.lcm(*(mult for _, mult in qcols))
             cols.append([[(index[mm], c * (den // mult)) for mm, c in r.items()]
@@ -1080,9 +1096,10 @@ def _krylov_minpoly(basis, poly):
     """The first linear dependency among the normal forms of 1, p, p^2,
     ... modulo basis entries, ascending.  Each normal form is the previous
     remainder times p, reduced; v_k = scale_k * rem_k."""
+    pk = _packing(poly.nvars)
     den = math.lcm(*(int(c.denominator) for c in poly.terms.values()))
-    p = [(m, _times_den(c, den)) for m, c in poly.terms.items()]
-    rem, mult = normal_form({(0,) * poly.nvars: 1}, basis)
+    p = [(pk.pack(m), _times_den(c, den)) for m, c in poly.terms.items()]
+    rem, mult = normal_form({0: 1}, basis, pk.guard)  # 1 packs to 0
     scale = qq(1, mult)
     index, scales, ech, reducers = {}, [], _Echelon(), {}
     for k in itertools.count():
@@ -1095,13 +1112,13 @@ def _krylov_minpoly(basis, poly):
         combo = ech.insert(vec, k)
         if combo is not None:
             return [qq(combo[j]) / scales[j] for j in range(k + 1)]
+        _fits(pk.degree(min(rem)) + poly.total_degree())
         prod = {}
         for m, c in rem.items():
             for mp, cp in p:
-                mm = monomial_mul(m, mp)
-                prod[mm] = prod.get(mm, 0) + c * cp
+                prod[m + mp] = prod.get(m + mp, 0) + c * cp
         rem, mult = normal_form({m: c for m, c in prod.items() if c}, basis,
-                                reducers)
+                                pk.guard, reducers)
         scale = scale / (den * mult)
 
 
@@ -1206,17 +1223,12 @@ class NumberField:
 
     def __init__(self, minpoly_int, root=None):
         self.minpoly = tuple(int(c) for c in minpoly_int)
-        self.monic = self._monicize(minpoly_int)
+        self.monic = tuple(qq(c, self.minpoly[-1]) for c in self.minpoly)
         self.degree = len(self.minpoly) - 1
         if self.degree == 1:
             a = -self.monic[0]
             root = RootInterval(list(self.minpoly), None, a, a)
         self.root = root
-
-    @staticmethod
-    def _monicize(p):
-        inv = 1 / qq(p[-1])
-        return tuple(qq(c) * inv for c in p)
 
     def reduce(self, vec):
         """Reduce a dense QQ list modulo the monic minimal polynomial."""
@@ -1228,10 +1240,7 @@ class NumberField:
                 for j in range(d):
                     vec[i - d + j] -= c * self.monic[j]
             vec[i] = QZERO
-        out = vec[:d]
-        while len(out) < d:
-            out.append(QZERO)
-        return FieldElement(self, tuple(out))
+        return FieldElement(self, tuple(vec[:d] + [QZERO] * (d - len(vec))))
 
     def from_rational(self, c):
         c = qq(c)
@@ -1244,9 +1253,6 @@ class NumberField:
         vec = [QZERO, QONE] + [QZERO] * (self.degree - 2)
         return FieldElement(self, tuple(vec))
 
-    def root_box(self):
-        return (self.root.lo, self.root.hi)
-
     def refine_root(self):
         self.root.refine()
 
@@ -1256,15 +1262,13 @@ class NumberField:
             return 0
         # nonzero mod an irreducible polynomial never vanishes at alpha
         for _ in range(512):
-            img = upoly_interval(list(elem.vec), self.root_box())
+            img = upoly_interval(list(elem.vec), (self.root.lo, self.root.hi))
             if img[0] > 0:
                 return 1
             if img[1] < 0:
                 return -1
             self.refine_root()
-        raise UndecidedSignError(
-            "sign refinement exhausted for %s" % (elem,)
-        )
+        raise UndecidedSignError("sign refinement exhausted for %s" % (elem,))
 
     def approx(self, elem):
         return AlgValue.from_field_element(elem).approx()
@@ -1355,17 +1359,13 @@ class FieldElement:
 
     def __add__(self, other):
         o = self._coerce(other)
-        return FieldElement(
-            self.field, tuple(a + b for a, b in zip(self.vec, o.vec))
-        )
+        return FieldElement(self.field, tuple(a + b for a, b in zip(self.vec, o.vec)))
 
     __radd__ = __add__
 
     def __sub__(self, other):
         o = self._coerce(other)
-        return FieldElement(
-            self.field, tuple(a - b for a, b in zip(self.vec, o.vec))
-        )
+        return FieldElement(self.field, tuple(a - b for a, b in zip(self.vec, o.vec)))
 
     def __rsub__(self, other):
         return (-self) + other
@@ -1414,7 +1414,7 @@ class FieldElement:
         return self.field.sign_of(self)
 
     def interval(self):
-        return upoly_interval(list(self.vec), self.field.root_box())
+        return upoly_interval(list(self.vec), (self.field.root.lo, self.field.root.hi))
 
     def approx(self):
         return self.field.approx(self)

@@ -30,7 +30,7 @@ from .charring import (
     OrbitCapError,
 )
 from .compactcert import NonRealObjectiveError, adjoint_objective, extremum
-from .invder import derivation_matrix
+from .invder import derivation_matrix, is_cached
 from .polynomials import Poly, qq, qq_str
 from .rootdata import (
     EnumerationCapError,
@@ -613,6 +613,17 @@ def _selfcheck_battery(args):
         return once == again
 
     check("deterministic emission", deterministic)
+
+    e7 = build_root_datum("E", 7)
+    if is_cached(e7, args.cache):  # a cold E7 matrix takes seconds
+
+        def e7_extremum():
+            rep = extremum(e7, adjoint_objective(e7), cache_dir=args.cache,
+                           allow_large=True)
+            return ((rep.minimum.as_rational(), rep.maximum.as_rational())
+                    == closedform.trace_bounds("E", 7).bounds())
+
+        check("E7 adjoint extremum against the table", e7_extremum)
 
     return checks
 

@@ -113,6 +113,11 @@ def _store_cache(m, path):
             pass
 
 
+def is_cached(datum, cache_dir=None):
+    """True when the cache holds a valid matrix for the datum."""
+    return _load_cache(datum, _cache_path(datum, cache_dir)) is not None
+
+
 def derivation_matrix(
     datum,
     cache_dir=None,

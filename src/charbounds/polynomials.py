@@ -48,8 +48,7 @@ def grevlex_key(m):
     return (sum(m), tuple(-e for e in reversed(m)))
 
 
-# map over operator functions: these run in the inner loops of Groebner
-# bases and normal forms, where a generator expression costs twice as much
+# map over operator functions: a generator expression costs twice as much
 
 
 def monomial_mul(a, b):
@@ -59,15 +58,6 @@ def monomial_mul(a, b):
 def monomial_divides(a, b):
     """True when a divides b."""
     return all(map(operator.le, a, b))
-
-
-def monomial_div(a, b):
-    """a / b, assuming divisibility."""
-    return tuple(map(operator.sub, a, b))
-
-
-def monomial_lcm(a, b):
-    return tuple(map(max, a, b))
 
 
 class Poly:

@@ -21,13 +21,14 @@ isolating intervals and interval images must equal these exactly.
 """
 
 import heapq
+import operator
 
+from charbounds import algsolve
 from charbounds.algsolve import (
     CertificateError,
     Ideal,
     NotZeroDimensionalError,
     PairCapError,
-    _heap_key,
     _normalize,
     staircase,
     upoly_deriv,
@@ -40,12 +41,45 @@ from charbounds.polynomials import (
     QONE,
     QZERO,
     grevlex_key,
-    monomial_div,
     monomial_divides,
-    monomial_lcm,
     monomial_mul,
     qq,
 )
+
+
+def monomial_div(a, b):
+    """a / b, assuming divisibility."""
+    return tuple(map(operator.sub, a, b))
+
+
+def monomial_lcm(a, b):
+    return tuple(map(max, a, b))
+
+
+def _heap_key(m):
+    """A min-heap key whose order is the reverse of grevlex_key."""
+    return (-sum(m), m[::-1])
+
+
+class Kernel:
+    """The solver's integer normal forms on exponent tuples, for tests:
+    monomials are packed on the way in, and remainders unpacked on the way
+    out.  Memo keys and basis entries stay packed."""
+
+    def __init__(self, nvars):
+        self.packing = algsolve._packing(nvars)
+
+    def mono(self, m):
+        return self.packing.pack(m)
+
+    def entry(self, terms):
+        """The basis entry (lm, lc, tail) of tuple-keyed integer terms."""
+        return algsolve._basis_entry({self.mono(m): c for m, c in terms.items()})
+
+    def normal_form(self, p, basis, reducers=None):
+        rem, mult = algsolve.normal_form({self.mono(m): c for m, c in p.items()}, basis,
+                                         self.packing.guard, reducers)
+        return {self.packing.unpack(m): c for m, c in rem.items()}, mult
 
 
 def normal_form(p, basis):

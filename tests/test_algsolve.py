@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -13,6 +16,7 @@ from charbounds.algsolve import (
     AlgValue,
     CertificateError,
     Ideal,
+    MonomialWidthError,
     NotZeroDimensionalError,
     NumberField,
     PairCapError,
@@ -66,15 +70,16 @@ def test_groebner_idempotent_and_deterministic():
 def test_reducer_memo_rechecks_only_appended_entries():
     # groebner appends to the basis between normal forms and keeps one
     # memo: a monomial no entry reduced must be tried on the new entries
-    basis = [algsolve._basis_entry({(2, 0): 1, (0, 0): -1})]  # x^2 - 1
+    k = oracle.Kernel(2)
+    basis = [k.entry({(2, 0): 1, (0, 0): -1})]  # x^2 - 1
     memo = {}
     p = {(2, 0): 1, (0, 2): 1}  # x^2 + y^2
-    assert algsolve.normal_form(p, basis, memo) == ({(0, 2): 1, (0, 0): 1}, 1)
-    assert memo[(0, 2)] == (None, 1)
-    basis.append(algsolve._basis_entry({(0, 2): 1, (0, 0): -2}))  # y^2 - 2
-    assert algsolve.normal_form(p, basis, memo) == ({(0, 0): 3}, 1)
-    assert algsolve.normal_form(p, basis) == ({(0, 0): 3}, 1)
-    assert memo[(0, 2)] == (basis[1], 2) and memo[(2, 0)] == (basis[0], 1)
+    assert k.normal_form(p, basis, memo) == ({(0, 2): 1, (0, 0): 1}, 1)
+    assert memo[k.mono((0, 2))] == (None, 1)
+    basis.append(k.entry({(0, 2): 1, (0, 0): -2}))  # y^2 - 2
+    assert k.normal_form(p, basis, memo) == ({(0, 0): 3}, 1)
+    assert k.normal_form(p, basis) == ({(0, 0): 3}, 1)
+    assert memo[k.mono((0, 2))] == (basis[1], 2) and memo[k.mono((2, 0))] == (basis[0], 1)
 
 
 def test_ideal_of_normalizes_and_groebner_only_reads():
@@ -106,6 +111,123 @@ def test_positive_dimensional_is_a_hard_error():
         solve_zero_dim(Ideal.of(2, [x - y]))
     with pytest.raises(NotZeroDimensionalError):
         solve_zero_dim(Ideal.of(2, []))
+
+
+# -- packed monomials --------------------------------------------------------
+
+LIMIT = algsolve._LIMIT  # every degree inside the kernel stays below
+BIG = st.integers(-2**70, 2**70).filter(bool)
+
+
+@st.composite
+def small_ideals(draw):
+    """(n, generators as {exponent tuple: int}) in 1-6 variables, degree
+    <= 2, coefficients up to 2^70 in absolute value."""
+    n = draw(st.integers(1, 6))
+    mono = st.tuples(*[st.integers(0, 2)] * n).filter(lambda m: 1 <= sum(m) <= 2)
+    gens = draw(st.lists(st.dictionaries(mono, BIG, min_size=1, max_size=4),
+                         min_size=2, max_size=4))
+    for g in gens:  # a constant term makes most of these the unit ideal
+        if draw(st.integers(0, 7)) == 0:
+            g[(0,) * n] = draw(BIG)
+    return n, gens
+
+
+def scaled(n, gens, s):
+    """The ideal under x_i -> x_i^s, which keeps grevlex, so Buchberger
+    takes the same steps on it with every degree times s."""
+    return Ideal.of(n, [Poly(n, {tuple(s * e for e in m): c for m, c in g.items()})
+                        for g in gens])
+
+
+def widest_scale(n, gens):
+    """The largest s at which groebner takes the scaled ideal, with the
+    basis there.  The degrees the kernel checks grow linearly in s, so
+    the scales it refuses are exactly those above this one."""
+    def attempt(s):
+        try:
+            return groebner(scaled(n, gens, s))
+        except MonomialWidthError:
+            return None
+
+    lo, hi = 1, (LIMIT - 1) // max(sum(m) for g in gens for m in g) + 1
+    basis = attempt(lo)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        got = attempt(mid)
+        if got is None:
+            hi = mid
+        else:
+            lo, basis = mid, got
+    return lo, basis
+
+
+# a term x^r (x_i^s)^q as raw draws (r, i, q, c), reduced modulo their
+# bounds once s is known
+RAW_TERMS = st.lists(st.tuples(st.lists(st.integers(0, LIMIT), min_size=6, max_size=6),
+                               st.integers(0, 5), st.integers(0, LIMIT), BIG),
+                     min_size=1, max_size=4)
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_ideals(), st.lists(RAW_TERMS, min_size=1, max_size=3))
+@example((2, [{(2, 0): 1, (0, 2): 1, (0, 0): -1}, {(1, 1): 2**70, (0, 0): -3}]),
+         [[([LIMIT - 1] * 6, 0, LIMIT - 1, 2**70 - 1), ([0] * 6, 1, LIMIT - 1, -1)]])
+def test_packed_kernel_matches_the_tuple_oracle(case, polys):
+    n, gens = case
+    s, gb = widest_scale(n, gens)
+    assert gb is not None and groebner(scaled(n, gens, 1)) == oracle.groebner(
+        scaled(n, gens, 1))
+    # at the widest scale the reduced basis is the oracle's; one step past
+    # it the kernel refuses instead of wrapping a field
+    assert gb == oracle.groebner(scaled(n, gens, s))
+    with pytest.raises(MonomialWidthError):
+        groebner(scaled(n, gens, s + 1))
+    # x^r (x_i^s)^q reduces like x_i^q with x^r carried along, so terms
+    # just below the degree limit reduce cheaply
+    kernel = oracle.Kernel(n)
+    basis = algsolve._basis_entries(gb)
+    ref_basis = [(g.leading_monomial(), g.terms[g.leading_monomial()], g) for g in gb.gens]
+    for raw in polys:
+        p = {}
+        for r, i, q, c in raw:
+            r = [e % min(s, LIMIT // n) for e in r[:n]]
+            r[i % n] += s * (q % ((LIMIT - 1 - sum(r)) // s + 1))
+            p[tuple(r)] = c
+        rem, mult = kernel.normal_form(p, basis)
+        assert math.gcd(mult, *rem.values()) == 1
+        ref = oracle.normal_form(Poly(n, p), ref_basis)
+        assert {m: qq(c, mult) for m, c in rem.items()} == ref.terms
+
+
+def test_degree_past_the_field_width_is_refused():
+    # an input, an S-pair lcm and a Krylov product of degree 2^15 each
+    # raise, also under python -O, where an assert would let a field wrap
+    x, y = var(2, 0), var(2, 1)
+    cases = [
+        lambda: groebner(Ideal.of(1, [var(1, 0) ** LIMIT - 1])),
+        lambda: groebner(Ideal.of(2, [x ** (LIMIT // 2) * y - 1, x * y ** (LIMIT // 2) - 1])),
+        lambda: algsolve.eliminant(Ideal.of(2, [x * y]), x ** (LIMIT // 2)),
+    ]
+    for case in cases:
+        with pytest.raises(MonomialWidthError, match="degree 32768"):
+            case()
+    groebner(Ideal.of(1, [var(1, 0) ** (LIMIT - 1) - 1]))  # the widest input
+    probe = "\n".join([
+        "from charbounds.algsolve import Ideal, MonomialWidthError, groebner",
+        "from charbounds.polynomials import Poly",
+        "try:",
+        "    groebner(Ideal.of(1, [Poly(1, {(2 ** 15,): 1, (0,): -1})]))",
+        "except MonomialWidthError:",
+        "    raise SystemExit(0)",
+        "raise SystemExit('no MonomialWidthError')",
+    ])
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    run = subprocess.run([sys.executable, "-O", "-c", probe],
+                         capture_output=True, text=True, env=env, timeout=120)
+    assert run.returncode == 0, run.stderr
 
 
 # -- Sturm isolation --------------------------------------------------------

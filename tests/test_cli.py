@@ -353,6 +353,10 @@ def test_selfcheck_passes(capsys, tmp_path):
     lines = out.strip().split("\n")
     assert all(line.startswith("ok - ") for line in lines[:-1])
     assert lines[-1].startswith("selfcheck passed")
+    # with no E7 matrix in the cache the E7 row neither runs nor builds one
+    assert lines[-1] == "selfcheck passed (10 checks, 0 failures)" and "E7" not in out
+    e7 = build_root_datum("E", 7)
+    assert not (tmp_path / ("matrix-%s.json" % e7.content_hash())).exists()
 
 
 def test_precision_flag(capsys):
@@ -531,6 +535,26 @@ def test_json_report_bytes_are_pinned(capsys, tmp_path, argv, golden):
     code, out, err = run_main(capsys, *argv, "--cache", str(tmp_path))
     assert (code, err) == (0, "")
     assert out == (GOLDEN / golden).read_text()
+
+
+def test_selfcheck_compares_e7_with_the_table_from_a_cached_matrix(capsys, tmp_path):
+    e7 = build_root_datum("E", 7)
+    (tmp_path / ("matrix-%s.json" % e7.content_hash())).write_bytes(
+        (GOLDEN / "matrix-E7.json").read_bytes())
+    code, out, _ = run_main(capsys, "selfcheck", "--cache", str(tmp_path))
+    lines = out.strip().split("\n")
+    assert code == 0 and "ok - E7 adjoint extremum against the table" in lines
+    assert lines[-1] == "selfcheck passed (11 checks, 0 failures)"
+
+
+def test_e8_matrix_is_refused_even_when_long_running(capsys, tmp_path):
+    # the weight box for omega_1 alone passes the cap; the table is the
+    # only E8 source
+    code, out, err = run_main(capsys, "matrix", "--type", "E8", "--long-running",
+                              "--cache", str(tmp_path))
+    assert (code, out) == (2, "")
+    assert err == "infeasible: weight box for (1, 0, 0, 0, 0, 0, 0, 0) exceeds cap 2000000\n"
+    assert not list(tmp_path.iterdir())
 
 
 def test_e7_adjoint_minimum_from_the_committed_matrix(capsys, tmp_path):
