@@ -74,8 +74,10 @@ that of the homogeneous sum sum p_i a^i b^(n-i).  Interval Horner puts
 the box and the coefficients over one denominator D and divides once at
 the end.  The endpoints stay rationals, the same ones the rational
 arithmetic gives, so every decision is the same.  Fractions remain in
-FieldElement vectors and NumberField.reduce, and in the rational scales
-of the quotient layer.
+the power sums, the characteristic polynomials and the g_v, in
+FieldElement vectors and NumberField.reduce, which also reads each
+mu_alpha off g_1 and f', and in the rational scales of the quotient
+layer.
 
 Factoring f or e over Q first takes off every rational root: p-adic
 lifting, rational reconstruction and an exact evaluation.  A rest of
@@ -85,8 +87,10 @@ use: modulo a small prime that keeps it squarefree, by distinct-degree
 and then equal-degree factorization; the modular factors are
 Hensel-lifted past the Mignotte bound, and subsets of them are
 recombined, a candidate kept only when it divides exactly over Z.
-Univariate gcds are the heuristic GCDHEU on integers, with a primitive
-PRS behind it.
+The squarefree parts f and e are primitive integer polynomials with a
+positive lead, p / gcd(p, p'): the gcd is the heuristic GCDHEU, with a
+primitive PRS on pseudo-remainders behind it, and the quotient an exact
+division in Z[x].
 
 A character value at a torsion class of order m is an element of the
 cyclotomic field Q(zeta_m): the same power-basis arithmetic, modulo
@@ -139,7 +143,8 @@ class MonomialWidthError(SolveError):
 
 
 # ---------------------------------------------------------------------------
-# dense univariate polynomials over QQ (ascending coefficient lists)
+# dense univariate polynomials (ascending coefficient lists): rational
+# where they come from traces, primitive integer from the squarefree part on
 
 def upoly_trim(p):
     while p and not p[-1]:
@@ -149,34 +154,6 @@ def upoly_trim(p):
 
 def upoly_deriv(p):
     return [c * i for i, c in enumerate(p)][1:]
-
-
-def _upoly_divmod(a, b):
-    a = list(a)
-    q = [QZERO] * max(len(a) - len(b) + 1, 0)
-    db = len(b) - 1
-    inv = QONE / b[-1]
-    while a and len(a) - 1 >= db:
-        c = a[-1] * inv
-        shift = len(a) - 1 - db
-        q[shift] = c
-        for j in range(db + 1):
-            a[shift + j] -= c * b[j]
-        upoly_trim(a)
-    return upoly_trim(q), a
-
-
-def upoly_rem(a, b):
-    """Remainder of a by b over QQ."""
-    return _upoly_divmod(a, b)[1]
-
-
-def upoly_gcd(a, b):
-    """Monic gcd over QQ, from the gcd of the primitive integer parts."""
-    a = upoly_primitive_int(upoly_trim(list(a)))
-    b = upoly_primitive_int(upoly_trim(list(b)))
-    g = _int_gcd(a, b) if a and b else a or b
-    return [qq(c, g[-1]) for c in g]
 
 
 # evaluation points tried by _int_gcd before the primitive PRS
@@ -214,7 +191,7 @@ def _int_gcd(a, b):
                 return h
         xi = 73794 * xi * math.isqrt(math.isqrt(xi)) // 27011
     while b:  # primitive PRS
-        a, b = b, upoly_primitive_int(upoly_rem(a, b))
+        a, b = b, upoly_primitive_int(_pseudo_rem(a, b))
     return a
 
 
@@ -244,27 +221,18 @@ def _int_exquo(a, b):
 
 def upoly_primitive_int(p):
     """Scale to primitive integer coefficients with positive lead."""
-    if not p:
-        return []
-    den = 1
-    for c in p:
-        den = den * int(c.denominator) // math.gcd(den, int(c.denominator))
-    ints = [int(c * den) for c in p]
-    g = 0
-    for c in ints:
-        g = math.gcd(g, abs(c))
-    ints = [c // g for c in ints]
-    if ints[-1] < 0:
-        ints = [-c for c in ints]
-    return ints
+    ints = _int_row(p)[0]
+    return [-c for c in ints] if ints and ints[-1] < 0 else ints
 
 
 def upoly_squarefree(p):
-    g = upoly_gcd(p, upoly_deriv(p))
+    """p / gcd(p, p') for a primitive integer polynomial with positive
+    lead, in the same form."""
+    g = _int_gcd(p, _primitive(upoly_deriv(p))[0])
     if len(g) <= 1:
         return list(p)
-    q, rem = _upoly_divmod(p, g)
-    if rem:
+    q = _int_exquo(p, g)
+    if q is None:
         raise CertificateError("gcd does not divide its polynomial")
     return q
 
@@ -340,6 +308,17 @@ def _nonzero_at(p, x):
     return bool(_hom_eval(p, *_at(x)))
 
 
+def _split_point(p, lo, hi):
+    """The first of lo + (hi - lo) / 2^k, k = 1 .. 38, that is not a root
+    of the integer polynomial p."""
+    mid = (lo + hi) / 2
+    for k in range(2, 40):
+        if _nonzero_at(p, mid):
+            return mid
+        mid = lo + (hi - lo) * qq(1, 2**k)
+    raise SolveError("could not find a non-root split point")
+
+
 class RootInterval:
     """One real root of a squarefree integer polynomial, bisection-
     refinable.  A rational root is exact, lo == hi, and refining it does
@@ -350,20 +329,10 @@ class RootInterval:
     def __init__(self, poly, chain, lo, hi):
         self.poly, self.chain, self.lo, self.hi = poly, chain, lo, hi
 
-    def _split_point(self):
-        lo, hi = self.lo, self.hi
-        width = hi - lo
-        mid = (lo + hi) / 2
-        for k in range(2, 40):
-            if _nonzero_at(self.poly, mid):
-                return mid
-            mid = lo + width * qq(1, 2**k)
-        raise SolveError("could not find a non-root split point")
-
     def refine(self):
         if self.lo == self.hi:
             return
-        mid = self._split_point()
+        mid = _split_point(self.poly, self.lo, self.hi)
         if sturm_count(self.chain, self.lo, mid) == 1:
             self.hi = mid
         else:
@@ -396,11 +365,7 @@ def isolate_real_roots(p):
         if n == 1:
             out.append(RootInterval(p, chain, a, b))
             continue
-        mid = (a + b) / 2
-        k = 2
-        while not _nonzero_at(p, mid):
-            mid = a + (b - a) * qq(1, 2**k)
-            k += 1
+        mid = _split_point(p, a, b)
         nl = sturm_count(chain, a, mid)
         stack.append((a, mid, nl))
         stack.append((mid, b, n - nl))
@@ -1008,10 +973,10 @@ def fglm_lex(quot, form):
     """Rational univariate representation for u = sum form[k] x_k.
 
     Returns (f, g_1, [g_{x_1}..g_{x_n}]) as ascending coefficient lists:
-    f is the monic squarefree part of the characteristic polynomial of u,
-    and x_i = g_{x_i}(u) / g_1(u) at every point, where g_1 is a unit
-    modulo f.  Returns None when u does not separate the points, which is
-    exactly when deg f < quot.npoints."""
+    f is the primitive integer squarefree part of the characteristic
+    polynomial of u, and x_i = g_{x_i}(u) / g_1(u) at every point, where
+    g_1 is a unit modulo f.  Returns None when u does not separate the
+    points, which is exactly when deg f < quot.npoints."""
     n = quot.nvars
     tau, tscale = quot.tau
     # v -> Tr(v), and v -> Tr(x_i v) = tau * M_{x_i} v
@@ -1023,7 +988,7 @@ def fglm_lex(quot, form):
                  for k, c in enumerate(form) if c})
     # traces[k] = [Tr(u^k), Tr(x_1 u^k), ...]; the x_i only for k < npoints
     traces = _power_traces(quot, quot.matrix(u), funcs, quot.npoints)
-    f = upoly_squarefree(_charpoly([t[0] for t in traces]))
+    f = upoly_squarefree(upoly_primitive_int(_charpoly([t[0] for t in traces])))
     deg = len(f) - 1
     if deg < quot.npoints:
         return None
@@ -1089,7 +1054,7 @@ def eliminant(ideal, poly, pair_cap=200_000):
         e = _charpoly([t[0] for t in traces])
     else:
         e = [QONE]
-    return upoly_primitive_int(upoly_squarefree(e)), basis, quot
+    return upoly_squarefree(upoly_primitive_int(e)), basis, quot
 
 
 def _krylov_minpoly(basis, poly):
@@ -1509,13 +1474,13 @@ def _assemble_points(orig_ideal, rur, dim):
     points = []
     total = 0
     for fac in factors:
-        mu = _multiplicity(g_one, f_deriv, fac)
+        field = NumberField(fac, None)
+        mu = _multiplicity(field, g_one, f_deriv)
         total += (len(fac) - 1) * mu
         roots = isolate_real_roots(fac)
         if not roots:
             continue
         # x_i = g_{x_i}(alpha) / g_1(alpha) in QQ[alpha]/(fac)
-        field = NumberField(fac, None)
         inv = field.reduce(g_one).inverse()
         coords = [field.reduce(g) * inv for g in g_coords]
         # certificate: every original generator vanishes identically
@@ -1541,15 +1506,14 @@ def _assemble_points(orig_ideal, rur, dim):
     return points
 
 
-def _multiplicity(g_one, f_deriv, fac):
+def _multiplicity(field, g_one, f_deriv):
     """The multiplicity mu of the points at the roots of the irreducible
-    factor fac of f, from g_1 = mu * f' modulo fac; f is squarefree, so f'
-    is a unit modulo fac."""
-    fq = [qq(c) for c in fac]
-    num = upoly_rem(g_one, fq)
-    den = upoly_rem(f_deriv, fq)
-    mu = num[-1] / den[-1] if num and len(num) == len(den) else QZERO
-    if mu < 1 or mu.denominator != 1 or [mu * c for c in den] != num:
+    factor of f that defines field, from g_1 = mu * f' in the field; f is
+    squarefree, so f' is a unit there."""
+    num, den = field.reduce(g_one).vec, field.reduce(f_deriv).vec
+    i = next((i for i, c in enumerate(den) if c), 0)
+    mu = num[i] / den[i] if den[i] else QZERO
+    if mu < 1 or mu.denominator != 1 or [mu * c for c in den] != list(num):
         raise CertificateError(
             "g_1 / f' is not a positive integer modulo a factor"
         )

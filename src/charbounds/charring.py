@@ -212,10 +212,8 @@ def irreducible_character(datum, lam, box_cap=DEFAULT_BOX_CAP):
     rho = datum.rho
     lam_rho = tuple(a + b for a, b in zip(lam, rho))
     n_lam_rho = datum.norm2(lam_rho)
-    c_index = {}
     for level in sorted(by_level):
         for c, mu in by_level[level]:
-            c_index[mu] = c
             if level == 0:
                 mult[mu] = 1
                 continue

@@ -27,7 +27,7 @@ when read, as the JSON report does.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, cmp_to_key
 
 from .algsolve import (
     AlgValue,
@@ -59,6 +59,9 @@ from .invder import (
 )
 from .polynomials import Poly, qq
 from .rootdata import corners
+
+# orders AlgValues by their exact real value
+_BY_VALUE = cmp_to_key(AlgValue.cmp)
 
 
 class NonRealObjectiveError(ValueError):
@@ -303,9 +306,8 @@ def extremum(
     real_corner_values = [(c, a) for c, v, a in corner_values if a is not None]
     if not real_corner_values:
         raise CertificateError("no real corner value (identity missing?)")
-    by_value = _cmp_key()
-    corner_min = min((a for _, a in real_corner_values), key=by_value)
-    corner_max = max((a for _, a in real_corner_values), key=by_value)
+    corner_min = min((a for _, a in real_corner_values), key=_BY_VALUE)
+    corner_max = max((a for _, a in real_corner_values), key=_BY_VALUE)
 
     window = None
     if _is_true_character(objective, expand_cap):
@@ -329,8 +331,8 @@ def extremum(
                 below.append((v, fac))
             elif v.cmp(corner_max) > 0 and (window is None or v.cmp(window[1]) <= 0):
                 above.append((v, fac))
-    below.sort(key=lambda t: by_value(t[0]))
-    above.sort(key=lambda t: by_value(t[0]), reverse=True)
+    below.sort(key=lambda t: _BY_VALUE(t[0]))
+    above.sort(key=lambda t: _BY_VALUE(t[0]), reverse=True)
 
     fibres = {}  # factor -> records of the points where it vanishes on f
 
@@ -431,9 +433,3 @@ def _substitute(upoly, poly):
     for c in reversed(upoly[:-1]):
         acc = acc * poly + c
     return acc
-
-
-def _cmp_key():
-    import functools
-
-    return functools.cmp_to_key(lambda a, b: a.cmp(b))

@@ -100,8 +100,12 @@ def _load_cache(datum, path):
 
 
 def _store_cache(m, path):
-    os.makedirs(os.path.dirname(path), exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path), suffix=".tmp")
+    """Best-effort: a cache that cannot be written is left as it is."""
+    try:
+        os.makedirs(os.path.dirname(path), exist_ok=True)
+        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path), suffix=".tmp")
+    except OSError:
+        return
     try:
         with os.fdopen(fd, "w") as fh:
             json.dump(m.to_json(), fh, sort_keys=True)

@@ -33,7 +33,6 @@ from charbounds.algsolve import (
     staircase,
     upoly_deriv,
     upoly_primitive_int,
-    upoly_rem,
     upoly_trim,
 )
 from charbounds.polynomials import (
@@ -477,6 +476,20 @@ def upoly_sub(a, b):
     for i, y in enumerate(b):
         out[i] -= y
     return upoly_trim(out)
+
+
+def upoly_rem(a, b):
+    """Remainder of a by b over QQ, dividing by the lead of b."""
+    a = [qq(c) for c in a]
+    db = len(b) - 1
+    inv = QONE / b[-1]
+    while len(a) - 1 >= db:
+        c = a[-1] * inv
+        shift = len(a) - 1 - db
+        for j in range(db + 1):
+            a[shift + j] -= c * b[j]
+        upoly_trim(a)
+    return a
 
 
 def upoly_eval(p, x):

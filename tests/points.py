@@ -2,9 +2,9 @@
 compactness and reality at hand-picked points, and the rank of the
 derivation matrix at an exact point."""
 
-from charbounds.algsolve import AlgebraicPoint, NumberField, upoly_primitive_int
+from charbounds.algsolve import AlgebraicPoint, AlgValue, NumberField
 from charbounds.invder import evaluate_matrix
-from charbounds.polynomials import QONE, qq
+from charbounds.polynomials import qq
 
 
 def rational_point(values):
@@ -12,8 +12,8 @@ def rational_point(values):
     values = [qq(v) for v in values]
     field = NumberField((0, 1))  # QQ presented as Q[x]/(x)
     coords = [field.from_rational(v) for v in values]
-    minpolys = tuple(tuple(upoly_primitive_int([-v, QONE])) for v in values)
-    return AlgebraicPoint(len(values), field, coords, minpolys, 1)
+    algs = tuple(AlgValue.from_rational(v) for v in values)
+    return AlgebraicPoint(len(values), field, coords, algs, 1)
 
 
 def rank_at(m, point):

@@ -722,7 +722,7 @@ def test_eliminant_routes_agree(letter, rank, column, tmp_path):
     e, basis, quot = algsolve.eliminant(ideal, f)
     assert quot is not None and len(e) - 1 <= quot.dim
     krylov = algsolve._krylov_minpoly(algsolve._basis_entries(basis), f)
-    assert algsolve.upoly_primitive_int(algsolve.upoly_squarefree(krylov)) == e
+    assert algsolve.upoly_squarefree(algsolve.upoly_primitive_int(krylov)) == e
 
 
 def test_eliminant_of_a_curve():
@@ -925,12 +925,27 @@ _int_polys = st.lists(st.integers(-50, 50), min_size=1, max_size=7).filter(
 )
 def test_gcd_matches_sympy(tries, common, a, b):
     pa, pb = _sympy_poly(common) * _sympy_poly(a), _sympy_poly(common) * _sympy_poly(b)
-    want = [qq(int(c.p), int(c.q)) for c in reversed(pa.gcd(pb).monic().all_coeffs())]
+    ints = lambda p: algsolve.upoly_primitive_int(
+        [int(c) for c in reversed(p.all_coeffs())])
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(algsolve, "_HEU_TRIES", tries)
-        got = algsolve.upoly_gcd([qq(int(c), 4) for c in reversed(pa.all_coeffs())],
-                                 [qq(int(c), 9) for c in reversed(pb.all_coeffs())])
-    assert got == want
+        got = algsolve._int_gcd(ints(pa), ints(pb))
+    assert got == ints(pa.gcd(pb))
+
+
+def test_squarefree_part_is_primitive_integer():
+    # (x - 1)^2 (2 x + 3) over rationals: the squarefree part is 2 x^2 + x - 3
+    p = algsolve.upoly_primitive_int([qq(-3, 4), qq(1), qq(1, 4), qq(-1, 2)])
+    assert p == [3, -4, -1, 2]
+    assert algsolve.upoly_squarefree(p) == [-3, 1, 2]
+    assert algsolve.upoly_squarefree([-3, 1, 2]) == [-3, 1, 2]
+
+
+def test_squarefree_gcd_that_does_not_divide_raises(monkeypatch):
+    # must raise, not assert, so that the check holds under -O
+    monkeypatch.setattr(algsolve, "_int_gcd", lambda a, b: [1, 1])
+    with pytest.raises(CertificateError, match="gcd does not divide"):
+        algsolve.upoly_squarefree([-1, 0, 1, 1])
 
 
 def test_minpoly_without_dependence_raises(monkeypatch):

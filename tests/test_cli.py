@@ -138,6 +138,21 @@ def test_matrix_env_cache_honored(capsys, tmp_path, monkeypatch):
     assert list(tmp_path.glob("matrix-*.json"))
 
 
+@pytest.mark.parametrize("command", ["matrix", "minimize"])
+def test_unwritable_cache_is_skipped(capsys, tmp_path, command):
+    # the cache is best-effort: a path below a regular file cannot be made
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    code, out, err = run_main(capsys, command, "--type", "G2",
+                              "--cache", str(blocker / "sub"))
+    assert code == 0 and err == ""
+    if command == "matrix":
+        assert out.startswith("cache: computed\n")
+    else:
+        assert out == "min = -2 at corner (-1, -2)\n"
+    assert blocker.read_text() == ""
+
+
 def test_xfun_cancelling_weyl_sum_exits_3(capsys):
     code, out, err = run_main(
         capsys, "xfun", "--type", "F4",

@@ -116,6 +116,20 @@ def test_g2_interior_point_certificate(g2, tmp_path):
     assert not is_compact_point(msig, rational_point([100, 0]))
 
 
+def test_rational_point_reports_its_coordinates():
+    p = rational_point([qq(7, 9), -2])
+    assert p.approx() == (7 / 9, -2.0)
+    assert p.minpolys == ((-7, 9), (2, 1))
+    assert p.to_json() == {
+        "coordinates": [
+            {"minpoly": [-7, 9], "interval": ["7/9", "7/9"], "decimal": 7 / 9},
+            {"minpoly": [2, 1], "interval": ["-2", "-2"], "decimal": -2.0},
+        ],
+        "field_degree": 1,
+        "multiplicity": 1,
+    }
+
+
 def _det(rows):
     """Laplace expansion along the first row."""
     n = len(rows)
