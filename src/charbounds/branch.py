@@ -188,5 +188,5 @@ def branch_minimize(p, *, pair_cap=200_000):
 
 def adjoint_problem(datum, pins=None, cap=DEFAULT_ORBIT_CAP):
     """The adjoint trace of the given group restricted to A1^rank."""
-    adj = irreducible_character(datum, datum.highest_root, box_cap=cap)
+    adj = irreducible_character(datum, datum.highest_root)
     return BranchProblem.of(restrict_to_A1n(adj, cap=cap), pins)

@@ -9,6 +9,7 @@ algsolve.cyclotomic_field(m).
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import operator
@@ -17,15 +18,15 @@ from collections import defaultdict
 from dataclasses import dataclass
 
 from .algsolve import CertificateError, cyclotomic_field
-from .polynomials import QQ, QZERO, Poly, qq, qq_str
+from .polynomials import QQ, Poly, qq, qq_str
 from .rootdata import RootDatum, weyl_orbit, weyl_stabilizer_order
 
 DEFAULT_ORBIT_CAP = 10_000_000
-DEFAULT_BOX_CAP = 2_000_000
 
 
 class OrbitCapError(RuntimeError):
-    """Raised when an orbit or multiplicity-box expansion exceeds the cap."""
+    """Raised when an orbit expansion, or the orbits a derivation matrix
+    would expand, exceed the cap."""
 
 
 class CharacterElement:
@@ -103,9 +104,7 @@ class CharacterElement:
         disjoint, so each weight comes once.  OrbitCapError, before any
         weight, when there are more than cap of them."""
         datum = self.datum
-        total = sum(datum.weyl_order // weyl_stabilizer_order(datum, w)
-                    for w in self.mult)
-        if total > cap:
+        if orbit_count(datum, self.mult) > cap:
             raise OrbitCapError(
                 "orbit expansion refused: more than %d weights" % cap
             )
@@ -143,12 +142,38 @@ def trivial_character(datum):
 _IRR_CACHE = {}
 
 
-def irreducible_character(datum, lam, box_cap=DEFAULT_BOX_CAP):
+def dominant_below(datum, top):
+    """Map each dominant mu <= top to its depth ht(top - mu).
+
+    A walk mu -> mu - alpha down the positive roots alpha that keeps only
+    dominant weights reaches every dominant mu <= top (Stembridge, Adv.
+    Math. 136, 1998); each step adds ht alpha to the depth.
+    """
+    top = tuple(int(x) for x in top)
+    steps = [(alpha, sum(rc)) for alpha, rc in
+             zip(datum.positive_roots, datum.positive_root_coords)]
+    depth = {top: 0}
+    stack = [top]
+    while stack:
+        mu = stack.pop()
+        for alpha, ht in steps:
+            nu = tuple(map(operator.sub, mu, alpha))
+            if min(nu) >= 0 and nu not in depth:
+                depth[nu] = depth[mu] + ht
+                stack.append(nu)
+    return depth
+
+
+def irreducible_character(datum, lam):
     """Weight multiplicities of the irreducible with highest weight lam.
 
-    Freudenthal recursion over the box of dominant weights below lam; the
-    adjoint (highest root) skips straight to the root list.  The dimension
-    is checked against the Weyl dimension formula on every construction.
+    Freudenthal recursion over the dominant weights below lam, level by
+    level (Moody and Patera, Bull. AMS 7, 1982).  Each alpha-string
+    mu + k alpha runs up to the first weight whose dominant representative
+    has no multiplicity yet: weight strings are unbroken, and every
+    higher level is done.  Each multiplicity is checked to be a positive
+    integer, and the dimension against the Weyl dimension formula, on
+    every construction.
     """
     lam = tuple(int(x) for x in lam)
     if not datum.is_dominant(lam):
@@ -158,95 +183,31 @@ def irreducible_character(datum, lam, box_cap=DEFAULT_BOX_CAP):
     if hit is not None:
         return hit
 
-    rank = datum.rank
-    zero = (0,) * rank
-    if lam == zero:
-        out = trivial_character(datum)
-        _IRR_CACHE[key] = out
-        return out
-
-    if lam == datum.highest_root:
-        mult = {zero: rank}
-        for root in datum.positive_roots:
-            dom = datum.dominantize(root)
-            mult[dom] = 1
-        if _weyl_dimension(datum, lam) != datum.dim:
+    depth = dominant_below(datum, lam)
+    # (omega_k, alpha_j) = d_k [k = j], d_k = (alpha_k, alpha_k) / 2, so
+    # (nu, alpha) = sum_k nu_k c_k d_k for alpha = sum_k c_k alpha_k:
+    # one integer covector per positive root, over one denominator
+    d = [datum.norm2(s) / 2 for s in datum.simple_roots]
+    den = math.lcm(*(int(x.denominator) for x in d))
+    covectors = [[c * int(x * den) for c, x in zip(rc, d)]
+                 for rc in datum.positive_root_coords]
+    n_lam_rho = datum.norm2(tuple(a + b for a, b in zip(lam, datum.rho)))
+    mult = {lam: 1}
+    for mu in sorted(depth, key=depth.get)[1:]:
+        acc = 0
+        for alpha, g in zip(datum.positive_roots, covectors):
+            nu = tuple(map(operator.add, mu, alpha))
+            while mv := mult.get(datum.dominantize(nu)):
+                acc += mv * sum(map(operator.mul, nu, g))
+                nu = tuple(map(operator.add, nu, alpha))
+        mu_rho = tuple(a + b for a, b in zip(mu, datum.rho))
+        val = qq(2 * acc, den) / (n_lam_rho - datum.norm2(mu_rho))
+        if val.denominator != 1 or val <= 0:
             raise CertificateError(
-                "adjoint dimension of %s disagrees with the Weyl formula"
-                % datum.name()
+                "Freudenthal multiplicity %s at %s in %s is not a "
+                "positive integer" % (qq_str(val), mu, lam)
             )
-        out = CharacterElement(datum, mult, dim=datum.dim)
-        _IRR_CACHE[key] = out
-        return out
-
-    rc_lam = datum.root_coords(lam)
-    bounds = [int(x) for x in rc_lam]
-    box_size = 1
-    for b in bounds:
-        box_size *= b + 1
-        if box_size > box_cap:
-            raise OrbitCapError(
-                "weight box for %s exceeds cap %d" % (lam, box_cap)
-            )
-
-    # enumerate dominant mu = lam - sum c_i alpha_i, indexed by c
-    by_level = {}
-    C = datum.cartan
-
-    def descend(i, c, coords):
-        if i == rank:
-            if all(x >= 0 for x in coords):
-                by_level.setdefault(sum(c), []).append((tuple(c), coords))
-            return
-        cur = list(coords)
-        for ci in range(bounds[i] + 1):
-            if ci:
-                for k in range(rank):
-                    cur[k] -= C[k][i]
-            descend(i + 1, c + [ci], tuple(cur))
-
-    descend(0, [], lam)
-
-    mult = {}
-    pair = datum.pairing
-    rho = datum.rho
-    lam_rho = tuple(a + b for a, b in zip(lam, rho))
-    n_lam_rho = datum.norm2(lam_rho)
-    for level in sorted(by_level):
-        for c, mu in by_level[level]:
-            if level == 0:
-                mult[mu] = 1
-                continue
-            acc = QZERO
-            for alpha, alpha_rc in zip(
-                datum.positive_roots, datum.positive_root_coords
-            ):
-                k = 1
-                while True:
-                    ok = True
-                    for t in range(rank):
-                        if alpha_rc[t] and k * alpha_rc[t] > c[t]:
-                            ok = False
-                            break
-                    if not ok:
-                        break
-                    nu = tuple(m + k * a for m, a in zip(mu, alpha))
-                    dom = datum.dominantize(nu)
-                    mv = mult.get(dom, 0)
-                    if mv:
-                        acc += mv * pair(nu, alpha)
-                    k += 1
-            if acc:
-                mu_rho = tuple(a + b for a, b in zip(mu, rho))
-                denom = n_lam_rho - datum.norm2(mu_rho)
-                val = 2 * acc / denom
-                if val.denominator != 1 or val <= 0:
-                    raise CertificateError(
-                        "Freudenthal multiplicity %s at %s in %s is not a "
-                        "positive integer" % (qq_str(val), mu, lam)
-                    )
-                mult[mu] = int(val)
-    mult = {w: c for w, c in mult.items() if c}
+        mult[mu] = int(val)
 
     dim = _weyl_dimension(datum, lam)
     check = 0
@@ -280,7 +241,7 @@ def fundamental_characters(datum):
     return [irreducible_character(datum, w) for w in datum.fundamental_weights]
 
 
-def decompose(c, box_cap=DEFAULT_BOX_CAP):
+def decompose(c):
     """Coefficients of an invariant element in the irreducible basis.
 
     Peels maximal dominant weights; valid for virtual (rational)
@@ -297,7 +258,7 @@ def decompose(c, box_cap=DEFAULT_BOX_CAP):
         lam = max(work, key=lambda w: (height(w), w))
         coeff = work[lam]
         out[lam] = coeff
-        for w, m in irreducible_character(datum, lam, box_cap=box_cap).mult.items():
+        for w, m in irreducible_character(datum, lam).mult.items():
             s = work.get(w, 0) - coeff * m
             if s:
                 work[w] = s
@@ -317,7 +278,8 @@ def multiply(a, b, cap=DEFAULT_ORBIT_CAP):
     datum = a.datum
     if a.is_zero() or b.is_zero():
         return CharacterElement(datum, {})
-    small, large = (a, b) if _size_guess(a) <= _size_guess(b) else (b, a)
+    small, large = ((a, b) if orbit_count(datum, a.mult) <= orbit_count(datum, b.mult)
+                    else (b, a))
     full_small = small.full_expansion(cap=cap)
     dom_large = large.mult
 
@@ -343,11 +305,9 @@ def multiply(a, b, cap=DEFAULT_ORBIT_CAP):
     return CharacterElement(datum, out, dim=dim)
 
 
-def _size_guess(c):
-    total = 0
-    for w in c.mult:
-        total += c.datum.weyl_order // weyl_stabilizer_order(c.datum, w)
-    return total
+def orbit_count(datum, weights):
+    """The number of weights in the Weyl orbits of the dominant weights."""
+    return sum(datum.weyl_order // weyl_stabilizer_order(datum, w) for w in weights)
 
 
 @dataclass(frozen=True)
@@ -398,7 +358,9 @@ class QevalContext:
 
     def __init__(self, datum, tops):
         self.datum = datum
-        self.cone = _cone_monomials(datum, tops)
+        # sum m_i omega_i has weight coordinates m: the cone is the
+        # dominant weights below the tops
+        self.cone = sorted(set().union(*(dominant_below(datum, t) for t in tops)))
         self.u = self._pick_functional(tops)
         self.lookup = {}
         for m in self.cone:
@@ -408,9 +370,11 @@ class QevalContext:
                     "the functional %s is not injective on the cone" % (self.u,)
                 )
             self.lookup[p] = m
-        funds = fundamental_characters(datum)
-        self.fund_qpolys = [self.char_qpoly(f) for f in funds]
         self._mono_cache = {(0,) * datum.rank: {0: 1}}
+
+    @functools.cached_property
+    def fund_qpolys(self):
+        return [self.char_qpoly(f) for f in fundamental_characters(self.datum)]
 
     def _pick_functional(self, tops):
         datum = self.datum
@@ -561,30 +525,6 @@ def qsum(coeffs, maps):
             for p, v in m.items():
                 out[p] += c * v
     return {p: v for p, v in out.items() if v}
-
-
-def _cone_monomials(datum, tops):
-    """Exponent vectors m with sum m_i omega_i below some top in dominance."""
-    rank = datum.rank
-    omega_rc = [datum.root_coords(w) for w in datum.fundamental_weights]
-    found = set()
-    for top in tops:
-        budget0 = datum.root_coords(top)
-
-        def descend(i, m, budget):
-            if i == rank:
-                if all(x >= 0 and x.denominator == 1 for x in budget):
-                    found.add(tuple(m))
-                return
-            mi = 0
-            cur = list(budget)
-            while all(x >= 0 for x in cur):
-                descend(i + 1, m + [mi], tuple(cur))
-                mi += 1
-                for k in range(rank):
-                    cur[k] -= omega_rc[i][k]
-        descend(0, [], budget0)
-    return sorted(found)
 
 
 _QCTX_CACHE = {}

@@ -240,7 +240,7 @@ def _cyc_to_algvalue(v):
 def _is_true_character(objective, cap):
     """Nonnegative combination of irreducible characters, decided exactly."""
     try:
-        parts = decompose(expand(objective, cap=cap), box_cap=cap)
+        parts = decompose(expand(objective, cap=cap))
     except OrbitCapError:
         return False
     return all(c >= 0 for c in parts.values())

@@ -24,7 +24,15 @@ import tempfile
 from dataclasses import dataclass
 
 from .algsolve import CertificateError, FieldElement
-from .charring import QevalContext, fundamental_characters, qdot, qsum
+from .charring import (
+    DEFAULT_ORBIT_CAP,
+    OrbitCapError,
+    QevalContext,
+    fundamental_characters,
+    orbit_count,
+    qdot,
+    qsum,
+)
 from .polynomials import Poly, qq
 from .rootdata import EnumerationCapError, RootDatum
 
@@ -149,7 +157,6 @@ def derivation_matrix(
 
 def _entries_qeval(datum):
     r = datum.rank
-    funds = fundamental_characters(datum)
     tops = []
     for i in range(r):
         for j in range(i, r):
@@ -159,6 +166,16 @@ def _entries_qeval(datum):
             )
             tops.append(w)
     ctx = QevalContext(datum, sorted(set(tops)))
+    # the products f_i f_j expand the orbits of every weight in the cone:
+    # refuse before building any character
+    weights = orbit_count(datum, ctx.cone)
+    if weights > DEFAULT_ORBIT_CAP:
+        raise OrbitCapError(
+            "derivation matrix of %s refused: %d weights in the orbits of "
+            "its cone, more than the orbit cap %d"
+            % (datum.name(), weights, DEFAULT_ORBIT_CAP)
+        )
+    funds = fundamental_characters(datum)
     # form_A over one integer denominator: every q-coefficient is an int
     den = math.lcm(*(int(qq(a).denominator) for row in datum.form_A for a in row))
     A = [[int(qq(a) * den) for a in row] for row in datum.form_A]

@@ -5,8 +5,11 @@ characters by an exact q-evaluation, and builds the derivation matrix in
 that q-evaluation shadow.  The routes here do the same work literally in
 the character ring: leading-dominant-term subtraction, the biderivation
 M_A(f, g) = D(fg) - f D(g) - D(f) g of the pseudo-Casimir D_A, and the
-Casimir C_A, which induces the same biderivation.  They are slow, and
-every result they give is unique, so the fast paths must agree exactly.
+Casimir C_A, which induces the same biderivation.  The library finds the
+dominant weights below a highest weight by a walk down positive roots;
+the routes here enumerate the whole box of root coordinates under it.
+They are slow, and every result they give is unique, so the fast paths
+must agree exactly.
 """
 
 from charbounds import charring
@@ -18,7 +21,81 @@ from charbounds.charring import (
     multiply,
     trivial_character,
 )
-from charbounds.polynomials import Poly
+from charbounds.polynomials import QZERO, Poly
+
+
+def box_character(datum, lam):
+    """Weight multiplicities of the irreducible with highest weight lam:
+    Freudenthal's recursion over the dominant leaves of the box
+    0 <= c_i <= (root coordinates of lam)_i of mu = lam - sum c_i alpha_i,
+    each alpha-string cut where it leaves the box."""
+    rank = datum.rank
+    bounds = [int(x) for x in datum.root_coords(lam)]
+    by_level = {}
+    C = datum.cartan
+
+    def descend(i, c, coords):
+        if i == rank:
+            if all(x >= 0 for x in coords):
+                by_level.setdefault(sum(c), []).append((tuple(c), coords))
+            return
+        cur = list(coords)
+        for ci in range(bounds[i] + 1):
+            if ci:
+                for k in range(rank):
+                    cur[k] -= C[k][i]
+            descend(i + 1, c + [ci], tuple(cur))
+
+    descend(0, [], tuple(lam))
+
+    mult = {}
+    rho = datum.rho
+    n_lam_rho = datum.norm2(tuple(a + b for a, b in zip(lam, rho)))
+    for level in sorted(by_level):
+        for c, mu in by_level[level]:
+            if level == 0:
+                mult[mu] = 1
+                continue
+            acc = QZERO
+            for alpha, alpha_rc in zip(
+                datum.positive_roots, datum.positive_root_coords
+            ):
+                k = 1
+                while all(k * a <= ct for a, ct in zip(alpha_rc, c)):
+                    nu = tuple(m + k * a for m, a in zip(mu, alpha))
+                    acc += mult.get(datum.dominantize(nu), 0) * datum.pairing(nu, alpha)
+                    k += 1
+            if acc:
+                mu_rho = tuple(a + b for a, b in zip(mu, rho))
+                val = 2 * acc / (n_lam_rho - datum.norm2(mu_rho))
+                assert val.denominator == 1 and val > 0
+                mult[mu] = int(val)
+    return mult
+
+
+def box_cone(datum, tops):
+    """Exponent vectors m with sum m_i omega_i below some top in dominance,
+    from the box of m whose root-coordinate budget stays nonnegative."""
+    rank = datum.rank
+    omega_rc = [datum.root_coords(w) for w in datum.fundamental_weights]
+    found = set()
+    for top in tops:
+
+        def descend(i, m, budget):
+            if i == rank:
+                if all(x >= 0 and x.denominator == 1 for x in budget):
+                    found.add(tuple(m))
+                return
+            mi = 0
+            cur = list(budget)
+            while all(x >= 0 for x in cur):
+                descend(i + 1, m + [mi], tuple(cur))
+                mi += 1
+                for k in range(rank):
+                    cur[k] -= omega_rc[i][k]
+
+        descend(0, [], datum.root_coords(top))
+    return sorted(found)
 
 
 def to_fundamental_polynomial(c, strategy="qeval", cap=DEFAULT_ORBIT_CAP):

@@ -139,10 +139,34 @@ def test_non_dominant_rejected():
         ch.irreducible_character(G2, (-1, 0))
 
 
-def test_box_cap():
+def test_e8_characters_from_dominant_weights():
+    # their root-coordinate boxes hold over 2,000,000 points
     e8 = build_root_datum("E", 8)
-    with pytest.raises(ch.OrbitCapError):
-        ch.irreducible_character(e8, (0, 0, 0, 1, 0, 0, 0, 0), box_cap=10**4)
+    for lam, dim, dominant in [((1, 0, 0, 0, 0, 0, 0, 0), 3875, 3),
+                               ((0, 0, 0, 1, 0, 0, 0, 0), 6_899_079_264, 24)]:
+        c = ch.irreducible_character(e8, lam)
+        assert (c.dimension(), len(c.mult)) == (dim, dominant)
+
+
+def _oracle_cases():
+    for name in ["G2", "B2", "B3", "B4", "C3", "C4", "D4", "D5", "F4", "E6"]:
+        r = int(name[1:])
+        unit = [tuple(k * (i == j) for j in range(r)) for i in range(r)
+                for k in (1, 2)]
+        ends = tuple(int(j in (0, r - 1)) for j in range(r))
+        for lam in sorted(set(unit) | {ends}):
+            yield name, lam
+    yield "E7", (1, 0, 0, 0, 0, 0, 0)
+    yield "E7", (0, 0, 0, 0, 0, 0, 1)
+
+
+@pytest.mark.parametrize(
+    "name, lam", [pytest.param(n, lam, id="%s-%s" % (n, "".join(map(str, lam))))
+                  for n, lam in _oracle_cases()])
+def test_root_walk_matches_box_oracle(name, lam):
+    d = build_root_datum(name[0], int(name[1:]))
+    assert ch.irreducible_character(d, lam).mult == ring_oracle.box_character(d, lam)
+    assert ch.QevalContext(d, [lam]).cone == ring_oracle.box_cone(d, [lam])
 
 
 # -- ring operations --------------------------------------------------------

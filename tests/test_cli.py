@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from charbounds import cli
+from charbounds import charring, cli
 from charbounds.algsolve import sturm_chain, sturm_count
 from charbounds.compactcert import adjoint_objective
 from charbounds.polynomials import qq
@@ -221,9 +221,13 @@ def test_infeasible_exit_codes(capsys):
             capsys, "xfun", "--type", "A2", "--s", s, "--t", "1e308,1e308"
         )
         assert code == 2 and out == "" and "not a finite double" in err
-    # full E8 corner table needs fundamental characters beyond the box cap
-    code, out, err = run_main(capsys, "corners", "--type", "E8")
-    assert code == 2 and "cap" in err
+    # three E8 columns: the identity row is their Weyl dimensions
+    code, out, err = run_main(capsys, "corners", "--type", "E8",
+                              "--columns", "1,7,8", "--format", "csv")
+    assert (code, err) == (0, "")
+    rows = [line.split(",") for line in out.strip().split("\n")[1:]]
+    assert rows[0][2:] == ["3875", "30380", "248"]
+    assert [int(row[4]) for row in rows] == [248, -8, -4, -4, -3, -2, 0, 5, 24]
     # E8 restricted trace has too many free variables without pins
     code, out, err = run_main(capsys, "branch-minimize", "--type", "E8")
     assert code == 2 and "pin" in err
@@ -562,13 +566,20 @@ def test_selfcheck_compares_e7_with_the_table_from_a_cached_matrix(capsys, tmp_p
     assert lines[-1] == "selfcheck passed (11 checks, 0 failures)"
 
 
-def test_e8_matrix_is_refused_even_when_long_running(capsys, tmp_path):
-    # the weight box for omega_1 alone passes the cap; the table is the
-    # only E8 source
+def test_e8_matrix_is_refused_even_when_long_running(capsys, tmp_path, monkeypatch):
+    # the orbits of the weights below omega_i + omega_j pass the orbit cap,
+    # counted before any character is built; the table is the only E8
+    # source
+    def no_character(*args):
+        raise AssertionError("a character was built")
+
+    monkeypatch.setattr(charring, "irreducible_character", no_character)
     code, out, err = run_main(capsys, "matrix", "--type", "E8", "--long-running",
                               "--cache", str(tmp_path))
     assert (code, out) == (2, "")
-    assert err == "infeasible: weight box for (1, 0, 0, 0, 0, 0, 0, 0) exceeds cap 2000000\n"
+    assert err == ("infeasible: derivation matrix of E8 refused: 583856401 "
+                   "weights in the orbits of its cone, more than the orbit cap "
+                   "10000000\n")
     assert not list(tmp_path.iterdir())
 
 
