@@ -130,6 +130,9 @@ class PairCapError(SolveError):
     pass
 
 
+DEFAULT_PAIR_CAP = 200_000
+
+
 class UndecidedSignError(SolveError):
     pass
 
@@ -559,7 +562,7 @@ def _spoly(f, g, lmf, lmg, l):
     return {m: v for m, v in out.items() if v}
 
 
-def groebner(ideal, pair_cap=200_000, known=0):
+def groebner(ideal, pair_cap=DEFAULT_PAIR_CAP, known=0):
     """Reduced Groebner basis (deterministic), sugar pair selection, on
     integer terms; each new element is divided by its content, with a
     positive leading coefficient.  The first `known` generators may
@@ -1030,7 +1033,7 @@ def _charpoly(sums):
 # ---------------------------------------------------------------------------
 # the values of a polynomial on a zero set
 
-def eliminant(ideal, poly, pair_cap=200_000):
+def eliminant(ideal, poly, pair_cap=DEFAULT_PAIR_CAP):
     """e(T), the squarefree generator of the radical of <ideal, T - poly>
     intersected with Q[T]: its roots are the values of poly on the complex
     zero set of the ideal.
@@ -1439,7 +1442,7 @@ class AlgebraicPoint:
 # ---------------------------------------------------------------------------
 # the zero-dimensional solver
 
-def solve_zero_dim(ideal, pair_cap=200_000, quot=None):
+def solve_zero_dim(ideal, pair_cap=DEFAULT_PAIR_CAP, quot=None):
     """All real points of a zero-dimensional system, certified exactly on
     its generators.  quot is the _Quotient of the ideal, when the caller
     has it; otherwise it comes from the ideal's Groebner basis."""

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from functools import cmp_to_key
 from itertools import product
 
-from .algsolve import AlgValue, Ideal, solve_zero_dim
+from .algsolve import DEFAULT_PAIR_CAP, AlgValue, Ideal, solve_zero_dim
 from .charring import (
     DEFAULT_ORBIT_CAP,
     irreducible_character,
@@ -153,7 +153,7 @@ def _split_candidates(g, pair_cap):
     return out
 
 
-def branch_minimize(p, *, pair_cap=200_000):
+def branch_minimize(p, *, pair_cap=DEFAULT_PAIR_CAP):
     """Exact minimum of the restricted trace over the compact box."""
     pins = dict(p.pins)
     g0, keep = _substitute(p.f.poly, pins)

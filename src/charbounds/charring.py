@@ -18,7 +18,7 @@ from collections import defaultdict
 from dataclasses import dataclass
 
 from .algsolve import CertificateError, cyclotomic_field
-from .polynomials import QQ, Poly, qq, qq_str
+from .polynomials import Poly, qq, qq_str
 from .rootdata import RootDatum, weyl_orbit, weyl_stabilizer_order
 
 DEFAULT_ORBIT_CAP = 10_000_000
@@ -127,9 +127,9 @@ class CharacterElement:
 
 def _dominance_geq(datum, v, w):
     """v >= w in dominance order (difference in the positive root cone)."""
-    diff = tuple(a - b for a, b in zip(v, w))
-    rc = datum.root_coords(diff)
-    return all(x >= 0 and x.denominator == 1 for x in rc)
+    det = datum.fundamental_group_order
+    rc = datum.scaled_root_coords(tuple(map(operator.sub, v, w)))
+    return all(x >= 0 and not x % det for x in rc)
 
 
 def trivial_character(datum):
@@ -184,30 +184,25 @@ def irreducible_character(datum, lam):
         return hit
 
     depth = dominant_below(datum, lam)
-    # (omega_k, alpha_j) = d_k [k = j], d_k = (alpha_k, alpha_k) / 2, so
-    # (nu, alpha) = sum_k nu_k c_k d_k for alpha = sum_k c_k alpha_k:
-    # one integer covector per positive root, over one denominator
-    d = [datum.norm2(s) / 2 for s in datum.simple_roots]
-    den = math.lcm(*(int(x.denominator) for x in d))
-    covectors = [[c * int(x * den) for c, x in zip(rc, d)]
-                 for rc in datum.positive_root_coords]
+    # 2 (nu, alpha) = nu . A alpha: one integer covector per positive root
     n_lam_rho = datum.norm2(tuple(a + b for a, b in zip(lam, datum.rho)))
     mult = {lam: 1}
     for mu in sorted(depth, key=depth.get)[1:]:
         acc = 0
-        for alpha, g in zip(datum.positive_roots, covectors):
+        for alpha, g in zip(datum.positive_roots, datum.root_covectors):
             nu = tuple(map(operator.add, mu, alpha))
             while mv := mult.get(datum.dominantize(nu)):
                 acc += mv * sum(map(operator.mul, nu, g))
                 nu = tuple(map(operator.add, nu, alpha))
         mu_rho = tuple(a + b for a, b in zip(mu, datum.rho))
-        val = qq(2 * acc, den) / (n_lam_rho - datum.norm2(mu_rho))
-        if val.denominator != 1 or val <= 0:
+        gap = n_lam_rho - datum.norm2(mu_rho)
+        val, rest = divmod(acc, gap)
+        if rest or val <= 0:
             raise CertificateError(
                 "Freudenthal multiplicity %s at %s in %s is not a "
-                "positive integer" % (qq_str(val), mu, lam)
+                "positive integer" % (qq_str(qq(acc, gap)), mu, lam)
             )
-        mult[mu] = int(val)
+        mult[mu] = val
 
     dim = _weyl_dimension(datum, lam)
     check = 0
@@ -224,17 +219,17 @@ def irreducible_character(datum, lam):
 
 
 def _weyl_dimension(datum, lam):
-    rho = datum.rho
-    lam_rho = tuple(a + b for a, b in zip(lam, rho))
-    num = QQ(1)
-    den = QQ(1)
-    for alpha in datum.positive_roots:
-        num *= datum.pairing(lam_rho, alpha)
-        den *= datum.pairing(rho, alpha)
-    val = num / den
-    if val.denominator != 1:
+    """prod (lam + rho) . A alpha / prod rho . A alpha over the positive
+    roots alpha, on integers."""
+    lam_rho = tuple(a + b for a, b in zip(lam, datum.rho))
+    num = den = 1
+    for g in datum.root_covectors:
+        num *= sum(map(operator.mul, lam_rho, g))
+        den *= sum(g)
+    val, rest = divmod(num, den)
+    if rest:
         raise CertificateError("Weyl dimension of %s is not an integer" % (lam,))
-    return int(val)
+    return val
 
 
 def fundamental_characters(datum):
@@ -252,7 +247,8 @@ def decompose(c):
     out = {}
 
     def height(w):
-        return sum(datum.root_coords(w))
+        # det C times the height: the same order
+        return sum(datum.scaled_root_coords(w))
 
     while work:
         lam = max(work, key=lambda w: (height(w), w))
@@ -361,7 +357,7 @@ class QevalContext:
         # sum m_i omega_i has weight coordinates m: the cone is the
         # dominant weights below the tops
         self.cone = sorted(set().union(*(dominant_below(datum, t) for t in tops)))
-        self.u = self._pick_functional(tops)
+        self.u = self._pick_functional()
         self.lookup = {}
         for m in self.cone:
             p = sum(a * b for a, b in zip(m, self.u))
@@ -376,15 +372,15 @@ class QevalContext:
     def fund_qpolys(self):
         return [self.char_qpoly(f) for f in fundamental_characters(self.datum)]
 
-    def _pick_functional(self, tops):
+    def _pick_functional(self):
         datum = self.datum
         rng = random.Random(int(datum.content_hash()[:12], 16))
-        det = datum.fundamental_group_order
-        Ci = datum.cartan_inv
+        adj = datum.cartan_adj
         for _ in range(64):
             w = [rng.randint(1, 60) for _ in range(datum.rank)]
+            # u = w^T adj C pairs positively with every simple root
             u = [
-                int(det * sum(Ci[i][k] * w[i] for i in range(datum.rank)))
+                sum(adj[i][k] * w[i] for i in range(datum.rank))
                 for k in range(datum.rank)
             ]
             vals = {sum(a * b for a, b in zip(m, u)) for m in self.cone}
@@ -409,15 +405,18 @@ class QevalContext:
         return out
 
     def weighted_qpolys(self, char):
-        """The q-images with each e^nu weighted by nu_k, k < rank, from one
-        orbit expansion."""
+        """The q-image of char and its q-images with each e^nu weighted by
+        nu_k, k < rank, from one orbit expansion."""
+        plain = defaultdict(int)
         outs = [defaultdict(int) for _ in range(self.datum.rank)]
         for nu, c in char.orbit_walk():
             p = self.pvalue(nu)
+            plain[p] += c
             for out, x in zip(outs, nu):
                 if x:
                     out[p] += c * x
-        return [{p: v for p, v in out.items() if v} for out in outs]
+        return ({p: v for p, v in plain.items() if v},
+                [{p: v for p, v in out.items() if v} for out in outs])
 
     def monomial_qpoly(self, mono):
         cached = self._mono_cache.get(mono)
@@ -616,17 +615,15 @@ def find_a1n_coroots(datum, count=None):
         count = datum.rank
     norms = {datum.norm2(b) for b in datum.positive_roots}
     long_norm = max(norms)
+    coords = dict(zip(datum.positive_roots, datum.positive_root_coords))
 
     def ordered(roots):
-        return sorted(
-            roots,
-            key=lambda b: (sum(datum.root_coords(b)), datum.root_coords(b)),
-        )
+        return sorted(roots, key=lambda b: (sum(coords[b]), coords[b]))
 
     longs = ordered([b for b in datum.positive_roots if datum.norm2(b) == long_norm])
     everything = sorted(
         datum.positive_roots,
-        key=lambda b: (datum.norm2(b), sum(datum.root_coords(b)), datum.root_coords(b)),
+        key=lambda b: (datum.norm2(b), sum(coords[b]), coords[b]),
     )
 
     def search(candidates):

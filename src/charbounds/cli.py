@@ -21,16 +21,18 @@ import sys
 
 from . import branch, closedform
 from .algsolve import (
+    DEFAULT_PAIR_CAP,
     NotZeroDimensionalError,
     SolveError,
     UndecidedSignError,
 )
 from .charring import (
+    DEFAULT_ORBIT_CAP,
     FundamentalPolynomial,
     OrbitCapError,
 )
 from .compactcert import NonRealObjectiveError, adjoint_objective, extremum
-from .invder import derivation_matrix, is_cached
+from .invder import DEFAULT_RANK_CAP, derivation_matrix, is_cached
 from .polynomials import Poly, qq, qq_str
 from .rootdata import (
     EnumerationCapError,
@@ -675,15 +677,17 @@ def build_parser():
         "--precision", type=_positive_int("precision must be at least 1"), default=6
     )
     common.add_argument(
-        "--rank-cap", type=_positive_int("rank_cap must be positive"), default=6
+        "--rank-cap", type=_positive_int("rank_cap must be positive"),
+        default=DEFAULT_RANK_CAP,
     )
     common.add_argument(
         "--orbit-cap",
         type=_positive_int("orbit_cap must be positive"),
-        default=10_000_000,
+        default=DEFAULT_ORBIT_CAP,
     )
     common.add_argument(
-        "--pair-cap", type=_positive_int("pair_cap must be positive"), default=200_000
+        "--pair-cap", type=_positive_int("pair_cap must be positive"),
+        default=DEFAULT_PAIR_CAP,
     )
     common.add_argument("--long-running", action="store_true")
 

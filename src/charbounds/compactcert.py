@@ -30,6 +30,7 @@ from dataclasses import dataclass, field
 from functools import cached_property, cmp_to_key
 
 from .algsolve import (
+    DEFAULT_PAIR_CAP,
     AlgValue,
     CertificateError,
     Ideal,
@@ -44,6 +45,7 @@ from .algsolve import (
     solve_zero_dim,
 )
 from .charring import (
+    DEFAULT_ORBIT_CAP,
     FundamentalPolynomial,
     OrbitCapError,
     decompose,
@@ -52,6 +54,7 @@ from .charring import (
     to_fundamental_polynomial,
 )
 from .invder import (
+    DEFAULT_RANK_CAP,
     derivation_matrix,
     evaluate_matrix,
     permute_variables,
@@ -268,10 +271,10 @@ def extremum(
     objective,
     *,
     cache_dir=None,
-    rank_cap=6,
+    rank_cap=DEFAULT_RANK_CAP,
     allow_large=False,
-    pair_cap=200_000,
-    expand_cap=2_000_000,
+    pair_cap=DEFAULT_PAIR_CAP,
+    expand_cap=DEFAULT_ORBIT_CAP,
 ):
     """Certified minimum and maximum of an invariant objective.
 

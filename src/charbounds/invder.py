@@ -5,20 +5,20 @@ the biderivation it induces, M_A(f, g) = D(fg) - f D(g) - D(f) g, is a
 polynomial in the fundamental characters, and the matrix of M_A on those
 characters generates all W-invariant derivations.  Entries are computed
 in a q-evaluation shadow, on integers: with G_k^i the nu_k-weighted
-q-image of f_i and A put over one denominator D, H_k^j = sum_l A[k][l]
+q-image of f_i and A the datum's integer form, H_k^j = sum_l A[k][l]
 G_l^j is built once per j, so M(f_i, f_j) = sum_k G_k^i H_k^j takes r
 convolutions instead of r^2, each one integer product by Kronecker
 substitution (charring.qdot).  The sum is converted by leading-term
-elimination, whose monomial images all lead with coefficient 1, and each
-final coefficient is divided by D once.  The literal character-ring
-route, the Casimir route and the r^2 rational route live in the tests,
-as cross-checks.
+elimination, whose monomial images all lead with coefficient 1.  One
+orbit walk per fundamental character gives both its G_k^i and the plain
+q-image the elimination reads.  The literal character-ring route, the
+Casimir route and the r^2 rational route live in the tests, as
+cross-checks.
 """
 
 from __future__ import annotations
 
 import json
-import math
 import os
 import tempfile
 from dataclasses import dataclass
@@ -146,6 +146,9 @@ def derivation_matrix(
     A = datum.form_A
     if any(A[i][j] != A[j][i] for i in range(datum.rank) for j in range(i)):
         raise CertificateError("form_A of %s is not symmetric" % datum.name())
+    # every q-coefficient is an integer when A is
+    if any(a.denominator != 1 for row in A for a in row):
+        raise CertificateError("form_A of %s is not integral" % datum.name())
     path = _cache_path(datum, cache_dir)
     entries = _load_cache(datum, path)
     if entries is not None:
@@ -175,19 +178,17 @@ def _entries_qeval(datum):
             "its cone, more than the orbit cap %d"
             % (datum.name(), weights, DEFAULT_ORBIT_CAP)
         )
-    funds = fundamental_characters(datum)
-    # form_A over one integer denominator: every q-coefficient is an int
-    den = math.lcm(*(int(qq(a).denominator) for row in datum.form_A for a in row))
-    A = [[int(qq(a) * den) for a in row] for row in datum.form_A]
     # nu_k-weighted q-images G_k^i of every fundamental character, and
-    # H_k^j = sum_l A[k][l] G_l^j, so M(f_i, f_j) = sum_k G_k^i * H_k^j
-    weighted = [ctx.weighted_qpolys(f) for f in funds]
+    # H_k^j = sum_l A[k][l] G_l^j, so M(f_i, f_j) = sum_k G_k^i * H_k^j;
+    # the same walk gives the plain q-images that ctx.solve reads
+    plain, weighted = zip(*map(ctx.weighted_qpolys, fundamental_characters(datum)))
+    ctx.fund_qpolys = list(plain)
+    A = datum.form_A
     paired = [[qsum(A[k], weighted[j]) for k in range(r)] for j in range(r)]
     grid = [[None] * r for _ in range(r)]
     for i in range(r):
         for j in range(i, r):
-            coeffs = ctx.solve(qdot(weighted[i], paired[j]))
-            poly = Poly(r, {m: qq(c, den) for m, c in coeffs.items()})
+            poly = Poly(r, ctx.solve(qdot(weighted[i], paired[j])))
             grid[i][j] = poly
             grid[j][i] = poly
     return tuple(tuple(row) for row in grid)

@@ -1,21 +1,25 @@
 """Root-system and Weyl-group data for the simple types A through G.
 
 Weights live in the fundamental-weight basis with exact integer
-coordinates.  The stored invariant form A is the single source of inner
-products: pairing(u, v) = u^T A v / 2, normalized so that A(alpha, alpha)
-(in that half-form sense) equals 2 |P/Q| on short roots, which makes
+coordinates, and every datum is built on integers from det C and the
+adjugate adj C of the Cartan matrix: a root's root-basis coordinates are
+adj C root / det C.  The stored invariant form A is the single source of
+inner products: the even integer matrix 2 form_scale adj(C)^T D, with D
+the symmetrizers, and pairing(u, v) = u^T A v / 2, normalized so that
+(alpha, alpha) equals 2 |P/Q| form_scale on short roots, which makes
 A = (2) for type A1.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import math
 import operator
 from dataclasses import dataclass
 
-from .polynomials import QQ, QZERO, qq, qq_str
+from .polynomials import qq
 
 
 class InvalidTypeError(ValueError):
@@ -110,51 +114,25 @@ def symmetrizers(letter, rank, C):
     return tuple(d)
 
 
-# -- small exact matrix helpers ---------------------------------------------
-
-def qmat_inv(M):
-    n = len(M)
-    A = [[qq(M[i][j]) for j in range(n)] + [QQ(int(i == j)) for j in range(n)]
-         for i in range(n)]
-    for col in range(n):
-        piv = next(r for r in range(col, n) if A[r][col])
-        A[col], A[piv] = A[piv], A[col]
-        pv = A[col][col]
-        A[col] = [x / pv for x in A[col]]
-        for r in range(n):
-            if r != col and A[r][col]:
-                f = A[r][col]
-                A[r] = [x - f * y for x, y in zip(A[r], A[col])]
-    return tuple(tuple(row[n:]) for row in A)
-
-
-def qmat_det(M):
-    n = len(M)
-    A = [[qq(x) for x in row] for row in M]
-    det = QQ(1)
-    for col in range(n):
-        piv = next((r for r in range(col, n) if A[r][col]), None)
-        if piv is None:
-            return QZERO
-        if piv != col:
-            A[col], A[piv] = A[piv], A[col]
-            det = -det
-        det *= A[col][col]
-        inv = 1 / A[col][col]
-        for r in range(col + 1, n):
-            if A[r][col]:
-                f = A[r][col] * inv
-                A[r] = [x - f * y for x, y in zip(A[r], A[col])]
-    return det
-
-
-def qmat_mul(A, B):
-    n, k, m = len(A), len(B), len(B[0])
-    return tuple(
-        tuple(sum((qq(A[i][t]) * qq(B[t][j]) for t in range(k)), QZERO)
-              for j in range(m))
-        for i in range(n)
-    )
+def _adjugate(C):
+    """det C and the integer adjugate adj C = det C * C^-1, by one
+    fraction-free Gauss-Jordan elimination of [C | I] (Bareiss, Math.
+    Comp. 22, 1968): after the step on column k every entry is a minor of
+    order k + 1, so each division by the previous pivot is exact, the
+    last pivot is det C and the right half is adj C."""
+    n = len(C)
+    M = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(C)]
+    prev = 1
+    for k in range(n):
+        pivot = M[k][k]
+        if not pivot:
+            raise RootDatumError("a leading minor of the Cartan matrix vanishes")
+        for i in range(n):
+            if i != k:
+                f = M[i][k]
+                M[i] = [(pivot * x - f * y) // prev for x, y in zip(M[i], M[k])]
+        prev = pivot
+    return prev, tuple(tuple(row[n:]) for row in M)
 
 
 @dataclass(frozen=True)
@@ -173,14 +151,14 @@ class RootDatum:
     letter: str
     rank: int
     cartan: tuple
-    cartan_inv: tuple
+    cartan_adj: tuple         # det C * C^-1, integers
     simple_roots: tuple       # columns of the Cartan matrix, weight basis
     positive_roots: tuple     # weight-basis coordinates
     positive_root_coords: tuple  # the same roots in the root basis
     highest_root: tuple
     a_coeffs: tuple
     fundamental_group_order: int
-    form_A: tuple             # |P/Q| * form_scale * B, B the basic form
+    form_A: tuple             # 2 form_scale adj(C)^T D, even integers
     form_scale: int
     minus_w0: tuple           # permutation of {0..r-1}
     weyl_order: int
@@ -188,15 +166,11 @@ class RootDatum:
 
     # -- basic geometry ------------------------------------------------------
     def pairing(self, u, v):
-        """Invariant inner product of two weight-basis vectors."""
+        """Invariant inner product u A v / 2 of two weight-basis vectors:
+        an integer, as A is even."""
         A = self.form_A
-        total = QZERO
-        for i, ui in enumerate(u):
-            if ui:
-                row = A[i]
-                s = sum((qq(vj) * row[j] for j, vj in enumerate(v) if vj), QZERO)
-                total += qq(ui) * s
-        return total / 2
+        return sum(ui * sum(map(operator.mul, A[i], v))
+                   for i, ui in enumerate(u) if ui) // 2
 
     def norm2(self, u):
         return self.pairing(u, u)
@@ -221,16 +195,21 @@ class RootDatum:
             else:
                 return n
 
-    def root_coords(self, n):
-        Ci = self.cartan_inv
-        return tuple(
-            sum((Ci[i][j] * n[j] for j in range(self.rank) if n[j]), QZERO)
-            for i in range(self.rank)
-        )
+    def scaled_root_coords(self, n):
+        """det C times the root-basis coordinates of a weight-basis vector:
+        adj C n, integers for every weight."""
+        return tuple(sum(map(operator.mul, row, n)) for row in self.cartan_adj)
 
     def coroot_pairing(self, mu, beta):
         """<mu, beta-coroot> for a root beta, both in the weight basis."""
-        return 2 * self.pairing(mu, beta) / self.norm2(beta)
+        return qq(2 * self.pairing(mu, beta), self.norm2(beta))
+
+    @functools.cached_property
+    def root_covectors(self):
+        """A alpha for each positive root alpha, so that
+        2 (nu, alpha) = nu . A alpha."""
+        return tuple(tuple(sum(map(operator.mul, row, alpha)) for row in self.form_A)
+                     for alpha in self.positive_roots)
 
     @property
     def rho(self):
@@ -273,7 +252,7 @@ class RootDatum:
             "highest_root": list(self.highest_root),
             "a_coeffs": list(self.a_coeffs),
             "positive_roots": [list(r) for r in self.positive_roots],
-            "form_A": [[qq_str(x) for x in row] for row in self.form_A],
+            "form_A": [[str(x) for x in row] for row in self.form_A],
             "minus_w0": [i + 1 for i in self.minus_w0],
         }
 
@@ -304,7 +283,9 @@ def _build_root_datum(letter, rank, form_scale=1):
         raise ValueError("form_scale must be a positive integer")
     C = cartan_matrix(letter, rank)
     d = symmetrizers(letter, rank, C)
-    Ci = qmat_inv(C)
+    det, adj = _adjugate(C)
+    if det < 1:
+        raise RootDatumError("Cartan determinant %s is not a positive integer" % det)
     r = rank
 
     simple_roots = tuple(tuple(C[k][i] for k in range(r)) for i in range(r))
@@ -328,16 +309,14 @@ def _build_root_datum(letter, rank, form_scale=1):
                     nxt.append(img)
         frontier = nxt
 
+    # a root's coordinates are adj C root / det C
     positives = []
     for root in seen:
-        rc = tuple(
-            sum((Ci[i][j] * root[j] for j in range(r) if root[j]), QZERO)
-            for i in range(r)
-        )
-        if all(x >= 0 for x in rc):
-            if any(x.denominator != 1 for x in rc):
+        rc = [sum(map(operator.mul, row, root)) for row in adj]
+        if min(rc) >= 0:
+            if any(x % det for x in rc):
                 raise RootDatumError("a root has non-integral coordinates")
-            positives.append((tuple(int(x) for x in rc), root))
+            positives.append((tuple(x // det for x in rc), root))
     positives.sort(key=lambda p: (sum(p[0]), p[0]))
     pos_rc = tuple(p[0] for p in positives)
     pos_roots = tuple(p[1] for p in positives)
@@ -352,29 +331,22 @@ def _build_root_datum(letter, rank, form_scale=1):
     if any(sum(rc) >= sum(a_coeffs) for rc in pos_rc[:-1]):
         raise RootDatumError("no unique highest root")
 
-    det = qmat_det(C)
-    pq = int(det)
-    if det != pq or pq < 1:
-        raise RootDatumError("Cartan determinant %s is not a positive integer"
-                             % qq_str(det))
-
-    # Gram matrix of the basic form b (short roots have b-length^2 two)
-    Db = tuple(tuple(QQ(d[i] * C[i][j]) for j in range(r)) for i in range(r))
-    gram = qmat_mul(qmat_mul(tuple(zip(*Ci)), Db), Ci)
-    form_B = tuple(tuple(2 * x for x in row) for row in gram)
-    form_A = tuple(tuple(pq * form_scale * x for x in row) for row in form_B)
+    # the basic form b (short roots have b-length^2 two) has the Gram matrix
+    # 2 C^-T D on the fundamental weights; A is det C form_scale times it
+    form_A = tuple(tuple(2 * form_scale * adj[j][i] * d[j] for j in range(r))
+                   for i in range(r))
 
     datum = RootDatum(
         letter=letter,
         rank=rank,
         cartan=C,
-        cartan_inv=Ci,
+        cartan_adj=adj,
         simple_roots=simple_roots,
         positive_roots=pos_roots,
         positive_root_coords=pos_rc,
         highest_root=highest,
         a_coeffs=a_coeffs,
-        fundamental_group_order=pq,
+        fundamental_group_order=det,
         form_A=form_A,
         form_scale=form_scale,
         minus_w0=(),
@@ -435,10 +407,10 @@ def corners(datum, columns=None):
     for i in range(r + 1):
         # the functional u with <mu, v> = u . (weight coords of mu)
         if i == 0:
-            point = (QZERO,) * r
+            point = (0,) * r
         else:
-            ai = datum.a_coeffs[i - 1]
-            point = tuple(x / ai for x in datum.cartan_inv[i - 1])
+            den = datum.fundamental_group_order * datum.a_coeffs[i - 1]
+            point = tuple(qq(x, den) for x in datum.cartan_adj[i - 1])
         classes.append((point, math.lcm(*(int(x.denominator) for x in point))))
     # values[j][i]: fundamental j at corner i, one orbit walk per character
     values = [charring.evaluate_at_torsions(f, classes) for f in fundamentals]

@@ -23,6 +23,8 @@ from charbounds.charring import (
 )
 from charbounds.polynomials import QZERO, Poly
 
+from datum_oracle import root_coords
+
 
 def box_character(datum, lam):
     """Weight multiplicities of the irreducible with highest weight lam:
@@ -30,7 +32,7 @@ def box_character(datum, lam):
     0 <= c_i <= (root coordinates of lam)_i of mu = lam - sum c_i alpha_i,
     each alpha-string cut where it leaves the box."""
     rank = datum.rank
-    bounds = [int(x) for x in datum.root_coords(lam)]
+    bounds = [int(x) for x in root_coords(datum, lam)]
     by_level = {}
     C = datum.cartan
 
@@ -77,7 +79,7 @@ def box_cone(datum, tops):
     """Exponent vectors m with sum m_i omega_i below some top in dominance,
     from the box of m whose root-coordinate budget stays nonnegative."""
     rank = datum.rank
-    omega_rc = [datum.root_coords(w) for w in datum.fundamental_weights]
+    omega_rc = [root_coords(datum, w) for w in datum.fundamental_weights]
     found = set()
     for top in tops:
 
@@ -94,7 +96,7 @@ def box_cone(datum, tops):
                 for k in range(rank):
                     cur[k] -= omega_rc[i][k]
 
-        descend(0, [], datum.root_coords(top))
+        descend(0, [], root_coords(datum, top))
     return sorted(found)
 
 
@@ -115,7 +117,7 @@ def convert_subtract(c, cap=DEFAULT_ORBIT_CAP):
     power_cache = {}
 
     def height(w):
-        return sum(datum.root_coords(w))
+        return sum(root_coords(datum, w))
 
     while work:
         lam = max(work, key=lambda w: (height(w), w))
@@ -208,7 +210,7 @@ def derivation_entries_r2(datum):
     })
     ctx = charring.QevalContext(datum, tops)
     A = datum.form_A
-    weighted = [ctx.weighted_qpolys(f) for f in funds]
+    weighted = [ctx.weighted_qpolys(f)[1] for f in funds]
     grid = [[None] * r for _ in range(r)]
     for i in range(r):
         for j in range(i, r):

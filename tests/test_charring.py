@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import os
@@ -9,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import datum_oracle
 import ring_oracle
 from charbounds import charring as ch
 from charbounds.algsolve import CertificateError, cyclotomic_field
@@ -102,14 +104,13 @@ def test_weyl_formula_mismatch_raises_under_optimize():
     assert run.returncode == 0, run.stderr
 
 
-def test_fractional_weyl_dimension_is_rejected(monkeypatch):
-    # int() would truncate a fractional dimension; the check must raise,
-    # not assert, so that python -O keeps it
-    exact = RootDatum.pairing
-    monkeypatch.setattr(RootDatum, "pairing",
-                        lambda self, a, b: exact(self, a, b) + qq(1, 2))
+def test_fractional_weyl_dimension_is_rejected():
+    # an integer division would drop a remainder; the check must raise,
+    # not assert, so that python -O keeps it.  A form that is not
+    # W-invariant makes the quotient 2000 / 560 at omega_1.
+    skewed = dataclasses.replace(A2, form_A=((4, 2), (2, 6)))
     with pytest.raises(CertificateError, match="not an integer"):
-        ch._weyl_dimension(build_root_datum("A", 1), (1,))
+        ch._weyl_dimension(skewed, (1, 0))
 
 
 def test_fractional_coroot_pairing_is_rejected(monkeypatch):
@@ -341,7 +342,8 @@ def test_corners_match_per_corner_oracle(name, columns):
     for i, corner in enumerate(found):
         # the covector of the vertex of the alcove opposite node i
         point = ((qq(0),) * d.rank if i == 0
-                 else tuple(x / d.a_coeffs[i - 1] for x in d.cartan_inv[i - 1]))
+                 else tuple(x / d.a_coeffs[i - 1]
+                            for x in datum_oracle.qmat_inv(d.cartan)[i - 1]))
         assert corner.order == math.lcm(*(int(x.denominator) for x in point))
         assert corner.values == tuple(
             _torsion_oracle(c, point, corner.order) for c in chars)
@@ -507,7 +509,7 @@ def test_restrict_rejects_non_roots():
 
 def test_non_injective_functional_raises(monkeypatch):
     monkeypatch.setattr(ch.QevalContext, "_pick_functional",
-                        lambda self, tops: (0,) * self.datum.rank)
+                        lambda self: (0,) * self.datum.rank)
     with pytest.raises(CertificateError, match="not injective"):
         ch.QevalContext(G2, [(1, 1)])
 

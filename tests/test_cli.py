@@ -1,5 +1,6 @@
 """End-to-end checks of the command-line surface and its exit codes."""
 
+import inspect
 import json
 import math
 import os
@@ -9,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from charbounds import charring, cli
+from charbounds import algsolve, branch, charring, cli, compactcert, invder
 from charbounds.algsolve import sturm_chain, sturm_count
 from charbounds.compactcert import adjoint_objective
 from charbounds.polynomials import qq
@@ -20,6 +21,30 @@ def run_main(capsys, *argv):
     code = cli.main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def test_cap_defaults_are_one_constant_each():
+    # a library call and a CLI call must read the same caps
+    args = cli.build_parser().parse_args(["minimize", "--type", "G2"])
+    assert args.rank_cap == invder.DEFAULT_RANK_CAP
+    assert args.orbit_cap == charring.DEFAULT_ORBIT_CAP
+    assert args.pair_cap == algsolve.DEFAULT_PAIR_CAP
+    defaults = [
+        (invder.DEFAULT_RANK_CAP, compactcert.extremum, "rank_cap"),
+        (invder.DEFAULT_RANK_CAP, invder.derivation_matrix, "rank_cap"),
+        (charring.DEFAULT_ORBIT_CAP, compactcert.extremum, "expand_cap"),
+        (charring.DEFAULT_ORBIT_CAP, branch.adjoint_problem, "cap"),
+        (charring.DEFAULT_ORBIT_CAP, charring.expand, "cap"),
+        (charring.DEFAULT_ORBIT_CAP, charring.multiply, "cap"),
+        (charring.DEFAULT_ORBIT_CAP, charring.restrict_to_A1n, "cap"),
+        (algsolve.DEFAULT_PAIR_CAP, compactcert.extremum, "pair_cap"),
+        (algsolve.DEFAULT_PAIR_CAP, branch.branch_minimize, "pair_cap"),
+        (algsolve.DEFAULT_PAIR_CAP, algsolve.groebner, "pair_cap"),
+        (algsolve.DEFAULT_PAIR_CAP, algsolve.eliminant, "pair_cap"),
+        (algsolve.DEFAULT_PAIR_CAP, algsolve.solve_zero_dim, "pair_cap"),
+    ]
+    for value, fn, name in defaults:
+        assert inspect.signature(fn).parameters[name].default == value, fn
 
 
 def test_short_root_table_has_four_rows(capsys):

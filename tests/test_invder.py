@@ -97,17 +97,17 @@ def test_integer_route_matches_r2_rational_oracle(name):
     assert invder._entries_qeval(datum) == ring_oracle.derivation_entries_r2(datum)
 
 
-def test_fractional_form_is_divided_once(tmp_path):
-    # M_A is linear in A, so a form over the denominator 3 gives M / 3
+def test_fractional_form_is_refused(tmp_path):
+    # every q-coefficient is an integer only when form_A is; the check
+    # must hold on a cache hit too
     third = dataclasses.replace(
         G2, form_A=tuple(tuple(qq(x, 3) for x in row) for row in G2.form_A)
     )
-    got = invder.derivation_matrix(third, cache_dir=tmp_path)
-    assert got.entries == ring_oracle.derivation_entries_r2(third)
-    plain = invder.derivation_matrix(G2, cache_dir=tmp_path)
-    for i in range(2):
-        for j in range(2):
-            assert got.entry(i, j) == plain.entry(i, j).scale(qq(1, 3))
+    invder.derivation_matrix(G2, cache_dir=tmp_path)
+    for cache_dir in (tmp_path, tmp_path / "empty"):
+        with pytest.raises(CertificateError, match="not integral"):
+            invder.derivation_matrix(third, cache_dir=cache_dir)
+    assert not (tmp_path / "empty").exists()
 
 
 def test_casimir_route_agrees():
@@ -149,6 +149,19 @@ def test_matrix_cache_corruption_recovers(tmp_path):
     again = invder.derivation_matrix(G2, cache_dir=str(tmp_path))
     assert not again.cache_hit
     assert again.entries == cold.entries
+
+
+def test_cold_matrix_walks_each_orbit_once(monkeypatch):
+    # one walk per dominant weight of each fundamental character gives
+    # both its plain and its nu_k-weighted q-images
+    real = ch.weyl_orbit
+    walked = []
+    monkeypatch.setattr(ch, "weyl_orbit",
+                        lambda datum, w: walked.append(w) or real(datum, w))
+    b3 = build_root_datum("B", 3)
+    invder._entries_qeval(b3)
+    funds = ch.fundamental_characters(b3)
+    assert sorted(walked) == sorted(w for f in funds for w in f.mult)
 
 
 def test_rank_cap(tmp_path):

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import datum_oracle
 from charbounds import rootdata
 from charbounds.polynomials import qq
 from charbounds.rootdata import (
@@ -250,6 +251,28 @@ def test_corner_column_subset():
         corners(g2, columns=[3])
 
 
+ALL_TYPES = (
+    [("A", n) for n in range(1, 9)] + [("B", n) for n in range(2, 9)]
+    + [("C", n) for n in range(2, 9)] + [("D", n) for n in range(4, 9)]
+    + [("E", 6), ("E", 7), ("E", 8), ("F", 4), ("G", 2)]
+)
+
+
+@pytest.mark.parametrize("form_scale", [1, 3])
+@pytest.mark.parametrize("letter, rank", ALL_TYPES)
+def test_integer_datum_matches_rational_oracle(letter, rank, form_scale):
+    d = rootdata._build_root_datum(letter, rank, form_scale)
+    want = datum_oracle.rational_datum(letter, rank, form_scale)
+    det = d.fundamental_group_order
+    assert det == want["det"]
+    assert tuple(tuple(qq(x, det) for x in row) for row in d.cartan_adj) == (
+        want["cartan_inv"])
+    assert d.positive_roots == want["positive_roots"]
+    assert d.positive_root_coords == want["positive_root_coords"]
+    assert d.form_A == want["form_A"]
+    assert all(type(x) is int and x % 2 == 0 for row in d.form_A for x in row)
+
+
 def test_form_scale_hook():
     g2 = build_root_datum("G", 2, form_scale=3)
     base = build_root_datum("G", 2)
@@ -274,9 +297,10 @@ def test_non_symmetrizable_cartan_matrix_is_refused(monkeypatch):
 
 
 def test_non_integral_root_coordinates_are_refused(monkeypatch):
-    real = rootdata.qmat_inv
-    monkeypatch.setattr(rootdata, "qmat_inv", lambda m: tuple(
-        tuple(x / 2 for x in row) for row in real(m)))
+    # twice det C over the same adjugate halves every root's coordinates
+    real = rootdata._adjugate
+    monkeypatch.setattr(rootdata, "_adjugate", lambda m: (
+        2 * real(m)[0], real(m)[1]))
     with _breaks("non-integral"):
         rootdata._build_root_datum("G", 2)
 
@@ -296,9 +320,17 @@ def test_a_reducible_system_has_no_highest_root(monkeypatch):
 
 
 def test_non_integral_cartan_determinant_is_refused(monkeypatch):
-    monkeypatch.setattr(rootdata, "qmat_det", lambda m: qq(1, 2))
+    real = rootdata._adjugate
+    monkeypatch.setattr(rootdata, "_adjugate", lambda m: (qq(1, 2), real(m)[1]))
     with _breaks("determinant 1/2"):
         rootdata._build_root_datum("G", 2)
+
+
+def test_vanishing_leading_minor_is_refused(monkeypatch):
+    # the elimination divides by each leading minor in turn
+    monkeypatch.setattr(rootdata, "cartan_matrix", lambda letter, rank: ((0, 1), (1, 0)))
+    with _breaks("leading minor"):
+        rootdata._build_root_datum("A", 2)
 
 
 def test_minus_w0_must_permute_fundamental_weights(monkeypatch):
