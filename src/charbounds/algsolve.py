@@ -60,24 +60,21 @@ scales as the fibre's own normal forms.
 
 Every real algebraic number here, a coordinate, a critical value or a
 corner value, is an element v of a number field Q[alpha] with alpha one
-isolated real root.  Its minimal polynomial is the first linear
-dependence among 1, v, v^2, ... on integer rows; the same polynomial
-gives 1/v.  A value is its minimal polynomial with one RootInterval,
-which is exact, lo == hi, for a rational root.  It prints from the
-minimal polynomial and the value alone: the least isolating dyadic cell
-of width at most 2^-40, and the nearest double.
+isolated real root: an integer vector over one denominator on the power
+basis, reduced by pseudo-division modulo the primitive integer minimal
+polynomial of alpha (Cohen, GTM 138, 3.1 and 4.2).  The minimal
+polynomial of v is the first linear dependence among the numerators of
+1, v, v^2, ...; the same polynomial gives 1/v.  A value is its minimal
+polynomial with one RootInterval, exact for a rational root, and prints
+from these alone: the least isolating dyadic cell of width at most
+2^-40, and the nearest double.
 
-The real-root layer decides on integers.  Sturm chains are primitive
-integer polynomials built by pseudo-remainders, each entry a positive
-multiple of the rational chain's, and the sign of p(a / b), b > 0, is
-that of the homogeneous sum sum p_i a^i b^(n-i).  Interval Horner puts
-the box and the coefficients over one denominator D and divides once at
-the end.  The endpoints stay rationals, the same ones the rational
+The real-root layer decides on integers: Sturm chains of primitive
+pseudo-remainders, and the sign of p(a / b), b > 0, from the homogeneous
+sum sum p_i a^i b^(n-i).  The endpoints stay the rationals the rational
 arithmetic gives, so every decision is the same.  Fractions remain in
-the power sums, the characteristic polynomials and the g_v, in
-FieldElement vectors and NumberField.reduce, which also reads each
-mu_alpha off g_1 and f', and in the rational scales of the quotient
-layer.
+the power sums, the characteristic polynomials and the g_v, and in the
+rational scales of the quotient layer.
 
 Factoring f or e over Q first takes off every rational root: p-adic
 lifting, rational reconstruction and an exact evaluation.  A rest of
@@ -93,9 +90,9 @@ primitive PRS on pseudo-remainders behind it, and the quotient an exact
 division in Z[x].
 
 A character value at a torsion class of order m is an element of the
-cyclotomic field Q(zeta_m): the same power-basis arithmetic, modulo
-Phi_m, with the complex embedding zeta = exp(2 pi i / m) for decimals
-and conjugation.  cyclotomic_field(m) is the one instance per order.
+cyclotomic field Q(zeta_m), cyclotomic_field(m): the same arithmetic
+modulo the monic Phi_m, so integer vectors keep denominator 1, with the
+embedding zeta = exp(2 pi i / m) for decimals and conjugation.
 """
 
 from __future__ import annotations
@@ -107,6 +104,7 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 from .polynomials import (
+    QQ,
     Poly,
     QONE,
     QZERO,
@@ -1184,59 +1182,51 @@ def _rational_roots(e):
 # algebraic numbers and points
 
 class NumberField:
-    """QQ[alpha] for alpha a designated real root of an irreducible poly.
+    """QQ[alpha] for alpha a designated real root of an irreducible integer
+    polynomial minpoly.
 
     root is the RootInterval of alpha, or None for a field used only for
     arithmetic; in degree 1 the field makes the exact root itself."""
 
     def __init__(self, minpoly_int, root=None):
         self.minpoly = tuple(int(c) for c in minpoly_int)
-        self.monic = tuple(qq(c, self.minpoly[-1]) for c in self.minpoly)
         self.degree = len(self.minpoly) - 1
         if self.degree == 1:
-            a = -self.monic[0]
+            a = qq(-self.minpoly[0], self.minpoly[1])
             root = RootInterval(list(self.minpoly), None, a, a)
         self.root = root
 
     def reduce(self, vec):
-        """Reduce a dense QQ list modulo the monic minimal polynomial."""
-        vec = [qq(c) for c in vec]
-        d = self.degree
+        """Reduce a dense list of rationals modulo the minimal polynomial."""
+        den = math.lcm(*(c.denominator for c in vec))
+        return self._reduce([c.numerator * (den // c.denominator) for c in vec], den)
+
+    def _reduce(self, vec, den):
+        """The element vec / den, for an integer list vec (consumed) and an
+        integer den >= 1.  vec is pseudo-divided by the minimal polynomial:
+        a step on the coefficient c first scales vec by lead / gcd(c, lead),
+        and den takes up the scale, so a monic minpoly never scales."""
+        p, d = self.minpoly, self.degree
+        lead = p[-1]
         for i in range(len(vec) - 1, d - 1, -1):
             c = vec[i]
             if c:
+                g = math.gcd(c, lead) if lead > 0 else -math.gcd(c, lead)
+                s, c = lead // g, c // g
+                if s != 1:
+                    for k in range(i):
+                        vec[k] *= s
+                    den *= s
                 for j in range(d):
-                    vec[i - d + j] -= c * self.monic[j]
-            vec[i] = QZERO
-        return FieldElement(self, tuple(vec[:d] + [QZERO] * (d - len(vec))))
+                    vec[i - d + j] -= c * p[j]
+        return FieldElement(self, vec[:d] + [0] * (d - len(vec)), den)
 
     def from_rational(self, c):
-        c = qq(c)
-        vec = [c] + [QZERO] * (self.degree - 1)
-        return FieldElement(self, tuple(vec))
+        q = c if isinstance(c, (int, QQ)) else qq(c)
+        return FieldElement(self, (q.numerator,) + (0,) * (self.degree - 1), q.denominator)
 
     def generator(self):
-        if self.degree == 1:
-            return self.from_rational(-self.monic[0])
-        vec = [QZERO, QONE] + [QZERO] * (self.degree - 2)
-        return FieldElement(self, tuple(vec))
-
-    def refine_root(self):
-        self.root.refine()
-
-    def sign_of(self, elem):
-        """Exact sign of a field element at the designated root."""
-        if elem.is_zero():
-            return 0
-        # nonzero mod an irreducible polynomial never vanishes at alpha
-        for _ in range(512):
-            img = upoly_interval(list(elem.vec), (self.root.lo, self.root.hi))
-            if img[0] > 0:
-                return 1
-            if img[1] < 0:
-                return -1
-            self.refine_root()
-        raise UndecidedSignError("sign refinement exhausted for %s" % (elem,))
+        return self.reduce([0, 1])
 
     def approx(self, elem):
         return AlgValue.from_field_element(elem).approx()
@@ -1246,12 +1236,13 @@ class NumberField:
         return elem
 
     def repr(self, elem):
-        return "FieldElement(%s)" % ([qq_str(c) for c in elem.vec],)
+        return "FieldElement(%s)" % (elem.coefficient_strs(),)
 
 
 class CyclotomicField(NumberField):
     """Q(zeta_m) on the power basis modulo Phi_m, embedded by
-    zeta = exp(2 pi i / m); use the cached cyclotomic_field(m)."""
+    zeta = exp(2 pi i / m); use the cached cyclotomic_field(m).  Phi_m is
+    monic, so reduction never scales and integer vectors keep den = 1."""
 
     def __init__(self, m):
         super().__init__(cyclotomic_polynomial(m))
@@ -1263,20 +1254,20 @@ class CyclotomicField(NumberField):
         for i, c in enumerate(elem.vec):
             if c:
                 ang = 2.0 * math.pi * i / self.m
-                out += float(c) * complex(math.cos(ang), math.sin(ang))
+                out += c / elem.den * complex(math.cos(ang), math.sin(ang))
         return out
 
     def conjugate(self, elem):
         # zeta^i -> zeta^(-i) = zeta^(m - i)
-        vec = [QZERO] * self.m
+        vec = [0] * self.m
         for i, c in enumerate(elem.vec):
             vec[-i % self.m] = c
-        return self.reduce(vec)
+        return self._reduce(vec, elem.den)
 
     def repr(self, elem):
         if elem.is_rational():
-            return "Cyc(%s)" % qq_str(elem.vec[0])
-        return "Cyc(m=%d, %s)" % (self.m, [qq_str(v) for v in elem.vec])
+            return "Cyc(%s)" % qq_str(elem.as_rational())
+        return "Cyc(m=%d, %s)" % (self.m, elem.coefficient_strs())
 
 
 @lru_cache(maxsize=None)
@@ -1286,25 +1277,35 @@ def cyclotomic_field(m):
 
 
 class FieldElement:
-    __slots__ = ("field", "vec")
+    """(vec[0] + vec[1] alpha + ... + vec[d-1] alpha^(d-1)) / den in the
+    field's power basis, for d ints vec and an int den >= 1, kept with
+    gcd(vec..., den) = 1, so equal values have equal vec, den and hash."""
 
-    def __init__(self, field, vec):
-        self.field = field
-        self.vec = vec
+    __slots__ = ("field", "vec", "den")
+
+    def __init__(self, field, vec, den=1):
+        if den != 1:
+            g = math.gcd(den, *vec)
+            if g != 1:
+                vec, den = [c // g for c in vec], den // g
+        self.field, self.vec, self.den = field, tuple(vec), den
 
     def is_zero(self):
-        return all(not c for c in self.vec)
+        return not any(self.vec)
 
     def __bool__(self):
         return not self.is_zero()
 
     def is_rational(self):
-        return all(not c for c in self.vec[1:])
+        return not any(self.vec[1:])
 
     def as_rational(self):
         if not self.is_rational():
             raise ValueError("not rational: %r" % (self,))
-        return self.vec[0]
+        return qq(self.vec[0], self.den)
+
+    def coefficient_strs(self):
+        return [qq_str(qq(c, self.den)) for c in self.vec]
 
     def conjugate(self):
         return self.field.conjugate(self)
@@ -1314,44 +1315,43 @@ class FieldElement:
 
     def __eq__(self, other):
         if isinstance(other, FieldElement):
-            return self.field is other.field and self.vec == other.vec
-        return self.vec[0] == qq(other) and all(not c for c in self.vec[1:])
+            return self.field is other.field and (self.vec, self.den) == (other.vec, other.den)
+        q = other if isinstance(other, (int, QQ)) else qq(other)
+        return self.is_rational() and (self.vec[0], self.den) == (q.numerator, q.denominator)
 
     def __hash__(self):
-        return hash(self.vec)
+        # a rational element hashes as the rational it equals
+        return hash(self.as_rational() if self.is_rational() else (self.vec, self.den))
 
-    def _coerce(self, other):
-        if isinstance(other, FieldElement):
-            return other
-        return self.field.from_rational(other)
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        return FieldElement(self.field, tuple(a + b for a, b in zip(self.vec, o.vec)))
+    def __add__(self, other, sign=1):
+        o = other if isinstance(other, FieldElement) else self.field.from_rational(other)
+        den = math.lcm(self.den, o.den)
+        sa, sb = den // self.den, sign * (den // o.den)
+        return FieldElement(self.field, [a * sa + b * sb for a, b in zip(self.vec, o.vec)], den)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        o = self._coerce(other)
-        return FieldElement(self.field, tuple(a - b for a, b in zip(self.vec, o.vec)))
+        return self.__add__(other, -1)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __neg__(self):
-        return FieldElement(self.field, tuple(-a for a in self.vec))
+        return FieldElement(self.field, tuple(-a for a in self.vec), self.den)
 
     def __mul__(self, other):
         if not isinstance(other, FieldElement):
-            c = qq(other)
-            return FieldElement(self.field, tuple(a * c for a in self.vec))
-        prod = [QZERO] * (2 * self.field.degree - 1)
+            q = other if isinstance(other, (int, QQ)) else qq(other)
+            return FieldElement(self.field, [a * q.numerator for a in self.vec],
+                                self.den * q.denominator)
+        prod = [0] * (2 * self.field.degree - 1)
         for i, a in enumerate(self.vec):
             if a:
                 for j, b in enumerate(other.vec):
                     if b:
                         prod[i + j] += a * b
-        return self.field.reduce(prod)
+        return self.field._reduce(prod, self.den * other.den)
 
     __rmul__ = __mul__
 
@@ -1376,13 +1376,26 @@ class FieldElement:
         acc = self.field.from_rational(c[-1])
         for ck in reversed(c[1:-1]):
             acc = acc * self + ck
-        return acc * qq(-1, c[0])
+        s = -1 if c[0] > 0 else 1
+        return FieldElement(self.field, [s * a for a in acc.vec], acc.den * abs(c[0]))
 
     def sign(self):
-        return self.field.sign_of(self)
+        """Exact sign at the designated root: that of the integer
+        numerator, as den > 0."""
+        if self.is_zero():
+            return 0
+        # nonzero mod an irreducible polynomial never vanishes at alpha
+        root = self.field.root
+        for _ in range(512):
+            lo, hi = upoly_interval(list(self.vec), (root.lo, root.hi))
+            if lo > 0 or hi < 0:
+                return 1 if lo > 0 else -1
+            root.refine()
+        raise UndecidedSignError("sign refinement exhausted for %s" % (self,))
 
     def interval(self):
-        return upoly_interval(list(self.vec), (self.field.root.lo, self.field.root.hi))
+        lo, hi = upoly_interval(list(self.vec), (self.field.root.lo, self.field.root.hi))
+        return lo / self.den, hi / self.den
 
     def approx(self):
         return self.field.approx(self)
@@ -1495,7 +1508,7 @@ def _assemble_points(orig_ideal, rur, dim):
         chains = [sturm_chain(cand) for cand in minpolys]
         for root in roots:
             at = NumberField(fac, root)
-            at_coords = [FieldElement(at, c.vec) for c in coords]
+            at_coords = [FieldElement(at, c.vec, c.den) for c in coords]
             # isolating each coordinate refines the root, and the points
             # are sorted on that refinement
             values = tuple(AlgValue.from_field_element(c, cand, chain)
@@ -1513,14 +1526,16 @@ def _multiplicity(field, g_one, f_deriv):
     """The multiplicity mu of the points at the roots of the irreducible
     factor of f that defines field, from g_1 = mu * f' in the field; f is
     squarefree, so f' is a unit there."""
-    num, den = field.reduce(g_one).vec, field.reduce(f_deriv).vec
-    i = next((i for i, c in enumerate(den) if c), 0)
-    mu = num[i] / den[i] if den[i] else QZERO
-    if mu < 1 or mu.denominator != 1 or [mu * c for c in den] != list(num):
+    num, den = field.reduce(g_one), field.reduce(f_deriv)
+    i = next((i for i, c in enumerate(den.vec) if c), 0)
+    # num.vec[i] / num.den = mu * den.vec[i] / den.den
+    mu, rest = (divmod(num.vec[i] * den.den, den.vec[i] * num.den)
+                if den.vec[i] else (0, 0))
+    if mu < 1 or rest or den * mu != num:
         raise CertificateError(
             "g_1 / f' is not a positive integer modulo a factor"
         )
-    return int(mu)
+    return mu
 
 
 def _minpoly_of_value(value):
@@ -1528,21 +1543,20 @@ def _minpoly_of_value(value):
 
     First linear dependence among 1, v, v^2, ... over the power basis of
     the field; minimality makes the result irreducible, so no factoring
-    or resultants are needed."""
+    or resultants are needed.  The rows are the integer numerators
+    v^k * den_k, so a dependence sum c_k v^k * den_k = 0 gives the
+    coefficients c_k * den_k."""
     field = value.field
     if value.is_rational():
-        return upoly_primitive_int([-value.as_rational(), QONE])
+        return [-value.vec[0], value.den]
     ech = _Echelon(field.degree + 1)
     power = field.from_rational(1)
-    scales = []
+    dens = []
     for k in range(field.degree + 1):
-        vec, scale = _int_row(power.vec)
-        scales.append(scale)
-        combo = ech.insert(vec, k)
+        dens.append(power.den)
+        combo = ech.insert(list(power.vec), k)
         if combo is not None:
-            return upoly_primitive_int(
-                [qq(combo[j]) / scales[j] for j in range(k + 1)]
-            )
+            return upoly_primitive_int([c * d for c, d in zip(combo, dens)])
         power = power * value
     raise CertificateError("no dependence within the field degree")
 
@@ -1561,7 +1575,7 @@ def _isolate_among(cand, chain, value):
             hi2 += step
         if sturm_count(chain, lo2, hi2) == 1:
             return (lo2, hi2)
-        value.field.refine_root()
+        value.field.root.refine()
         eps = eps / 16
     raise UndecidedSignError("coordinate isolation exhausted")
 

@@ -60,7 +60,7 @@ class BoundEntry:
     letter: str
     rank: int
     s: int
-    lower: object  # exact integer (mpq)
+    lower: object  # exact integer, as a Fraction
     upper: object
     provenance: str  # theorem-case | table-row
 

@@ -221,10 +221,11 @@ def _corner_value(objective, corner):
 def _cyc_to_algvalue(v):
     """Exact value of a real cyclotomic number v of order m.
 
-    v equals its real part a_0 + sum_k a_k D_k(c) / 2, where
-    c = zeta + zeta^-1 = 2 cos(2 pi / m), D_0 = 2, D_1 = c and
-    D_k = c D_{k-1} - D_{k-2}; c is the largest real root of its minimal
-    polynomial, so v is an element of a real number field."""
+    v = (a_0 + sum_k a_k zeta^k) / den equals its real part
+    (2 a_0 + sum_k a_k D_k(c)) / (2 den), where c = zeta + zeta^-1 =
+    2 cos(2 pi / m), D_0 = 2, D_1 = c and D_k = c D_{k-1} - D_{k-2}; c is
+    the largest real root of its minimal polynomial, so v is an element
+    of a real number field."""
     if not v.is_real():
         raise ValueError("not a real cyclotomic number: %r" % (v,))
     if v.is_rational():
@@ -233,11 +234,11 @@ def _cyc_to_algvalue(v):
     psi = _minpoly_of_value(z + z.conjugate())
     c = NumberField(psi, isolate_real_roots(psi)[-1]).generator()
     prev, cur = c.field.from_rational(2), c
-    value = c.field.from_rational(v.vec[0])
+    value = c.field.from_rational(2 * v.vec[0])
     for a in v.vec[1:]:
-        value = value + cur * (a / 2)
+        value = value + cur * a
         prev, cur = cur, c * cur - prev
-    return AlgValue.from_field_element(value)
+    return AlgValue.from_field_element(value * qq(1, 2 * v.den))
 
 
 def _is_true_character(objective, cap):

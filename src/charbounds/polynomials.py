@@ -1,21 +1,16 @@
 """Exact scalar and sparse polynomial arithmetic shared across the package.
 
-Rationals are gmpy2.mpq when available (fractions.Fraction otherwise),
-monomials are exponent tuples, and cyclotomic polynomials are dense
-integer coefficient lists; the cyclotomic fields built on them live in
-algsolve.
+Rationals are fractions.Fraction, named QQ, monomials are exponent
+tuples, and cyclotomic polynomials are dense integer coefficient lists;
+the cyclotomic fields built on them live in algsolve.
 """
 
 from __future__ import annotations
 
 import math
 import operator
+from fractions import Fraction as QQ
 from functools import lru_cache
-
-try:
-    from gmpy2 import mpq as QQ
-except ImportError:
-    from fractions import Fraction as QQ
 
 QZERO = QQ(0)
 QONE = QQ(1)
@@ -23,21 +18,11 @@ QONE = QQ(1)
 
 def qq(x, den=None) -> QQ:
     """Coerce an int, string "p/q", rational, or numerator/denominator pair."""
-    if den is not None:
-        return QQ(x, den)
-    if isinstance(x, str):
-        if "/" in x:
-            num, d = x.split("/", 1)
-            return QQ(int(num), int(d))
-        return QQ(int(x))
-    return QQ(x)
+    return QQ(x) if den is None else QQ(x, den)
 
 
 def qq_str(x) -> str:
-    q = qq(x)
-    if q.denominator == 1:
-        return str(q.numerator)
-    return "%d/%d" % (q.numerator, q.denominator)
+    return str(qq(x))
 
 
 # ---------------------------------------------------------------------------
@@ -238,13 +223,9 @@ class Poly:
         """Return (content, primitive integer Poly); zero has content 0."""
         if not self.terms:
             return QZERO, self
-        den = 1
-        for c in self.terms.values():
-            den = den * c.denominator // math.gcd(den, int(c.denominator))
-        num = 0
-        for c in self.terms.values():
-            num = math.gcd(num, abs(int(c.numerator * (den // c.denominator))))
-        content = QQ(num, den)
+        den = math.lcm(*(c.denominator for c in self.terms.values()))
+        content = QQ(math.gcd(*(c.numerator * (den // c.denominator)
+                                for c in self.terms.values())), den)
         prim = Poly(
             self.nvars,
             {m: c / content for m, c in self.terms.items()},

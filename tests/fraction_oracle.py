@@ -584,3 +584,53 @@ def upoly_interval(p, box):
         ends = (lo * box[0], lo * box[1], hi * box[0], hi * box[1])
         lo, hi = min(ends) + c, max(ends) + c
     return lo, hi
+
+
+# ---------------------------------------------------------------------------
+# number fields with one rational per power-basis coefficient
+
+
+class FractionField:
+    """QQ[x] / (minpoly), reduced modulo the monic rational copy of the
+    minimal polynomial: the arithmetic the solver's integer elements,
+    vec / den reduced by pseudo-division, must agree with exactly."""
+
+    def __init__(self, minpoly):
+        self.monic = tuple(qq(c, minpoly[-1]) for c in minpoly)
+        self.degree = len(minpoly) - 1
+
+    def reduce(self, vec):
+        """A dense QQ list modulo the monic minimal polynomial, as a tuple
+        of degree entries."""
+        vec = [qq(c) for c in vec]
+        d = self.degree
+        for i in range(len(vec) - 1, d - 1, -1):
+            c = vec[i]
+            if c:
+                for j in range(d):
+                    vec[i - d + j] -= c * self.monic[j]
+            vec[i] = QZERO
+        return tuple(vec[:d] + [QZERO] * (d - len(vec)))
+
+    def mul(self, a, b):
+        prod = [QZERO] * (2 * self.degree - 1)
+        for i, x in enumerate(a):
+            if x:
+                for j, y in enumerate(b):
+                    if y:
+                        prod[i + j] += x * y
+        return self.reduce(prod)
+
+    def pow(self, a, k):
+        out = self.reduce([QONE])
+        for _ in range(k):
+            out = self.mul(out, a)
+        return out
+
+
+def cyclotomic_conjugate(field, m, vec):
+    """zeta^i -> zeta^(m - i) on a vector of Q(zeta_m), reduced."""
+    out = [QZERO] * m
+    for i, c in enumerate(vec):
+        out[-i % m] = c
+    return field.reduce(out)

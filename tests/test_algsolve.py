@@ -1,6 +1,9 @@
+import cProfile
 import json
 import math
+import operator
 import os
+import pstats
 import subprocess
 import sys
 from pathlib import Path
@@ -20,6 +23,7 @@ from charbounds.algsolve import (
     NotZeroDimensionalError,
     NumberField,
     PairCapError,
+    cyclotomic_field,
     groebner,
     isolate_real_roots,
     solve_zero_dim,
@@ -624,7 +628,7 @@ def test_printed_point_does_not_depend_on_its_field_root():
     points = solve_zero_dim(ideal)
     for p in points:
         for _ in range(90):
-            p.field.refine_root()
+            p.field.root.refine()
     assert [p.to_json() for p in points] == fresh
     assert [p.approx() for p in points] == [
         tuple(c["decimal"] for c in doc["coordinates"]) for doc in fresh]
@@ -674,6 +678,115 @@ def test_field_inverse(field, coeffs):
         assert v * v.inverse() == 1
     with pytest.raises(ZeroDivisionError):
         field.from_rational(0).inverse()
+
+
+# the same minimal polynomials at their greatest real root, and two that
+# are not monic, 5 x^2 - 3 and 3 x^3 + x - 2, so that reduction scales
+_REAL_FIELDS = [NumberField(p, isolate_real_roots(list(p))[-1])
+                for p in [f.minpoly for f in _FIELDS] + [(-3, 0, 5), (-2, 1, 0, 3)]]
+_ORACLE_FIELDS = (_FIELDS + _REAL_FIELDS
+                  + [cyclotomic_field(m) for m in (5, 8, 12, 30)])
+
+
+def _assert_canonical(x):
+    assert all(type(c) is int for c in x.vec) and type(x.den) is int
+    assert len(x.vec) == x.field.degree and x.den >= 1
+    assert math.gcd(x.den, *x.vec) == 1
+
+
+def _oracle_sign(field, vec):
+    """The sign of sum vec_i alpha^i by rational interval Horner, refining
+    a copy of the field's isolating interval."""
+    if not any(vec):
+        return 0
+    p = list(field.minpoly)
+    chain = oracle.sturm_chain(p)
+    lo, hi = field.root.lo, field.root.hi
+    while True:
+        a, b = oracle.upoly_interval(list(vec), (lo, hi))
+        if a > 0 or b < 0:
+            return 1 if a > 0 else -1
+        lo, hi = oracle.refine(p, chain, lo, hi)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(_ORACLE_FIELDS), st.data())
+def test_integer_field_arithmetic_matches_fraction_oracle(field, data):
+    ref = oracle.FractionField(field.minpoly)
+    vec = st.lists(st.fractions(-50, 50, max_denominator=12),
+                   min_size=1, max_size=2 * field.degree)
+    a, b = data.draw(vec), data.draw(vec)
+    k = data.draw(st.integers(0, 4))
+    q = data.draw(st.fractions(-9, 9, max_denominator=7))
+    x, y, ra, rb = field.reduce(a), field.reduce(b), ref.reduce(a), ref.reduce(b)
+    cases = [
+        (x, ra),
+        (x + y, tuple(map(operator.add, ra, rb))),
+        (x - y, tuple(map(operator.sub, ra, rb))),
+        (x * y, ref.mul(ra, rb)),
+        (x ** k, ref.pow(ra, k)),
+        (x * q, tuple(c * q for c in ra)),
+        (q - x, ref.reduce([q - ra[0]] + [-c for c in ra[1:]])),
+    ]
+    if hasattr(field, "m"):
+        cases.append((x.conjugate(), oracle.cyclotomic_conjugate(ref, field.m, ra)))
+    else:
+        assert x.conjugate() is x
+    if x:
+        inv = x.inverse()
+        rinv = tuple(qq(c, inv.den) for c in inv.vec)
+        assert ref.mul(ra, rinv) == ref.reduce([1])
+        cases.append((inv, rinv))
+    for got, want in cases:
+        _assert_canonical(got)
+        assert tuple(qq(c, got.den) for c in got.vec) == want
+        # one value is one vec, den and hash, however it was reached
+        again = field.reduce(list(want))
+        assert (again.vec, again.den) == (got.vec, got.den)
+        assert got == again and hash(got) == hash(again)
+        if any(want[1:]):
+            with pytest.raises(ValueError):
+                got.as_rational()
+        else:
+            assert got.as_rational() == want[0] and got == want[0]
+            assert hash(got) == hash(want[0])
+        if field.root is not None and not hasattr(field, "m"):
+            assert got.interval() == oracle.upoly_interval(
+                list(want), (field.root.lo, field.root.hi))
+            assert got.sign() == _oracle_sign(field, want)
+
+
+def test_integer_field_arithmetic_makes_no_fraction():
+    # reduction scales by the lead 3 and by no Fraction
+    field = NumberField((-2, 1, 0, 3))
+    prof = cProfile.Profile()
+    prof.enable()
+    x = field.reduce([5, -7, 2, 9, 4])
+    y = (x * x + x - 3) ** 3 * 2 - x
+    prof.disable()
+    assert not [key for key in pstats.Stats(prof).stats
+                if key[0].endswith("fractions.py") and key[2] == "__new__"]
+    assert y.den > 1
+
+
+def test_rational_elements_hash_as_their_rational():
+    x = cyclotomic_field(5).from_rational(3)
+    assert x == 3 and hash(x) == hash(3) and len({x, 3}) == 1
+    h = NumberField((-2, 0, 1)).from_rational(qq(1, 2))
+    assert h == qq(1, 2) and hash(h) == hash(qq(1, 2)) and len({h, qq(1, 2)}) == 1
+    z = cyclotomic_field(5).generator()
+    s = z + z**2 + z**3 + z**4
+    assert (s.vec, s.den) == ((-1, 0, 0, 0), 1) and len({s, -1}) == 1
+
+
+def test_multiplicity_over_a_field_that_is_not_monic():
+    # f = 5 x^2 - 3 is irreducible and squarefree; g_1 = 3 f' gives mu = 3
+    field = NumberField((-3, 0, 5))
+    f_deriv = algsolve.upoly_deriv([-3, 0, 5])
+    assert algsolve._multiplicity(field, [3 * c for c in f_deriv], f_deriv) == 3
+    for g_one in ([qq(3, 2) * c for c in f_deriv], [-c for c in f_deriv], [0, 7]):
+        with pytest.raises(CertificateError, match="positive integer"):
+            algsolve._multiplicity(field, g_one, f_deriv)
 
 
 @settings(max_examples=40, deadline=None)

@@ -133,6 +133,12 @@ def test_irrational_corner_values_json(capsys, tmp_path):
         (high, True, -8.090169943749475),
         (low, True, 3.090169943749474),
     ]
+    # the minimum is the irrational corner value -(5 + 5 sqrt 5) / 2, a root
+    # of T^2 + 5 T - 25, decided exactly through the real cyclotomic subfield
+    minimum = json.loads(out)["report"]["minimum"]
+    assert minimum["minpoly"] == [-25, 5, 1]
+    assert minimum["decimal"] == -8.090169943749475
+    assert_printed_form(minimum)
 
 
 def test_matrix_cache_flag_and_byte_identical_reruns(capsys, tmp_path, monkeypatch):

@@ -235,6 +235,19 @@ def test_irrational_corner_value_is_certified():
         assert lo <= sympy.re(sympy.N(expr, 30)) <= hi
 
 
+
+def test_corner_value_with_a_denominator_and_wide_coefficients_is_exact():
+    # K (zeta_5 + zeta_5^-1) / 3 = K (sqrt 5 - 1) / 6, a root of
+    # 9 T^2 + 3 K T - K^2; K / 2 is not a double, so halving a coefficient
+    # in floating point would change the value
+    K = 2**60 + 1
+    z = cyclotomic_field(5).generator()
+    v = (z + z**4) * qq(K, 3)
+    assert v.den == 3
+    got = _cyc_to_algvalue(v)
+    assert got.minpoly == (-K * K, 3 * K, 9)
+    assert got.approx() == float(sympy.N(K * (sympy.sqrt(5) - 1) / 6, 50))
+
 def test_a4_irrational_corner_minimum(tmp_path):
     # f1 + f4 = 2 Re f1 takes -(5 + 5 sqrt(5)) / 2 at a corner of order 5
     a4 = build_root_datum("A", 4)

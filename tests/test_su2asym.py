@@ -162,7 +162,7 @@ def su2_min_oracle(d):
             break
         for e in entries:
             if isinstance(e, FieldElement):
-                e.field.refine_root()
+                e.field.root.refine()
     values = [AlgValue.from_field_element(e) if isinstance(e, FieldElement)
               else AlgValue.from_rational(e) for e in entries]
     return min(values, key=cmp_to_key(lambda a, b: a.cmp(b)))
