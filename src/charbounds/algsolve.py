@@ -6,7 +6,9 @@ order here, gives the quotient algebra A of dimension D.  Ideal.of makes
 each generator a primitive integer polynomial with a positive leading
 coefficient, once; Groebner and the normal forms then run on integers:
 S-polynomials are integer cross-multiples, and a normal form
-pseudo-reduces to an integer remainder and multiplier.
+pseudo-reduces to an integer remainder and multiplier.  A Poly holds an
+integral coefficient as an int, so a generator's terms enter the kernel
+as they are, and the basis leaves it as int Polys.
 
 Inside Groebner and the normal forms a monomial is one int: its
 exponents in 16-bit fields, the last variable's highest, minus its degree
@@ -72,9 +74,10 @@ from these alone: the least isolating dyadic cell of width at most
 The real-root layer decides on integers: Sturm chains of primitive
 pseudo-remainders, and the sign of p(a / b), b > 0, from the homogeneous
 sum sum p_i a^i b^(n-i).  The endpoints stay the rationals the rational
-arithmetic gives, so every decision is the same.  Fractions remain in
-the power sums, the characteristic polynomials and the g_v, and in the
-rational scales of the quotient layer.
+arithmetic gives, so every decision is the same.  Fractions remain
+only for values that need not be integral: the power sums, the
+characteristic polynomials and the g_v, the rational scales of the
+quotient layer, and the endpoints of isolating intervals.
 
 Factoring f or e over Q first takes off every rational root: p-adic
 lifting, rational reconstruction and an exact evaluation.  A rest of
@@ -107,7 +110,6 @@ from .polynomials import (
     QQ,
     Poly,
     QONE,
-    QZERO,
     cyclotomic_polynomial,
     grevlex_key,
     monomial_divides,
@@ -466,7 +468,7 @@ def _int_terms(p):
     if any(c.denominator != 1 for c in p.terms.values()):
         raise CertificateError("generator with a non-integral coefficient")
     pack = _packing(p.nvars).pack
-    return {pack(m): int(c) for m, c in p.terms.items()}
+    return {pack(m): c for m, c in p.terms.items()}
 
 
 def _primitive_terms(terms):
@@ -643,7 +645,7 @@ def groebner(ideal, pair_cap=DEFAULT_PAIR_CAP, known=0):
         if normal_form(g, reduced, guard)[0]:
             raise CertificateError("generator fails membership in its basis")
     unpack = pk.unpack
-    gens = (Poly(ideal.nvars, {unpack(lm): qq(lc), **{unpack(m): qq(c) for m, c in tail}},
+    gens = (Poly(ideal.nvars, {unpack(lm): lc, **{unpack(m): c for m, c in tail}},
                  _trusted=True)
             for lm, lc, tail in reduced)
     return Ideal(ideal.nvars, tuple(gens))
@@ -985,7 +987,7 @@ def fglm_lex(quot, form):
         (_row_times(tau, cols), tscale * s)
         for cols, s in zip(quot.cols, quot.scales)
     ]
-    u = Poly(n, {tuple(int(i == k) for i in range(n)): qq(c)
+    u = Poly(n, {tuple(int(i == k) for i in range(n)): c
                  for k, c in enumerate(form) if c})
     # traces[k] = [Tr(u^k), Tr(x_1 u^k), ...]; the x_i only for k < npoints
     traces = _power_traces(quot, quot.matrix(u), funcs, quot.npoints)
@@ -1470,7 +1472,7 @@ def solve_zero_dim(ideal, pair_cap=DEFAULT_PAIR_CAP, quot=None):
     # values of t, so some t <= (n - 1) * C(npoints, 2) separates them all.
     n = ideal.nvars
     for t in itertools.count():
-        rur = fglm_lex(quot, [qq(t ** (n - 1 - k)) for k in range(n)])
+        rur = fglm_lex(quot, [t ** (n - 1 - k) for k in range(n)])
         if rur is not None:
             break
 

@@ -23,9 +23,9 @@ from .charring import (
     irreducible_character,
     restrict_to_A1n,
 )
-from .polynomials import Poly, QZERO, qq
+from .polynomials import Poly, coefficient
 
-_PIN_VALUES = (qq(2), qq(-2))
+_PIN_VALUES = (2, -2)
 # unpinned eliminations beyond this many variables are out of desk range
 _FREE_CAP = 6
 
@@ -42,7 +42,7 @@ class BranchProblem:
         items = []
         for i, v in (pins or {}).items():
             i = int(i)
-            v = qq(v)
+            v = coefficient(v)
             if not 0 <= i < f.n:
                 raise ValueError("pin index %d out of range" % i)
             if v not in _PIN_VALUES:
@@ -94,7 +94,7 @@ def _substitute(poly, assignment):
                 new[pos[i]] = e
         if coeff:
             key = tuple(new)
-            s = terms.get(key, QZERO) + coeff
+            s = terms.get(key, 0) + coeff
             if s:
                 terms[key] = s
             else:
@@ -124,12 +124,12 @@ def _split_candidates(g, pair_cap):
                    for _, seen in out):
             out.append((val, coords))
 
-    for sigma in product((qq(2), qq(-2), None), repeat=m):
+    for sigma in product(_PIN_VALUES + (None,), repeat=m):
         fixed = {i: v for i, v in enumerate(sigma) if v is not None}
         h, free = _substitute(g, fixed)
         # interior variables the restricted polynomial no longer sees can
         # sit anywhere; put them at 0
-        unused = {k: QZERO for k in range(len(free)) if k not in h.used_vars()}
+        unused = {k: 0 for k in range(len(free)) if k not in h.used_vars()}
         h2, live = _substitute(h, unused)
         if not live:
             val = AlgValue.from_rational(h2.constant())
@@ -158,7 +158,7 @@ def branch_minimize(p, *, pair_cap=DEFAULT_PAIR_CAP):
     pins = dict(p.pins)
     g0, keep = _substitute(p.f.poly, pins)
     # variables the polynomial does not mention contribute nothing
-    unused = {k: QZERO for k in range(len(keep)) if k not in g0.used_vars()}
+    unused = {k: 0 for k in range(len(keep)) if k not in g0.used_vars()}
     g, live = _substitute(g0, unused)
     if len(live) > _FREE_CAP:
         raise ValueError(

@@ -18,7 +18,7 @@ from collections import defaultdict
 from dataclasses import dataclass
 
 from .algsolve import CertificateError, cyclotomic_field
-from .polynomials import Poly, qq, qq_str
+from .polynomials import QQ, Poly, qq, qq_str
 from .rootdata import RootDatum, weyl_orbit, weyl_stabilizer_order
 
 DEFAULT_ORBIT_CAP = 10_000_000
@@ -571,9 +571,9 @@ def evaluate_at_torsions(c, classes):
         if m < 1:
             raise ValueError("order must be positive")
         # <nu, v> = (ints . nu) / den
-        point = [qq(p) for p in point]
-        den = math.lcm(*(int(p.denominator) for p in point))
-        ints = [int(p.numerator) * (den // int(p.denominator)) for p in point]
+        point = [p if isinstance(p, (int, QQ)) else qq(p) for p in point]
+        den = math.lcm(*(p.denominator for p in point))
+        ints = [p.numerator * (den // p.denominator) for p in point]
         setup.append((ints, den, m, [0] * m))
     for nu, mu_c in c.orbit_walk():
         for ints, den, m, counts in setup:

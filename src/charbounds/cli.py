@@ -124,7 +124,7 @@ def parse_objective(datum, text):
         body = piece[1:]
         m = re.fullmatch(r"(?:(\d+(?:/\d+)?)\*)?f(\d+)", body)
         if m:
-            coeff = _coefficient(m.group(1)) if m.group(1) else qq(1)
+            coeff = _coefficient(m.group(1)) if m.group(1) else 1
             k = int(m.group(2))
             if not 1 <= k <= r:
                 raise UsageError(
@@ -136,7 +136,7 @@ def parse_objective(datum, text):
             mono = (0,) * r
         else:
             raise UsageError("cannot parse objective term %r" % piece)
-        terms[mono] = terms.get(mono, qq(0)) + sign * coeff
+        terms[mono] = terms.get(mono, 0) + sign * coeff
     return FundamentalPolynomial(datum, Poly(r, terms))
 
 
@@ -755,9 +755,23 @@ def run(args):
         return EXIT_INFEASIBLE, "infeasible: %s\n" % e
 
 
+def _join_signed_values(argv):
+    """--objective -f2 as --objective=-f2, and the same for --s and --t:
+    argparse would take a value that starts with one minus for an option."""
+    out = []
+    for a in argv:
+        if (out and out[-1] in ("--objective", "--s", "--t")
+                and a.startswith("-") and not a.startswith("--")):
+            out[-1] += "=" + a
+        else:
+            out.append(a)
+    return out
+
+
 def main(argv=None):
+    argv = sys.argv[1:] if argv is None else argv
     try:
-        args = build_parser().parse_args(argv)
+        args = build_parser().parse_args(_join_signed_values(argv))
     except UsageError as e:
         print("usage error: %s" % e, file=sys.stderr)
         return EXIT_USAGE

@@ -3,6 +3,11 @@
 Rationals are fractions.Fraction, named QQ, monomials are exponent
 tuples, and cyclotomic polynomials are dense integer coefficient lists;
 the cyclotomic fields built on them live in algsolve.
+
+A Poly coefficient is an int when integral and a Fraction only when not:
+coefficient() brings it there where it enters, int arithmetic stays on
+ints, and a Fraction result that comes out integral goes back to int.
+Readers of Poly.terms use numerator and denominator, which ints have.
 """
 
 from __future__ import annotations
@@ -17,8 +22,19 @@ QONE = QQ(1)
 
 
 def qq(x, den=None) -> QQ:
-    """Coerce an int, string "p/q", rational, or numerator/denominator pair."""
-    return QQ(x) if den is None else QQ(x, den)
+    """Coerce an int, string "p/q", rational, or numerator/denominator pair;
+    a Fraction is returned as it is."""
+    if den is None:
+        return x if x.__class__ is QQ else QQ(x)
+    return QQ(x, den)
+
+
+def coefficient(x):
+    """x as a Poly coefficient: an int when integral, else a Fraction."""
+    if x.__class__ is int:
+        return x
+    x = qq(x)
+    return x.numerator if x.denominator == 1 else x
 
 
 def qq_str(x) -> str:
@@ -46,7 +62,8 @@ def monomial_divides(a, b):
 
 
 class Poly:
-    """Sparse multivariate polynomial with rational coefficients."""
+    """Sparse multivariate polynomial over QQ: int coefficients where they
+    are integral, Fractions where they are not."""
 
     __slots__ = ("nvars", "terms")
 
@@ -59,12 +76,12 @@ class Poly:
         else:
             clean = {}
             for mono, c in terms.items():
-                c = qq(c)
+                c = coefficient(c)
                 if c:
                     mono = tuple(int(e) for e in mono)
                     if len(mono) != nvars:
                         raise ValueError("exponent vector length mismatch")
-                    clean[mono] = clean.get(mono, QZERO) + c
+                    clean[mono] = coefficient(clean.get(mono, 0) + c)
             self.terms = {m: c for m, c in clean.items() if c}
 
     # -- constructors -------------------------------------------------------
@@ -74,7 +91,7 @@ class Poly:
 
     @staticmethod
     def const(nvars, c):
-        c = qq(c)
+        c = coefficient(c)
         if not c:
             return Poly.zero(nvars)
         return Poly(nvars, {(0,) * nvars: c}, _trusted=True)
@@ -82,7 +99,7 @@ class Poly:
     @staticmethod
     def variable(nvars, i):
         mono = tuple(1 if j == i else 0 for j in range(nvars))
-        return Poly(nvars, {mono: QONE}, _trusted=True)
+        return Poly(nvars, {mono: 1}, _trusted=True)
 
     # -- structure ----------------------------------------------------------
     def is_zero(self):
@@ -110,10 +127,10 @@ class Poly:
         return max(self.terms, key=grevlex_key)
 
     def coeff(self, mono):
-        return self.terms.get(tuple(mono), QZERO)
+        return self.terms.get(tuple(mono), 0)
 
     def constant(self):
-        return self.terms.get((0,) * self.nvars, QZERO)
+        return self.terms.get((0,) * self.nvars, 0)
 
     def used_vars(self):
         used = set()
@@ -124,27 +141,20 @@ class Poly:
         return used
 
     # -- arithmetic ---------------------------------------------------------
-    def __add__(self, other):
+    # an int result is kept as it is; a Fraction one goes through coefficient
+    def __add__(self, other, op=operator.add):
         other = self._coerce(other)
         terms = dict(self.terms)
         for m, c in other.terms.items():
-            s = terms.get(m, QZERO) + c
+            s = op(terms.get(m, 0), c)
             if s:
-                terms[m] = s
+                terms[m] = s if s.__class__ is int else coefficient(s)
             else:
                 terms.pop(m, None)
         return Poly(self.nvars, terms, _trusted=True)
 
     def __sub__(self, other):
-        other = self._coerce(other)
-        terms = dict(self.terms)
-        for m, c in other.terms.items():
-            s = terms.get(m, QZERO) - c
-            if s:
-                terms[m] = s
-            else:
-                terms.pop(m, None)
-        return Poly(self.nvars, terms, _trusted=True)
+        return self.__add__(other, operator.sub)
 
     def __neg__(self):
         return Poly(self.nvars, {m: -c for m, c in self.terms.items()}, _trusted=True)
@@ -155,9 +165,9 @@ class Poly:
             for ma, ca in self.terms.items():
                 for mb, cb in other.terms.items():
                     m = monomial_mul(ma, mb)
-                    s = out.get(m, QZERO) + ca * cb
+                    s = out.get(m, 0) + ca * cb
                     if s:
-                        out[m] = s
+                        out[m] = s if s.__class__ is int else coefficient(s)
                     else:
                         out.pop(m, None)
             return Poly(self.nvars, out, _trusted=True)
@@ -166,10 +176,11 @@ class Poly:
     __rmul__ = __mul__
 
     def scale(self, c):
-        c = qq(c)
+        c = coefficient(c)
         if not c:
             return Poly.zero(self.nvars)
-        return Poly(self.nvars, {m: v * c for m, v in self.terms.items()}, _trusted=True)
+        return Poly(self.nvars, {m: coefficient(v * c) for m, v in self.terms.items()},
+                    _trusted=True)
 
     def __pow__(self, k):
         if k < 0:
@@ -189,9 +200,9 @@ class Poly:
             e = m[i]
             if e:
                 dm = m[:i] + (e - 1,) + m[i + 1:]
-                s = out.get(dm, QZERO) + c * e
+                s = out.get(dm, 0) + c * e
                 if s:
-                    out[dm] = s
+                    out[dm] = s if s.__class__ is int else coefficient(s)
                 else:
                     out.pop(dm, None)
         return Poly(self.nvars, out, _trusted=True)
@@ -216,22 +227,19 @@ class Poly:
                 term = convert(c) if term is None else term * c
             acc = term if acc is None else acc + term
         if acc is None:
-            return convert(QZERO) if convert else QZERO
+            return convert(0) if convert else 0
         return acc
 
     def content_primitive(self):
-        """Return (content, primitive integer Poly); zero has content 0."""
+        """Return (content, primitive integer Poly); zero has content 0.
+        The content is the gcd of the numerators over the common den."""
         if not self.terms:
-            return QZERO, self
+            return 0, self
         den = math.lcm(*(c.denominator for c in self.terms.values()))
-        content = QQ(math.gcd(*(c.numerator * (den // c.denominator)
-                                for c in self.terms.values())), den)
-        prim = Poly(
-            self.nvars,
-            {m: c / content for m, c in self.terms.items()},
-            _trusted=True,
-        )
-        return content, prim
+        nums = {m: c.numerator * (den // c.denominator) for m, c in self.terms.items()}
+        g = math.gcd(*nums.values())
+        prim = Poly(self.nvars, {m: c // g for m, c in nums.items()}, _trusted=True)
+        return (g if den == 1 else QQ(g, den)), prim
 
     # -- presentation -------------------------------------------------------
     def to_str(self, names=None):
@@ -274,7 +282,7 @@ class Poly:
 
     @staticmethod
     def from_json(nvars, data):
-        return Poly(nvars, {tuple(m): qq(c) for m, c in data})
+        return Poly(nvars, {tuple(m): c for m, c in data})
 
     def _coerce(self, other):
         if isinstance(other, Poly):

@@ -36,6 +36,7 @@ from charbounds.algsolve import (
     upoly_trim,
 )
 from charbounds.polynomials import (
+    QQ,
     Poly,
     QONE,
     QZERO,
@@ -107,7 +108,7 @@ def normal_form(p, basis):
             continue
         lm, lc, q = hit
         shift = monomial_div(m, lm)
-        factor = c / lc
+        factor = QQ(c, lc)
         for mq, cq in q.terms.items():
             if mq == lm:
                 continue
@@ -131,7 +132,7 @@ def _spoly(f, g, lmf, lmg):
     mg = monomial_div(l, lmg)
     pf = Poly(f.nvars, {monomial_mul(m, mf): c for m, c in f.terms.items()}, _trusted=True)
     pg = Poly(g.nvars, {monomial_mul(m, mg): c for m, c in g.terms.items()}, _trusted=True)
-    return pf.scale(1 / f.terms[lmf]) - pg.scale(1 / g.terms[lmg])
+    return pf.scale(QQ(1, f.terms[lmf])) - pg.scale(QQ(1, g.terms[lmg]))
 
 
 def groebner(ideal, pair_cap=200_000):
@@ -251,7 +252,7 @@ class Echelon:
         while vec:
             piv = min(vec)
             if piv not in self.rows:
-                inv = 1 / vec[piv]
+                inv = QQ(1, vec[piv])
                 vec = {k: v * inv for k, v in vec.items()}
                 combo = {k: v * inv for k, v in combo.items()}
                 self.rows[piv] = (vec, combo)
@@ -348,7 +349,7 @@ class ReducedQuotient:
             if not vec:
                 continue
             piv = min(vec)
-            inv = 1 / vec[piv]
+            inv = QQ(1, vec[piv])
             vec = {k: v * inv for k, v in vec.items()}
             for other in self._nil.values():
                 c = other.get(piv)
@@ -398,7 +399,7 @@ def nullspace(matrix):
         if hit is None:
             continue
         pivots[col] = hit
-        inv = 1 / rows[hit][col]
+        inv = QQ(1, rows[hit][col])
         rows[hit] = [c * inv for c in rows[hit]]
         for i in range(len(rows)):
             if i != hit and rows[i][col]:

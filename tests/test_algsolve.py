@@ -61,6 +61,14 @@ def test_groebner_unit_ideal():
     assert gb.gens[0].total_degree() == 0
 
 
+def test_non_integral_generator_is_refused():
+    # Ideal.of would take the primitive part; a generator put in directly
+    # with a Fraction coefficient must not be read as an integer one
+    x = var(1, 0)
+    with pytest.raises(CertificateError, match="non-integral"):
+        groebner(Ideal(1, (x * x - qq(1, 2),)))
+
+
 def test_groebner_idempotent_and_deterministic():
     x, y = var(2, 0), var(2, 1)
     gens = [x * x + y * y - 1, x * y - 1]

@@ -208,6 +208,24 @@ def test_objective_grammar():
             cli.parse_objective(g2, bad)
 
 
+@pytest.mark.parametrize("option, argv", [
+    ("--objective", ("minimize", "--type", "G2", "--objective", "-f2", "--format", "json")),
+    ("--s", ("xfun", "--type", "A2", "--s", "-0.3,0.5", "--t", "0.2,0.4")),
+    ("--t", ("xfun", "--type", "A2", "--s", "0.3,0.5", "--t", "-0.2,0.4")),
+])
+def test_a_value_that_starts_with_a_minus_is_read_as_the_value(capsys, tmp_path,
+                                                               option, argv):
+    argv = argv + ("--cache", str(tmp_path))
+    code, out, err = run_main(capsys, *argv)
+    assert code == 0 and err == "" and out
+    k = argv.index(option)
+    joined = argv[:k] + ("%s=%s" % (option, argv[k + 1]),) + argv[k + 2:]
+    assert run_main(capsys, *joined) == (0, out, "")
+    # a following option is still not taken for the value
+    code, out, err = run_main(capsys, *argv[:k + 1], "--format", "json")
+    assert code == 4 and out == "" and "usage error" in err
+
+
 def test_pin_parsing():
     assert cli._parse_pins("1=2,3=-2", 4) == {0: qq(2) * 1, 2: -2}
     assert cli._parse_pins("", 4) == {}

@@ -50,6 +50,23 @@ def f4():
 
 # -- critical ideals --------------------------------------------------------
 
+@pytest.mark.parametrize("letter, rank", [("G", 2), ("B", 3), ("C", 3), ("D", 4), ("F", 4)])
+def test_matrix_critical_ideal_and_basis_hold_ints(letter, rank, tmp_path):
+    datum = build_root_datum(letter, rank)
+    fresh = derivation_matrix(datum, cache_dir=tmp_path)
+    cached = derivation_matrix(datum, cache_dir=tmp_path)
+    assert not fresh.cache_hit and cached.cache_hit
+    adjoint = adjoint_objective(datum).poly
+    # a rational objective's generators are ints once Ideal.of takes
+    # their primitive part
+    rational = Poly.variable(rank, 1) - Poly.variable(rank, 0).scale(qq(1, 2))
+    polys = [adjoint] + [e for m in (fresh, cached) for row in m.entries for e in row]
+    for objective in (adjoint, Poly.variable(rank, 0), rational):
+        crit = critical_ideal(fresh, FundamentalPolynomial(datum, objective))
+        polys += crit.gens + groebner(crit).gens
+    assert all(type(c) is int for p in polys for c in p.terms.values())
+
+
 def test_critical_ideal_of_fundamental_is_matrix_column(g2, tmp_path):
     m = derivation_matrix(g2, cache_dir=tmp_path)
     ideal = critical_ideal(m, fund_objective(g2, 0))

@@ -1,9 +1,14 @@
+import cProfile
+import math
+import pstats
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from charbounds.algsolve import NumberField, cyclotomic_field
 from charbounds.polynomials import (
+    QQ,
     Poly,
     cyclotomic_polynomial,
     grevlex_key,
@@ -97,6 +102,85 @@ def test_content_primitive():
 def test_json_round_trip():
     p = P(2, {(1, 2): "7/5", (0, 0): -3})
     assert Poly.from_json(2, p.to_json()) == p
+
+
+def test_coefficients_enter_as_ints_where_integral():
+    p = Poly(2, {(1, 0): qq(4, 2), (0, 1): "-6/3", (0, 0): qq(1, 2), (2, 0): 0})
+    assert p.terms == {(1, 0): 2, (0, 1): -2, (0, 0): qq(1, 2)}
+    assert [type(c) for c in p.terms.values()] == [int, int, QQ]
+    assert type(Poly.const(1, qq(3)).constant()) is int
+    assert type(Poly.zero(2).coeff((1, 1))) is int and Poly.zero(2).evaluate((1, 2)) == 0
+    assert p.scale(qq(1, 2)).terms == {(1, 0): 1, (0, 1): -1, (0, 0): qq(1, 4)}
+    assert type(p.scale(qq(1, 2)).coeff((1, 0))) is int
+    # a Fraction sum or product that comes out integral is an int
+    half = Poly.const(2, qq(1, 2))
+    assert type((half + half).constant()) is int and type((half * 2).constant()) is int
+    assert type(Poly(1, {(2,): qq(1, 2)}).diff(0).coeff((1,))) is int
+
+
+def check_coefficients(p):
+    """Each coefficient is a nonzero int, or a Fraction that is not integral."""
+    assert all(c and (type(c) is int or (type(c) is QQ and c.denominator != 1))
+               for c in p.terms.values())
+
+
+_coefficients = {
+    "int": st.integers(-40, 40),
+    "rational": st.fractions(-6, 6, max_denominator=6).map(lambda f: qq(f.numerator,
+                                                                          f.denominator)),
+}
+_monomials = st.tuples(st.integers(0, 3), st.integers(0, 3), st.integers(0, 2))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(sorted(_coefficients)), st.data())
+def test_arithmetic_matches_evaluation_and_keeps_ints(kind, data):
+    coeffs = _coefficients[kind]
+    draw_poly = lambda: Poly(3, data.draw(st.dictionaries(_monomials, coeffs, max_size=6)))
+    p, q = draw_poly(), draw_poly()
+    c = data.draw(coeffs)
+    k = data.draw(st.integers(0, 3))
+    point = data.draw(st.tuples(*[_coefficients["rational"]] * 3))
+    a, b = p.evaluate(point), q.evaluate(point)
+
+    def deriv(i):
+        # d/dx_i of p at the point, term by term
+        return sum((c * m[i] * point[i] ** (m[i] - 1)
+                    * math.prod(x ** e for j, (x, e) in enumerate(zip(point, m)) if j != i)
+                    for m, c in p.terms.items() if m[i]), QQ(0))
+
+    cases = [(p + q, a + b), (p - q, a - b), (p * q, a * b), (p ** k, a ** k),
+             (p.scale(c), a * c), (-p, -a), (p + c, a + c)]
+    cases += [(p.diff(i), deriv(i)) for i in range(3)]
+    content, prim = p.content_primitive()
+    cases += [(prim.scale(content), a), (Poly.from_json(3, p.to_json()), a)]
+    for got, want in cases:
+        assert got.evaluate(point) == want
+        check_coefficients(got)
+    assert Poly.from_json(3, p.to_json()) == p and prim.scale(content) == p
+    assert all(type(v) is int for v in prim.terms.values())
+    if kind == "int":
+        for got, _ in cases:
+            assert all(type(v) is int for v in got.terms.values())
+        assert type(content) is int
+
+
+def test_integer_poly_arithmetic_makes_no_fraction():
+    x, y = Poly.variable(2, 0), Poly.variable(2, 1)
+    field = NumberField((-2, 1, 0, 3))
+    a = field.reduce([5, -7, 2])
+    cyc = cyclotomic_field(5)
+    z = cyc.generator()
+    prof = cProfile.Profile()
+    prof.enable()
+    p = (x * x - y.scale(3) + 2) ** 3 - (x + y).diff(0) * 5 - 7 * y
+    content, prim = p.content_primitive()
+    at_a = p.evaluate((a, a * a - 1), convert=field.from_rational)
+    at_z = prim.evaluate((z + z ** 4, z ** 2), convert=cyc.from_rational)
+    prof.disable()
+    assert not [key for key in pstats.Stats(prof).stats
+                if key[0].endswith("fractions.py") and key[2] == "__new__"]
+    assert at_a.den > 1 and at_z and content == 1
 
 
 def test_cyclotomic_small():
