@@ -668,6 +668,15 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise UsageError(message)
 
+    def option_named(self, token):
+        """The option argparse reads token as: itself, or the one long
+        option it abbreviates; None for an unknown or ambiguous token."""
+        names = self._option_string_actions
+        if token in names:
+            return token
+        hits = [n for n in names if token.startswith("--") and n.startswith(token)]
+        return hits[0] if len(hits) == 1 else None
+
 
 def build_parser():
     common = argparse.ArgumentParser(add_help=False)
@@ -730,6 +739,7 @@ def build_parser():
     x.add_argument("--t", required=True, metavar="B1,B2,...")
     x.set_defaults(handler=_cmd_xfun)
     sub.add_parser("selfcheck", parents=[common])
+    p.commands = sub.choices
     return p
 
 
@@ -755,15 +765,19 @@ def run(args):
         return EXIT_INFEASIBLE, "infeasible: %s\n" % e
 
 
-def _join_signed_values(argv):
-    """--objective -f2 as --objective=-f2, and the same for --s and --t:
+def _join_signed_values(argv, parser):
+    """--objective -f2 as --objective=-f2, and the same for --s and --t,
+    spelt out or abbreviated as the command's parser resolves them:
     argparse would take a value that starts with one minus for an option."""
+    command = None
     out = []
     for a in argv:
-        if (out and out[-1] in ("--objective", "--s", "--t")
-                and a.startswith("-") and not a.startswith("--")):
+        if (command is not None and a.startswith("-") and not a.startswith("--")
+                and command.option_named(out[-1]) in ("--objective", "--s", "--t")):
             out[-1] += "=" + a
         else:
+            if command is None:
+                command = parser.commands.get(a)
             out.append(a)
     return out
 
@@ -771,7 +785,8 @@ def _join_signed_values(argv):
 def main(argv=None):
     argv = sys.argv[1:] if argv is None else argv
     try:
-        args = build_parser().parse_args(_join_signed_values(argv))
+        parser = build_parser()
+        args = parser.parse_args(_join_signed_values(argv, parser))
     except UsageError as e:
         print("usage error: %s" % e, file=sys.stderr)
         return EXIT_USAGE

@@ -22,6 +22,13 @@ fraction-free symmetric elimination.  The first compact point found is
 the extremum; otherwise the corner value is.  The report carries an
 exact witness for both; its full list of critical points is built only
 when read, as the JSON report does.
+
+The corner classes depend on the root datum alone, so a process keeps
+them, in a dict that extremum hands to rootdata.corners as its memo,
+keyed by the datum's value: one entry per datum met, from its first
+extremum on.  A datum that dataclasses.replace changed is another key.
+Called without a memo, as the corners command calls it, rootdata.corners
+still computes afresh.
 """
 
 from __future__ import annotations
@@ -65,6 +72,9 @@ from .rootdata import corners
 
 # orders AlgValues by their exact real value
 _BY_VALUE = cmp_to_key(AlgValue.cmp)
+
+# rootdata.corners' memo for extremum (see the module docstring)
+_CORNERS = {}
 
 
 class NonRealObjectiveError(ValueError):
@@ -294,7 +304,7 @@ def extremum(
                           allow_large=allow_large)
     m = derivation_matrix(datum, **matrix_options)
     msig = sigma_matrix(m)
-    corner_classes = corners(datum)
+    corner_classes = corners(datum, memo=_CORNERS)
 
     corner_values = []
     rational_corner_coords = set()

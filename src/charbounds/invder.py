@@ -217,7 +217,10 @@ def evaluate_matrix(m, point):
         (x.field.from_rational for x in point if isinstance(x, FieldElement)), qq
     )
     vals = [x if isinstance(x, FieldElement) else lift(x) for x in point]
-    return [
-        [e.evaluate(vals, convert=lift) for e in row]
-        for row in m.entries
-    ]
+    # M holds one Poly for (i, j) and (j, i): evaluate each Poly once
+    values = {}
+    for row in m.entries:
+        for e in row:
+            if id(e) not in values:
+                values[id(e)] = e.evaluate(vals, convert=lift)
+    return [[values[id(e)] for e in row] for row in m.entries]

@@ -383,12 +383,14 @@ def weyl_orbit(datum, weight):
     return seen
 
 
-def corners(datum, columns=None):
+def corners(datum, columns=None, memo=None):
     """The r+1 torsion classes where the derivation matrix vanishes.
 
     columns selects which fundamental characters get evaluated (1-based;
     default all).  Pass a shorter list for large types whose non-adjoint
-    fundamentals are out of reach.
+    fundamentals are out of reach.  memo, a dict, keeps the classes per
+    (datum, columns) for a caller that asks again; without one they are
+    built afresh.
     """
     from . import charring  # local import; charring depends on this module
 
@@ -399,6 +401,9 @@ def corners(datum, columns=None):
         columns = tuple(int(j) for j in columns)
         if any(j < 1 or j > r for j in columns):
             raise ValueError("columns must be between 1 and %d" % r)
+    key = (datum, columns)
+    if memo is not None and key in memo:
+        return memo[key]
     fundamentals = [
         charring.irreducible_character(datum, datum.fundamental_weights[j - 1])
         for j in columns
@@ -414,14 +419,17 @@ def corners(datum, columns=None):
         classes.append((point, math.lcm(*(int(x.denominator) for x in point))))
     # values[j][i]: fundamental j at corner i, one orbit walk per character
     values = [charring.evaluate_at_torsions(f, classes) for f in fundamentals]
-    return [
+    found = tuple(
         CornerClass(
             kac_coordinates=tuple(1 if j == i else 0 for j in range(r + 1)),
             order=order,
             values=tuple(v[i] for v in values),
         )
         for i, (_, order) in enumerate(classes)
-    ]
+    )
+    if memo is not None:
+        memo[key] = found
+    return found
 
 
 _STAB_CACHE = {}

@@ -212,6 +212,9 @@ def test_objective_grammar():
     ("--objective", ("minimize", "--type", "G2", "--objective", "-f2", "--format", "json")),
     ("--s", ("xfun", "--type", "A2", "--s", "-0.3,0.5", "--t", "0.2,0.4")),
     ("--t", ("xfun", "--type", "A2", "--s", "0.3,0.5", "--t", "-0.2,0.4")),
+    # argparse reads an unambiguous prefix as the option
+    ("--obj", ("minimize", "--type", "G2", "--obj", "-f2", "--format", "json")),
+    ("--ob", ("minimize", "--type", "G2", "--ob", "-f2", "--format", "json")),
 ])
 def test_a_value_that_starts_with_a_minus_is_read_as_the_value(capsys, tmp_path,
                                                                option, argv):
@@ -224,6 +227,13 @@ def test_a_value_that_starts_with_a_minus_is_read_as_the_value(capsys, tmp_path,
     # a following option is still not taken for the value
     code, out, err = run_main(capsys, *argv[:k + 1], "--format", "json")
     assert code == 4 and out == "" and "usage error" in err
+
+
+@pytest.mark.parametrize("prefix", ["--o", "--objx"])
+def test_an_ambiguous_or_unknown_prefix_is_a_usage_error(capsys, tmp_path, prefix):
+    code, out, err = run_main(capsys, "minimize", "--type", "G2", prefix, "-f2",
+                              "--cache", str(tmp_path))
+    assert code == 4 and out == "" and err.startswith("usage error: ")
 
 
 def test_pin_parsing():

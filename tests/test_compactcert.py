@@ -1,5 +1,11 @@
+import dataclasses
+import json
 import math
+import os
+import subprocess
+import sys
 from itertools import combinations
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -30,7 +36,7 @@ from charbounds.compactcert import (
 from charbounds.charring import FundamentalPolynomial
 from charbounds.invder import derivation_matrix, sigma_matrix
 from charbounds.polynomials import Poly, qq
-from charbounds.rootdata import build_root_datum, weyl_min_trace
+from charbounds.rootdata import build_root_datum, corners, weyl_min_trace
 from points import rational_point
 
 
@@ -481,3 +487,63 @@ def test_zero_dimensional_extremum_runs_one_groebner_basis(f4, monkeypatch, matr
     # the minimum is attained at a critical point of a decided fibre
     assert not hasattr(rep.min_witness, "kac_coordinates")
     assert len(calls) == 1
+
+
+# -- what a process keeps per datum -----------------------------------------
+
+def test_corner_classes_are_built_once_per_datum(f4, g2, monkeypatch, matrix_cache):
+    from charbounds import charring, compactcert
+
+    # one orbit walk per fundamental character builds a datum's corner table
+    walks = []
+    real = charring.evaluate_at_torsions
+    monkeypatch.setattr(charring, "evaluate_at_torsions",
+                        lambda c, classes: walks.append(c) or real(c, classes))
+    monkeypatch.setattr(compactcert, "_CORNERS", {})
+    for i in range(4):
+        extremum(f4, fund_objective(f4, i), cache_dir=matrix_cache)
+    assert len(walks) == 4
+    # a replaced datum is another key, even with the same content hash
+    doubled = dataclasses.replace(
+        g2, form_A=tuple(tuple(2 * x for x in row) for row in g2.form_A)
+    )
+    assert doubled.content_hash() == g2.content_hash()
+    for datum in (g2, doubled, g2, doubled):
+        rep = extremum(datum, adjoint_objective(datum), cache_dir=matrix_cache)
+        assert rep.to_json()["minimum"]["interval"] == ["-2", "-2"]
+    assert len(walks) == 4 + 2 + 2
+    assert [d for d, _ in compactcert._CORNERS] == [f4, g2, doubled]
+    # without a memo the table is built afresh
+    assert corners(g2) == compactcert._CORNERS[g2, (1, 2)]
+    assert len(walks) == 10
+
+
+def test_warm_report_equals_a_fresh_process_report(matrix_cache, tmp_path):
+    from charbounds.cli import parse_objective
+
+    requests = [("F", 4, "f2"), ("B", 2, "adjoint"), ("A", 4, "f1+f4")]
+    warm = []
+    for letter, rank, name in requests:
+        datum = build_root_datum(letter, rank)
+        for _ in range(2):
+            rep = extremum(datum, parse_objective(datum, name), cache_dir=matrix_cache)
+        warm.append(json.dumps(rep.to_json(), sort_keys=True))
+    probe = "\n".join([
+        "import json, sys",
+        "from charbounds.cli import parse_objective",
+        "from charbounds.compactcert import extremum",
+        "from charbounds.rootdata import build_root_datum",
+        "for letter, rank, name in json.loads(sys.argv[1]):",
+        "    datum = build_root_datum(letter, rank)",
+        "    rep = extremum(datum, parse_objective(datum, name), cache_dir=sys.argv[2])",
+        "    print(json.dumps(rep.to_json(), sort_keys=True))",
+    ])
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    run = subprocess.run(
+        [sys.executable, "-c", probe, json.dumps(requests), str(tmp_path)],
+        capture_output=True, text=True, env=env, timeout=300,
+    )
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.splitlines() == warm

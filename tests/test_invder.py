@@ -9,13 +9,14 @@ import ring_oracle
 from charbounds import charring as ch
 from charbounds import invder
 from charbounds.algsolve import CertificateError
+from charbounds.compactcert import is_compact_point
 from charbounds.polynomials import Poly, qq
 from charbounds.rootdata import (
     EnumerationCapError,
     build_root_datum,
     corners,
 )
-from points import rank_at
+from points import rank_at, rational_point
 
 A1 = build_root_datum("A", 1)
 A2 = build_root_datum("A", 2)
@@ -149,6 +150,34 @@ def test_matrix_cache_corruption_recovers(tmp_path):
     again = invder.derivation_matrix(G2, cache_dir=str(tmp_path))
     assert not again.cache_hit
     assert again.entries == cold.entries
+
+
+@pytest.mark.parametrize("letter, rank", [("F", 4), ("A", 3)])
+def test_each_distinct_entry_is_evaluated_once(letter, rank, tmp_path, monkeypatch):
+    datum = build_root_datum(letter, rank)
+    m = invder.derivation_matrix(datum, cache_dir=tmp_path)
+    msig = invder.sigma_matrix(m)
+    evaluated = []
+    real = Poly.evaluate
+    monkeypatch.setattr(
+        Poly, "evaluate", lambda p, *a, **k: evaluated.append(p) or real(p, *a, **k)
+    )
+    # fixed by -w0, where the sigma matrix is symmetric
+    point = rational_point([qq(1, k + datum.minus_w0[k] + 2) for k in range(rank)])
+    for matrix in (m, msig):
+        evaluated.clear()
+        is_compact_point(matrix, point)
+        assert len(evaluated) == len({id(p) for p in evaluated})
+        assert {id(p) for p in evaluated} == {id(e) for row in matrix.entries for e in row}
+    r = rank
+    if letter == "F":
+        assert msig.entries == m.entries and len(evaluated) == r * (r + 1) // 2
+    else:
+        # -w0 permutes the rows of A3: (0, 1) and (1, 0) of the sigma matrix
+        # are two Polys, both evaluated, so the symmetry check compares two
+        # values
+        a, b = msig.entries[0][1], msig.entries[1][0]
+        assert a is not b and {id(a), id(b)} <= {id(p) for p in evaluated}
 
 
 def test_cold_matrix_walks_each_orbit_once(monkeypatch):
