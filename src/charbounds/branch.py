@@ -115,12 +115,19 @@ def _split_candidates(g, pair_cap):
     Exact: every generator factors as (t_i - 2)(t_i + 2) * d_i g, so the
     variety is the union over choices of which factor vanishes.  A point
     on several faces is kept once, where it is first found.
+
+    A restricted trace is symmetric under permuting and negating the t_i,
+    so many faces restrict to one polynomial; each distinct one is solved
+    once, and every face adds its points with its own pinned coordinates.
     """
     m = g.nvars
     out = []
+    solved = {}  # face polynomial -> [(value, point values)] in the box
 
     def add(val, coords):
-        if not any(all(a.cmp(b) == 0 for a, b in zip(coords, seen))
+        # equal algebraic numbers have equal primitive minimal polynomials
+        if not any(all(a.minpoly == b.minpoly and a.cmp(b) == 0
+                       for a, b in zip(coords, seen))
                    for _, seen in out):
             out.append((val, coords))
 
@@ -138,17 +145,20 @@ def _split_candidates(g, pair_cap):
                 coords[j] = AlgValue.from_rational(0)
             add(val, tuple(coords[i] for i in range(m)))
             continue
-        gens = [h2.diff(k) for k in range(len(live))]
-        for pt in solve_zero_dim(Ideal.of(len(live), gens), pair_cap=pair_cap):
-            if not _in_box(pt):
-                continue
-            val = AlgValue.from_field_element(pt.value_of(h2))
+        if h2 not in solved:
+            gens = [h2.diff(k) for k in range(len(live))]
+            pts = solve_zero_dim(Ideal.of(len(live), gens), pair_cap=pair_cap)
+            solved[h2] = [
+                (AlgValue.from_field_element(pt.value_of(h2)), pt.values)
+                for pt in pts if _in_box(pt)
+            ]
+        for val, values in solved[h2]:
             coords = {i: AlgValue.from_rational(v) for i, v in fixed.items()}
             for k, j in enumerate(free):
                 if k in unused:
                     coords[j] = AlgValue.from_rational(0)
                 else:
-                    coords[j] = pt.values[live.index(k)]
+                    coords[j] = values[live.index(k)]
             add(val, tuple(coords[i] for i in range(m)))
     return out
 

@@ -86,6 +86,9 @@ def _load_cache(datum, path):
             data = json.load(fh)
     except (OSError, ValueError):
         return None
+    # valid JSON that is not an object is a miss like any other bad file
+    if not isinstance(data, dict):
+        return None
     if data.get("version") != CACHE_VERSION:
         return None
     if data.get("hash") != datum.content_hash():
@@ -103,7 +106,7 @@ def _load_cache(datum, path):
         if any(e is None for row in grid for e in row):
             return None
         return tuple(tuple(row) for row in grid)
-    except (KeyError, TypeError, ValueError):
+    except (IndexError, KeyError, TypeError, ValueError):
         return None
 
 

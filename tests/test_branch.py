@@ -1,5 +1,7 @@
 """Symmetry-breaking oracle: minimization over A1^n restrictions."""
 
+import math
+
 import pytest
 
 from charbounds import branch, compactcert
@@ -171,3 +173,57 @@ def test_result_json_shape(g2_problem):
     assert j["n"] == 2
     assert j["minimum"]["decimal"] == -2.0
     assert len(j["witness"]) == 2
+
+
+@pytest.fixture
+def solved(monkeypatch):
+    """The ideals branch hands to solve_zero_dim, in order."""
+    real = branch.solve_zero_dim
+    seen = []
+    monkeypatch.setattr(branch, "solve_zero_dim",
+                        lambda ideal, **kw: seen.append(ideal) or real(ideal, **kw))
+    return seen
+
+
+@pytest.mark.parametrize("name, systems", [
+    ("G2", 5), ("B3", 3), ("C3", 6), ("D4", 7), ("B4", 17),
+])
+def test_each_distinct_face_polynomial_is_solved_once(name, systems, solved):
+    # the restricted trace is symmetric under permuting and negating the
+    # t_i, so of the 3^n - 2^n faces with a free variable (5 for rank 2,
+    # 19 for rank 3, 65 for rank 4) only a few differ
+    branch.branch_minimize(branch.adjoint_problem(build_root_datum(name[0], int(name[1:]))))
+    assert len(solved) == systems
+    assert len({(i.nvars, i.gens) for i in solved}) == systems
+
+
+def test_faces_sharing_a_polynomial_keep_their_own_points(solved):
+    # f = t1^2 + t2^2: the four edges restrict to t^2 + 4, one system with
+    # the one critical point t = 0, which lands at (+-2, 0) and (0, +-2);
+    # with the four corners and the centre that is nine candidates
+    f = bpoly(2, {(2, 0): 1, (0, 2): 1})
+    found = branch._split_candidates(f.poly, branch.DEFAULT_PAIR_CAP)
+    assert len(solved) == 2
+    points = {tuple(c.as_rational() for c in coords): v.as_rational()
+              for v, coords in found}
+    assert len(found) == len(points) == 9
+    for t in ((2, 0), (-2, 0), (0, 2), (0, -2)):
+        assert points[t] == 4
+    r = branch.branch_minimize(branch.BranchProblem.of(f))
+    assert r.minimum.as_rational() == 0
+    assert [w.as_rational() for w in r.witness] == [0, 0]
+
+
+def test_roots_sharing_a_minimal_polynomial_are_both_kept():
+    # f = t^4 - 6 t^2 has the interior critical points 0 and +-sqrt 3, the
+    # last two roots of t^2 - 3 with the one value -9; the faces t = +-2
+    # give -8
+    f = bpoly(1, {(4,): 1, (2,): -6})
+    found = branch._split_candidates(f.poly, branch.DEFAULT_PAIR_CAP)
+    root3 = sorted(coords[0].approx() for _, coords in found
+                   if coords[0].minpoly == (-3, 0, 1))
+    assert root3 == [-math.sqrt(3), math.sqrt(3)]
+    r = branch.branch_minimize(branch.BranchProblem.of(f))
+    assert r.candidates == 5
+    assert r.minimum.as_rational() == -9
+    assert r.witness[0].minpoly == (-3, 0, 1)

@@ -608,11 +608,34 @@ def test_printed_intervals_isolate_and_decimals_are_nearest(capsys, tmp_path):
     # the minimum -2 is attained at a critical point of a fibre read off
     # the critical quotient algebra
     (["minimize", "--type", "B2", "--format", "json"], "minimize_B2.json"),
+    # faces whose restricted polynomials agree are solved once: every
+    # candidate, its count and the witness are as when each face was
+    # solved on its own
+    (["branch-minimize", "--type", "G2", "--format", "json"], "branch_minimize_G2.json"),
+    (["branch-minimize", "--type", "B3", "--format", "json"], "branch_minimize_B3.json"),
+    (["branch-minimize", "--type", "C3", "--format", "json"], "branch_minimize_C3.json"),
+    (["branch-minimize", "--type", "D4", "--format", "json"], "branch_minimize_D4.json"),
+    (["branch-minimize", "--type", "B4", "--format", "json"], "branch_minimize_B4.json"),
+    (["branch-minimize", "--type", "F4", "--pins", "1=2", "--format", "json"],
+     "branch_minimize_F4_pin1.json"),
 ])
 def test_json_report_bytes_are_pinned(capsys, tmp_path, argv, golden):
     code, out, err = run_main(capsys, *argv, "--cache", str(tmp_path))
     assert (code, err) == (0, "")
     assert out == (GOLDEN / golden).read_text()
+
+
+@pytest.mark.parametrize("text", ["[1]", '"x"', "3", "null"])
+def test_cache_file_that_is_not_an_object_is_rebuilt(capsys, tmp_path, text):
+    g2 = build_root_datum("G", 2)
+    path = Path(invder._cache_path(g2, str(tmp_path)))
+    path.write_text(text)
+    assert not invder.is_cached(g2, str(tmp_path))
+    code, out, err = run_main(capsys, "matrix", "--type", "G2", "--cache", str(tmp_path))
+    assert (code, err) == (0, "")
+    assert out.startswith("cache: computed\n")
+    assert path.read_bytes() == (GOLDEN / "matrix-G2.json").read_bytes()
+    assert invder.is_cached(g2, str(tmp_path))
 
 
 def test_selfcheck_compares_e7_with_the_table_from_a_cached_matrix(capsys, tmp_path):

@@ -152,6 +152,19 @@ def test_matrix_cache_corruption_recovers(tmp_path):
     assert again.entries == cold.entries
 
 
+def test_matrix_cache_entry_out_of_range_is_a_miss(tmp_path):
+    cold = invder.derivation_matrix(G2, cache_dir=str(tmp_path))
+    path = invder._cache_path(G2, str(tmp_path))
+    data = json.load(open(path))
+    data["entries"][0][0] = G2.rank
+    json.dump(data, open(path, "w"))
+    assert not invder.is_cached(G2, str(tmp_path))
+    again = invder.derivation_matrix(G2, cache_dir=str(tmp_path))
+    assert not again.cache_hit
+    assert again.entries == cold.entries
+    assert invder.is_cached(G2, str(tmp_path))
+
+
 @pytest.mark.parametrize("letter, rank", [("F", 4), ("A", 3)])
 def test_each_distinct_entry_is_evaluated_once(letter, rank, tmp_path, monkeypatch):
     datum = build_root_datum(letter, rank)
