@@ -1251,13 +1251,9 @@ class CyclotomicField(NumberField):
         self.m = m
 
     def approx(self, elem):
-        """The complex value, as one float sum over the powers of zeta."""
-        out = 0j
-        for i, c in enumerate(elem.vec):
-            if c:
-                ang = 2.0 * math.pi * i / self.m
-                out += c / elem.den * complex(math.cos(ang), math.sin(ang))
-        return out
+        """The complex value, as the doubles nearest its exact real and
+        imaginary parts (cyclotomic_parts)."""
+        return complex(*(part.approx() for part in cyclotomic_parts(elem)))
 
     def conjugate(self, elem):
         # zeta^i -> zeta^(-i) = zeta^(m - i)
@@ -1276,6 +1272,49 @@ class CyclotomicField(NumberField):
 def cyclotomic_field(m):
     """The one CyclotomicField of order m, so that its elements compare."""
     return CyclotomicField(m)
+
+
+def cyc_to_algvalue(v):
+    """Exact value of a real cyclotomic number v of order m.
+
+    v = (a_0 + sum_k a_k zeta^k) / den equals its real part
+    (2 a_0 + sum_k a_k D_k(c)) / (2 den), where c = zeta + zeta^-1 =
+    2 cos(2 pi / m), D_0 = 2, D_1 = c and D_k = c D_{k-1} - D_{k-2}; c is
+    the largest real root of its minimal polynomial, so v is an element
+    of a real number field."""
+    if not v.is_real():
+        raise ValueError("not a real cyclotomic number: %r" % (v,))
+    if v.is_rational():
+        return AlgValue.from_rational(v.as_rational())
+    z = v.field.generator()
+    psi = _minpoly_of_value(z + z.conjugate())
+    c = NumberField(psi, isolate_real_roots(psi)[-1]).generator()
+    prev, cur = c.field.from_rational(2), c
+    value = c.field.from_rational(2 * v.vec[0])
+    for a in v.vec[1:]:
+        value = value + cur * a
+        prev, cur = cur, c * cur - prev
+    return AlgValue.from_field_element(value * qq(1, 2 * v.den))
+
+
+def cyclotomic_parts(v):
+    """Re v and Im v of a cyclotomic number v of order m, as AlgValues.
+
+    Re v = (v + conj v) / 2 is real in Q(zeta_m).  Im v = (conj v - v) i / 2
+    needs i, so v is lifted into Q(zeta_N), N = lcm(m, 4), where
+    zeta_m = zeta_N^(N/m) and i = zeta_N^(N/4)."""
+    if v.is_real():
+        return cyc_to_algvalue(v), AlgValue.from_rational(0)
+    m = v.field.m
+    n = math.lcm(m, 4)
+    big = cyclotomic_field(n)
+    vec = [0] * n
+    vec[::n // m] = v.vec + (0,) * (m - len(v.vec))
+    w = big._reduce(vec, v.den)
+    i = big._reduce([0] * (n // 4) + [1], 1)
+    half = qq(1, 2)
+    return (cyc_to_algvalue((v + v.conjugate()) * half),
+            cyc_to_algvalue((w.conjugate() - w) * i * half))
 
 
 class FieldElement:

@@ -1,7 +1,9 @@
 """Command-line surface: datum facts, corner tables, extrema, reports.
 
 Everything here is presentation and plumbing; the mathematics lives in
-the library modules.  Output is deterministic for a fixed configuration
+the library modules.  Each command builds one Output, its values each
+formatted once, and _emit prints it as text, CSV or JSON.  Output is
+deterministic for a fixed configuration
 and cache state: JSON is emitted with sorted keys, CSV with a header
 row and fixed line endings, and the derivation-matrix cache is keyed by
 datum content hash (directory from --cache or CHARBOUNDS_CACHE).
@@ -18,6 +20,7 @@ import json
 import math
 import re
 import sys
+from typing import NamedTuple
 
 from . import branch, closedform
 from .algsolve import (
@@ -205,10 +208,11 @@ def _poly_eq(minpoly):
     return out[2:] if out.startswith("+ ") else "-" + out[2:]
 
 
-def _fmt_cyc(v, precision):
+def _fmt_cyc(v, z, precision):
+    """The cyclotomic number v exact when rational, else z = v.approx(),
+    the nearest doubles of its parts."""
     if v.is_rational():
         return qq_str(v.as_rational())
-    z = v.approx()
     if v.is_real():
         return _fmt_float(z.real, precision)
     return _fmt_complex(z, precision)
@@ -226,34 +230,45 @@ def _fmt_complex(z, precision):
 def _witness_text(w, precision):
     if hasattr(w, "kac_coordinates"):
         return "corner (%s)" % ", ".join(
-            _fmt_cyc(v, precision) for v in w.values
+            _fmt_cyc(v, v.approx(), precision) for v in w.values
         )
     coords = ", ".join(_fmt_float(x, precision) for x in w.approx())
     return "critical point (%s)" % coords
 
 
-def _emit_json(command, payload):
-    doc = {"version": JSON_VERSION, "command": command}
-    doc.update(payload)
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+class Output(NamedTuple):
+    """One command's result, from which _emit prints any format: the JSON
+    payload (library objects are serialised there through their to_json),
+    the CSV header and rows, and the text lines."""
+
+    payload: dict
+    header: list
+    rows: list
+    lines: list
+    status: int = EXIT_OK
 
 
-def _emit_csv(header, rows):
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    return buf.getvalue()
+def _emit(args, out):
+    """The one format dispatch."""
+    if args.format == "json":
+        doc = {"version": JSON_VERSION, "command": args.command, **out.payload}
+        return json.dumps(doc, sort_keys=True, indent=2,
+                          default=lambda o: o.to_json()) + "\n"
+    if args.format == "csv":
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(out.header)
+        writer.writerows(out.rows)
+        return buf.getvalue()
+    return "".join(line + "\n" for line in out.lines)
 
 
 # ---------------------------------------------------------------------------
-# command handlers; each returns the emitted string
+# command handlers; each returns its Output
 
 
 def _cmd_datum(args):
     d = args.datum
-    if args.format == "json":
-        return _emit_json("datum", {"datum": d.to_json()})
     facts = [
         ("type", d.name()),
         ("rank", d.rank),
@@ -264,9 +279,8 @@ def _cmd_datum(args):
         ("minus_one_in_weyl", d.minus_one_in_weyl()),
         ("highest_root", "(%s)" % ", ".join(str(x) for x in d.highest_root)),
     ]
-    if args.format == "csv":
-        return _emit_csv(["fact", "value"], [(k, v) for k, v in facts])
-    return "".join("%s: %s\n" % (k, v) for k, v in facts)
+    return Output({"datum": d}, ["fact", "value"], facts,
+                  ["%s: %s" % fact for fact in facts])
 
 
 def _cmd_corners(args):
@@ -279,41 +293,29 @@ def _cmd_corners(args):
     except OrbitCapError as e:
         raise OrbitCapError("%s; pass --columns J1,J2,... to evaluate only "
                             "those fundamental characters" % e) from e
-    if args.format == "json":
-        payload = {
-            "type": d.name(),
-            "columns": list(cols),
-            "corners": [
-                {
-                    "kac_coordinates": list(c.kac_coordinates),
-                    "order": c.order,
-                    "values": [_fmt_cyc(v, 17) for v in c.values],
-                    "decimals": [
-                        [v.approx().real, v.approx().imag] for v in c.values
-                    ],
-                }
-                for c in found
-            ],
-        }
-        return _emit_json("corners", payload)
-    header = ["kac", "order"] + ["f%d" % j for j in cols]
+    # each value's parts once: exact parts cost far more than formatting
+    approx = [[(v, v.approx()) for v in c.values] for c in found]
+    payload = {
+        "type": d.name(),
+        "columns": list(cols),
+        "corners": [
+            {
+                "kac_coordinates": list(c.kac_coordinates),
+                "order": c.order,
+                "values": [_fmt_cyc(v, z, 17) for v, z in values],
+                "decimals": [[z.real, z.imag] for _, z in values],
+            }
+            for c, values in zip(found, approx)
+        ],
+    }
     rows = [
-        [
-            "".join(str(x) for x in c.kac_coordinates),
-            c.order,
-        ]
-        + [_fmt_cyc(v, args.precision) for v in c.values]
-        for c in found
+        ["".join(str(x) for x in c.kac_coordinates), c.order]
+        + [_fmt_cyc(v, z, args.precision) for v, z in values]
+        for c, values in zip(found, approx)
     ]
-    if args.format == "csv":
-        return _emit_csv(header, rows)
-    lines = []
-    for row in rows:
-        lines.append(
-            "corner %s (order %s): %s"
-            % (row[0], row[1], ", ".join(str(x) for x in row[2:]))
-        )
-    return "".join(line + "\n" for line in lines)
+    lines = ["corner %s (order %s): %s" % (row[0], row[1], ", ".join(row[2:]))
+             for row in rows]
+    return Output(payload, ["kac", "order"] + ["f%d" % j for j in cols], rows, lines)
 
 
 def _cmd_matrix(args):
@@ -323,21 +325,16 @@ def _cmd_matrix(args):
         rank_cap=args.rank_cap,
         allow_large=args.long_running,
     )
-    if args.format == "json":
-        return _emit_json(
-            "matrix", {"cache_hit": m.cache_hit, "matrix": m.to_json()}
-        )
     r = args.datum.rank
     rows = [
         (i + 1, j + 1, m.entry(i, j).to_str())
         for i in range(r)
         for j in range(i, r)
     ]
-    if args.format == "csv":
-        return _emit_csv(["i", "j", "entry"], rows)
-    out = ["cache: %s" % ("hit" if m.cache_hit else "computed")]
-    out += ["M[%d,%d] = %s" % row for row in rows]
-    return "".join(line + "\n" for line in out)
+    lines = ["cache: %s" % ("hit" if m.cache_hit else "computed")]
+    lines += ["M[%d,%d] = %s" % row for row in rows]
+    return Output({"cache_hit": m.cache_hit, "matrix": m}, ["i", "j", "entry"],
+                  rows, lines)
 
 
 def _cmd_extremize(args):
@@ -352,31 +349,14 @@ def _cmd_extremize(args):
         pair_cap=args.pair_cap,
         expand_cap=args.orbit_cap,
     )
-    if args.format == "json":
-        return _emit_json(
-            "maximize" if maximize else "minimize", {"report": report.to_json()}
-        )
     value = report.maximum if maximize else report.minimum
     witness = report.max_witness if maximize else report.min_witness
     tag = "max" if maximize else "min"
-    line = "%s = %s at %s" % (
-        tag,
-        _fmt_alg(value, args.precision),
-        _witness_text(witness, args.precision),
-    )
-    if args.format == "csv":
-        return _emit_csv(
-            ["objective", tag, "decimal", "witness"],
-            [
-                (
-                    objective.to_str(),
-                    _fmt_alg(value, args.precision),
-                    _fmt_float(value.approx(), args.precision),
-                    _witness_text(witness, args.precision),
-                )
-            ],
-        )
-    return line + "\n"
+    text = _fmt_alg(value, args.precision)
+    at = _witness_text(witness, args.precision)
+    row = (objective.to_str(), text, _fmt_float(value.approx(), args.precision), at)
+    return Output({"report": report}, ["objective", tag, "decimal", "witness"],
+                  [row], ["%s = %s at %s" % (tag, text, at)])
 
 
 def _cmd_branch_minimize(args):
@@ -388,71 +368,35 @@ def _cmd_branch_minimize(args):
         # too many free variables without pins, or too few orthogonal roots
         # for the A1^rank subgroup, is a feasibility refusal
         raise EnumerationCapError(str(e))
-    if args.format == "json":
-        return _emit_json("branch-minimize", {"result": result.to_json()})
-    witness = ", ".join(
-        _fmt_alg(w, args.precision) for w in result.witness
-    )
-    line = "min = %s at t = (%s)" % (
-        _fmt_alg(result.minimum, args.precision),
-        witness,
-    )
-    if args.format == "csv":
-        return _emit_csv(
-            ["polynomial", "min", "witness"],
-            [(problem.f.to_str(), _fmt_alg(result.minimum, args.precision), witness)],
-        )
-    return line + "\n"
-
-
-_SHORT_ROOT_ROWS = (
-    ("B_n (n >= 2)", "1-2n", "2n+1"),
-    ("C_n (n >= 2)", "1-n for n odd, -1-n for n even", "2n^2-n-1"),
-    ("F4", "-6", "26"),
-    ("G2", "-2", "7"),
-)
+    text = _fmt_alg(result.minimum, args.precision)
+    at = ", ".join(_fmt_alg(w, args.precision) for w in result.witness)
+    return Output({"result": result}, ["polynomial", "min", "witness"],
+                  [(problem.f.to_str(), text, at)],
+                  ["min = %s at t = (%s)" % (text, at)])
 
 
 def _cmd_table(args):
     if args.family == "short-root":
         header = ["type", "minimum", "dimension"]
-        rows = list(_SHORT_ROOT_ROWS)
-        if args.format == "json":
-            return _emit_json(
-                "table",
-                {
-                    "family": "short-root",
-                    "rows": [dict(zip(header, r)) for r in rows],
-                },
-            )
-        if args.format == "csv":
-            return _emit_csv(header, rows)
-        return "".join(
-            "%s: min = %s on the %s-dimensional representation\n" % r
-            for r in rows
+        types = [(letter, n) for letter in "BC" for n in range(2, args.max_rank + 1)]
+        types += [(letter, n) for letter, n in (("F", 4), ("G", 2)) if n <= args.max_rank]
+        rows = []
+        for letter, n in types:
+            low, dim = closedform.short_root_min(letter, n)
+            rows.append(("%s%d" % (letter, n), qq_str(low), dim))
+        return Output(
+            {"family": "short-root", "rows": [dict(zip(header, r)) for r in rows]},
+            header, rows,
+            ["%s: min = %s on the %s-dimensional representation" % r for r in rows],
         )
     entries = closedform.bounds_table(max_rank=args.max_rank)
-    header = ["type", "component", "lower", "upper", "provenance"]
     rows = [
-        (
-            "%s%d" % (e.letter, e.rank),
-            e.s,
-            str(e.lower),
-            str(e.upper),
-            e.provenance,
-        )
+        ("%s%d" % (e.letter, e.rank), e.s, str(e.lower), str(e.upper), e.provenance)
         for e in entries
     ]
-    if args.format == "json":
-        return _emit_json(
-            "table",
-            {"family": "simple", "rows": [e.to_json() for e in entries]},
-        )
-    if args.format == "csv":
-        return _emit_csv(header, rows)
-    return "".join(
-        "%s s=%s: [%s, %s] (%s)\n" % r for r in rows
-    )
+    return Output({"family": "simple", "rows": entries},
+                  ["type", "component", "lower", "upper", "provenance"], rows,
+                  ["%s s=%s: [%s, %s] (%s)" % r for r in rows])
 
 
 def _cmd_su2(args):
@@ -476,39 +420,19 @@ def _cmd_su2(args):
                 "ratio": dec / (d + 1),
             }
         )
-    if args.format == "json":
-        c, theta0 = limit_constant()
-        return _emit_json(
-            "su2", {"rows": rows, "limit_constant": c, "theta0": theta0}
-        )
-    if args.format == "csv":
-        return _emit_csv(
-            ["d", "min", "ratio", "exact"],
-            [
-                (
-                    r["d"],
-                    _fmt_float(r["min"], args.precision),
-                    _fmt_float(r["ratio"], args.precision),
-                    r["exact"],
-                )
-                for r in rows
-            ],
-        )
-    lines = [
-        "d=%d: min = %s, min/(d+1) = %s"
-        % (
-            r["d"],
-            r["exact"],
-            _fmt_float(r["ratio"], args.precision),
-        )
-        for r in rows
-    ]
     c, theta0 = limit_constant()
-    lines.append("limit: min/(d+1) -> -c = %s (theta0 = %s)" % (
-        _fmt_float(-c, args.precision),
-        _fmt_float(theta0, args.precision),
-    ))
-    return "".join(line + "\n" for line in lines)
+    p = args.precision
+    lines = ["d=%d: min = %s, min/(d+1) = %s"
+             % (r["d"], r["exact"], _fmt_float(r["ratio"], p)) for r in rows]
+    lines.append("limit: min/(d+1) -> -c = %s (theta0 = %s)"
+                 % (_fmt_float(-c, p), _fmt_float(theta0, p)))
+    return Output(
+        {"rows": rows, "limit_constant": c, "theta0": theta0},
+        ["d", "min", "ratio", "exact"],
+        [(r["d"], _fmt_float(r["min"], p), _fmt_float(r["ratio"], p), r["exact"])
+         for r in rows],
+        lines,
+    )
 
 
 def _cmd_xfun(args):
@@ -517,20 +441,11 @@ def _cmd_xfun(args):
     t_vec = _parse_vector(args.t, rank, "--t")
     cap = 10_000_000 if args.long_running else DEFAULT_WEYL_CAP
     ev = eval_X(args.datum, s_vec, t_vec, cap=cap)
-    if args.format == "json":
-        return _emit_json("xfun", {"evaluation": ev.to_json()})
-    line = "X(s, t) = %s  [%s]" % (
-        _fmt_complex(ev.value, args.precision),
-        ev.method,
-    )
+    line = "X(s, t) = %s  [%s]" % (_fmt_complex(ev.value, args.precision), ev.method)
     if ev.error:
         line += "  error<=%.1e" % ev.error
-    if args.format == "csv":
-        return _emit_csv(
-            ["re", "im", "method", "error"],
-            [(ev.value.real, ev.value.imag, ev.method, ev.error)],
-        )
-    return line + "\n"
+    return Output({"evaluation": ev}, ["re", "im", "method", "error"],
+                  [(ev.value.real, ev.value.imag, ev.method, ev.error)], [line])
 
 
 def _selfcheck_battery(args):
@@ -610,9 +525,7 @@ def _selfcheck_battery(args):
 
     def deterministic():
         argv = ["corners", "--type", "G2", "--format", "csv"]
-        once = _cmd_corners(build_parser().parse_args(argv))
-        again = _cmd_corners(build_parser().parse_args(argv))
-        return once == again
+        return run(build_parser().parse_args(argv)) == run(build_parser().parse_args(argv))
 
     check("deterministic emission", deterministic)
 
@@ -631,8 +544,6 @@ def _selfcheck_battery(args):
 
 
 def _cmd_selfcheck(args):
-    lines = []
-    failures = 0
     results = []
     for name, fn in _selfcheck_battery(args):
         try:
@@ -640,24 +551,16 @@ def _cmd_selfcheck(args):
         except Exception as e:  # a broken check is a failed check
             ok = False
             name = "%s (%s)" % (name, e)
-        failures += 0 if ok else 1
         results.append({"check": name, "ok": ok})
-        lines.append("%s - %s" % ("ok" if ok else "FAIL", name))
+    failures = sum(not r["ok"] for r in results)
+    lines = ["%s - %s" % ("ok" if r["ok"] else "FAIL", r["check"]) for r in results]
     lines.append(
         "selfcheck %s (%d checks, %d failures)"
         % ("passed" if not failures else "FAILED", len(results), failures)
     )
-    if args.format == "json":
-        text = _emit_json(
-            "selfcheck", {"results": results, "failures": failures}
-        )
-    elif args.format == "csv":
-        text = _emit_csv(
-            ["check", "ok"], [(r["check"], r["ok"]) for r in results]
-        )
-    else:
-        text = "".join(line + "\n" for line in lines)
-    return text, failures
+    return Output({"results": results, "failures": failures}, ["check", "ok"],
+                  [(r["check"], r["ok"]) for r in results], lines,
+                  1 if failures else EXIT_OK)
 
 
 # ---------------------------------------------------------------------------
@@ -738,7 +641,7 @@ def build_parser():
     x.add_argument("--s", required=True, metavar="A1,A2,...")
     x.add_argument("--t", required=True, metavar="B1,B2,...")
     x.set_defaults(handler=_cmd_xfun)
-    sub.add_parser("selfcheck", parents=[common])
+    sub.add_parser("selfcheck", parents=[common]).set_defaults(handler=_cmd_selfcheck)
     p.commands = sub.choices
     return p
 
@@ -746,10 +649,8 @@ def build_parser():
 def run(args):
     """Dispatch parsed arguments; returns (exit_status, report text)."""
     try:
-        if args.command == "selfcheck":
-            text, failures = _cmd_selfcheck(args)
-            return (EXIT_OK if not failures else 1), text
-        return EXIT_OK, args.handler(args)
+        out = args.handler(args)
+        return out.status, _emit(args, out)
     except (UsageError, NonRealObjectiveError) as e:
         return EXIT_USAGE, "usage error: %s\n" % e
     except (UndecidedSignError, ConditioningError) as e:

@@ -41,13 +41,11 @@ from .algsolve import (
     AlgValue,
     CertificateError,
     Ideal,
-    NumberField,
-    _minpoly_of_value,
     _Quotient,
+    cyc_to_algvalue,
     cyclotomic_field,
     eliminant,
     groebner,
-    isolate_real_roots,
     real_roots_by_factor,
     solve_zero_dim,
 )
@@ -228,29 +226,6 @@ def _corner_value(objective, corner):
     return objective.poly.evaluate(list(corner.values), convert=lift)
 
 
-def _cyc_to_algvalue(v):
-    """Exact value of a real cyclotomic number v of order m.
-
-    v = (a_0 + sum_k a_k zeta^k) / den equals its real part
-    (2 a_0 + sum_k a_k D_k(c)) / (2 den), where c = zeta + zeta^-1 =
-    2 cos(2 pi / m), D_0 = 2, D_1 = c and D_k = c D_{k-1} - D_{k-2}; c is
-    the largest real root of its minimal polynomial, so v is an element
-    of a real number field."""
-    if not v.is_real():
-        raise ValueError("not a real cyclotomic number: %r" % (v,))
-    if v.is_rational():
-        return AlgValue.from_rational(v.as_rational())
-    z = v.field.generator()
-    psi = _minpoly_of_value(z + z.conjugate())
-    c = NumberField(psi, isolate_real_roots(psi)[-1]).generator()
-    prev, cur = c.field.from_rational(2), c
-    value = c.field.from_rational(2 * v.vec[0])
-    for a in v.vec[1:]:
-        value = value + cur * a
-        prev, cur = cur, c * cur - prev
-    return AlgValue.from_field_element(value * qq(1, 2 * v.den))
-
-
 def _is_true_character(objective, cap):
     """Nonnegative combination of irreducible characters, decided exactly."""
     try:
@@ -310,7 +285,7 @@ def extremum(
     rational_corner_coords = set()
     for c in corner_classes:
         v = _corner_value(objective, c)
-        alg = _cyc_to_algvalue(v) if v.is_real() else None
+        alg = cyc_to_algvalue(v) if v.is_real() else None
         corner_values.append((c, v, alg))
         if all(x.is_rational() for x in c.values):
             rational_corner_coords.add(

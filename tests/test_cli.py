@@ -4,6 +4,7 @@ import inspect
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -14,7 +15,7 @@ from charbounds import algsolve, branch, charring, cli, compactcert, invder
 from charbounds.algsolve import sturm_chain, sturm_count
 from charbounds.compactcert import adjoint_objective
 from charbounds.polynomials import qq
-from charbounds.rootdata import build_root_datum
+from charbounds.rootdata import build_root_datum, corners
 
 
 def run_main(capsys, *argv):
@@ -47,14 +48,21 @@ def test_cap_defaults_are_one_constant_each():
         assert inspect.signature(fn).parameters[name].default == value, fn
 
 
-def test_short_root_table_has_four_rows(capsys):
+def test_short_root_table_has_one_row_per_type(capsys):
     code, out, _ = run_main(capsys, "table", "--family", "short-root", "--format", "csv")
     assert code == 0
     lines = out.strip().split("\n")
     assert lines[0] == "type,minimum,dimension"
-    assert len(lines) == 5
+    # B2..B8 and C2..C8 at the default --max-rank 8, then F4 and G2
+    assert len(lines) == 1 + 7 + 7 + 2
     assert "F4,-6,26" in lines
     assert "G2,-2,7" in lines
+    assert "B5,-9,11" in lines and "C4,-5,27" in lines
+    code, out, _ = run_main(capsys, "table", "--family", "short-root",
+                            "--max-rank", "3", "--format", "csv")
+    assert code == 0
+    assert out.strip().split("\n")[1:] == ["B2,-3,5", "B3,-5,7", "C2,-3,5",
+                                           "C3,-2,14", "G2,-2,7"]
 
 
 def test_f4_corner_csv_shape(capsys, tmp_path):
@@ -71,6 +79,62 @@ def test_f4_corner_csv_shape(capsys, tmp_path):
     assert rows[0] == ["10000", "1", "52", "1274", "273", "26"]
     # adjoint column, all five conjugacy classes
     assert sorted(r[2] for r in rows) == ["-2", "-4", "0", "20", "52"]
+
+
+@pytest.mark.parametrize("letter, rank", [
+    ("A", 2), ("A", 3), ("A", 4), ("A", 5), ("D", 5), ("E", 6),
+])
+def test_corner_decimals_are_the_nearest_doubles_of_the_exact_parts(capsys, letter, rank):
+    # sympy is the independent oracle: Re and Im of sum_k c_k e^(2 pi i k/m) / den
+    sympy = pytest.importorskip("sympy")
+    name = "%s%d" % (letter, rank)
+    code, out, _ = run_main(capsys, "corners", "--type", name, "--format", "json")
+    assert code == 0
+    printed = json.loads(out)["corners"]
+    found = corners(build_root_datum(letter, rank))
+    assert [c["kac_coordinates"] for c in printed] == [list(c.kac_coordinates) for c in found]
+    for c, doc in zip(found, printed):
+        for v, pair in zip(c.values, doc["decimals"]):
+            m = v.field.m
+            z = sum(sympy.Rational(a, v.den) * sympy.exp(2 * sympy.pi * sympy.I * k / m)
+                    for k, a in enumerate(v.vec))
+            assert pair == [float(sympy.N(sympy.re(z), 50)), float(sympy.N(sympy.im(z), 50))]
+    # no rounding residue of a zero part, at any precision
+    code, out, _ = run_main(capsys, "corners", "--type", name, "--precision", "17")
+    assert code == 0 and not re.search(r"e-1[0-9]", out)
+
+
+def test_corner_text_cells_are_the_json_decimals(capsys):
+    code, text, _ = run_main(capsys, "corners", "--type", "D5")
+    assert code == 0
+    code, out, _ = run_main(capsys, "corners", "--type", "D5", "--format", "json")
+    assert code == 0
+    lines = []
+    for c in json.loads(out)["corners"]:
+        cells = []
+        for re_part, im_part in c["decimals"]:
+            cell = "%.6g" % re_part
+            if im_part:
+                cell += "%s%.6gi" % ("-" if im_part < 0 else "+", abs(im_part))
+            cells.append(cell)
+        lines.append("corner %s (order %d): %s" % (
+            "".join(map(str, c["kac_coordinates"])), c["order"], ", ".join(cells)))
+    assert text == "".join(line + "\n" for line in lines)
+    assert "0+16i, 0-16i" in text
+
+
+@pytest.mark.parametrize("fmt", ["text", "csv"])
+def test_text_and_csv_extremum_never_serialise_the_report(capsys, monkeypatch, tmp_path, fmt):
+    # the JSON report builds the critical-point list; text and CSV read the
+    # minimum and its witness alone
+    def refuse(self):
+        raise AssertionError("the report was serialised")
+
+    monkeypatch.setattr(compactcert.ExtremumReport, "to_json", refuse)
+    code, out, err = run_main(capsys, "minimize", "--type", "F4", "--objective", "f2",
+                              "--format", fmt, "--cache", str(tmp_path))
+    assert (code, err) == (0, "")
+    assert "27*v^2 - 196*v - 9604" in out
 
 
 def test_g2_minimize_text(capsys, tmp_path):

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from charbounds.algsolve import (
     Ideal,
     NumberField,
+    cyc_to_algvalue,
     cyclotomic_field,
     eliminant,
     groebner,
@@ -24,7 +25,6 @@ from charbounds.algsolve import (
 )
 from charbounds.compactcert import (
     NonRealObjectiveError,
-    _cyc_to_algvalue,
     _substitute,
     adjoint_objective,
     critical_ideal,
@@ -236,7 +236,7 @@ def test_irrational_corner_value_is_certified():
     # zeta_5 + zeta_5^-1 = (sqrt(5) - 1) / 2
     z = cyclotomic_field(5).generator()
     v = z + z**4
-    assert _cyc_to_algvalue(v).minpoly == (-1, 1, 1)
+    assert cyc_to_algvalue(v).minpoly == (-1, 1, 1)
     # sympy is the independent oracle for the minimal polynomial and the root
     x = sympy.Symbol("x")
     for m in (5, 7, 8, 9, 12, 15):
@@ -249,7 +249,7 @@ def test_irrational_corner_value_is_certified():
             expr += sympy.Rational(int(a.numerator), int(a.denominator)) * (
                 z**k + z**-k
             )
-        got = _cyc_to_algvalue(v)
+        got = cyc_to_algvalue(v)
         want = sympy.Poly(sympy.minimal_polynomial(expr, x), x)
         assert got.minpoly == tuple(int(c) for c in reversed(want.all_coeffs()))
         assert math.gcd(*got.minpoly) == 1 and got.minpoly[-1] > 0
@@ -267,7 +267,7 @@ def test_corner_value_with_a_denominator_and_wide_coefficients_is_exact():
     z = cyclotomic_field(5).generator()
     v = (z + z**4) * qq(K, 3)
     assert v.den == 3
-    got = _cyc_to_algvalue(v)
+    got = cyc_to_algvalue(v)
     assert got.minpoly == (-K * K, 3 * K, 9)
     assert got.approx() == float(sympy.N(K * (sympy.sqrt(5) - 1) / 6, 50))
 
