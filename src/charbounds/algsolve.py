@@ -75,9 +75,9 @@ The real-root layer decides on integers: Sturm chains of primitive
 pseudo-remainders, and the sign of p(a / b), b > 0, from the homogeneous
 sum sum p_i a^i b^(n-i).  The endpoints stay the rationals the rational
 arithmetic gives, so every decision is the same.  Fractions remain
-only for values that need not be integral: the power sums, the
-characteristic polynomials and the g_v, the rational scales of the
-quotient layer, and the endpoints of isolating intervals.
+only for the rational scales of the quotient layer, one factor per g_v,
+and the endpoints of isolating intervals; the power sums and
+characteristic polynomials are N's, M_u = (a / b) N, on integers.
 
 Factoring f or e over Q first takes off every rational root: p-adic
 lifting, rational reconstruction and an exact evaluation.  A rest of
@@ -771,8 +771,12 @@ class _Quotient:
     """Multiplication structure and trace of a zero-dimensional quotient.
 
     M_{x_i} is held as an integer matrix N_i and a rational scale,
-    M_{x_i} = scale_i * N_i, built once from the normal forms of
-    x_i * b_j for the staircase monomials b_j; b_0 = 1.
+    M_{x_i} = scale_i * N_i, from the normal forms of the border x_i b_j
+    (b_j in the staircase, b_0 = 1), each reached once in ascending grevlex
+    order by the FGLM recurrence (Faugere, Gianni, Lazard and Mora, JSC
+    1993): a leading monomial has NF = -tail / lc, any other is x_k y, y a
+    smaller border monomial, so NF = sum_t c_t NF(x_k b_t) over
+    NF(y) = sum_t c_t b_t.  A tail outside the staircase: CertificateError.
 
     tau, the trace functional v -> Tr(M_v), is sum_j e_j^T M_{b_j}, since
     M_v e_j = M_{b_j} v; it is kept as a primitive integer row and the
@@ -789,24 +793,42 @@ class _Quotient:
             raise NotZeroDimensionalError(
                 "leading terms admit no pure power in some variable"
             )
-        index = {pk.pack(m): i for i, m in enumerate(mons)}
-        reducers = {}
-        cols, dens = [], []
-        for i in range(n):
-            # (rem, mult) of x_i * b_j
-            qcols = [normal_form({pk.pack(m[:i] + (m[i] + 1,) + m[i + 1:]): 1},
-                                 basis, pk.guard, reducers)
-                     for m in mons]
-            den = math.lcm(*(mult for _, mult in qcols))
-            cols.append([[(index[mm], c * (den // mult)) for mm, c in r.items()]
-                         for r, mult in qcols])
-            dens.append(den)
+        packed = [pk.pack(m) for m in mons]
+        index = {m: j for j, m in enumerate(packed)}
+        units = [pk.pack(tuple(int(k == i) for k in range(n))) for i in range(n)]
+        lead = {lm: (lc, tail) for lm, lc, tail in basis}
+        # NF(m) = ({row: c}, den); the least int is the grevlex-largest m
+        nf = {m: ({j: 1}, 1) for m, j in index.items()}
+        for m in sorted({b + u for b in packed for u in units} - index.keys(), reverse=True):
+            if m in lead:
+                lc, tail = lead[m]
+                if any(t not in index for t, _ in tail):
+                    raise CertificateError("a tail leaves the staircase: basis not reduced")
+                col, den = {index[t]: -c for t, c in tail}, lc
+            else:
+                # x_k divides m and y = m / x_k lies outside the staircase
+                u = next(u for u in units if not (m - u) & pk.guard and m - u not in index)
+                ycol, yden = nf[m - u]
+                parts = [(c, nf[packed[t] + u]) for t, c in ycol.items()]
+                lcm = math.lcm(*(d for _, (_, d) in parts))
+                col, den = {}, yden * lcm
+                for c, (xcol, d) in parts:
+                    for r, v in xcol.items():
+                        col[r] = col.get(r, 0) + c * (lcm // d) * v
+            g = math.gcd(den, *col.values())
+            nf[m] = {r: v // g for r, v in col.items() if v}, den // g
+        icols = [[nf[b + u] for b in packed] for u in units]
+        dens = [math.lcm(*(d for _, d in cs)) for cs in icols]
+        cols = [[[(r, v * (den // d)) for r, v in col.items()] for col, d in cs]
+                for cs, den in zip(icols, dens)]
         self._setup(n, mons, cols, dens)
 
     def _setup(self, nvars, mons, cols, dens):
         """N_i = cols[i] / dens[i], for sparse integer columns, kept over
         the least denominator with entries sorted by row: the canonical
-        form of the rational normal forms, whichever route gave them."""
+        form of the rational normal forms, whichever route gave them.
+        tau = T(1), T(b) = e_b + sum T(x_i b) M_{x_i} over the x_i b in the
+        staircase with i >= maxvar(b): one product per staircase monomial."""
         self.nvars = nvars
         self.monomials = mons
         self.index = {m: i for i, m in enumerate(mons)}
@@ -820,23 +842,24 @@ class _Quotient:
             self.scales.append(qq(1, den // g))
         if not D:
             return
-        # tau = sum_j scale_j * row_j with row_j = e_j^T prod N_i^{m_i}
-        parts = []
-        for j, mono in enumerate(mons):
-            row = [0] * D
-            row[j] = 1
-            scale = QONE
-            for i, e in enumerate(mono):
-                for _ in range(e):
-                    row, g = _primitive(_row_times(row, self.cols[i]))
-                    scale *= g * self.scales[i]
-            parts.append((scale, row))
-        den = math.lcm(*(int(s.denominator) for s, _ in parts))
-        weights = [_times_den(s, den) for s, _ in parts]
-        tau = _primitive([
-            sum(w * row[k] for w, (_, row) in zip(weights, parts))
-            for k in range(D)
-        ])[0]
+        T = {}  # T(b) = row / den in lowest terms; every scale is 1 / den
+        for j, mono in reversed(list(enumerate(mons))):
+            last = max((i for i, e in enumerate(mono) if e), default=0)
+            parts = []
+            for i in range(last, nvars):
+                c = self.index.get(mono[:i] + (mono[i] + 1,) + mono[i + 1:])
+                if c is not None:
+                    row, d = T.pop(c)
+                    parts.append((_row_times(row, self.cols[i]),
+                                  d * self.scales[i].denominator))
+            den = math.lcm(*(d for _, d in parts))
+            acc = [0] * D
+            acc[j] = den
+            for row, d in parts:
+                acc = [x + den // d * v for x, v in zip(acc, row)]
+            g = math.gcd(den, *acc)
+            T[j] = [v // g for v in acc], den // g
+        tau = _primitive(T[0][0])[0]
         self.tau = (tau, qq(D, tau[0]))
 
     @cached_property
@@ -960,10 +983,6 @@ class _Quotient:
                 out[r] = out.get(r, 0) + c * v
         return out
 
-    def one(self):
-        """The unit 1 = b_0 as (integer vector, scale)."""
-        return [1] + [0] * (self.dim - 1), QONE
-
     def times(self, mat, vec, scale):
         """u * (scale * vec) as (primitive integer vector, scale)."""
         rows, mscale = mat
@@ -979,55 +998,61 @@ def fglm_lex(quot, form):
     f is the primitive integer squarefree part of the characteristic
     polynomial of u, and x_i = g_{x_i}(u) / g_1(u) at every point, where
     g_1 is a unit modulo f.  Returns None when u does not separate the
-    points, which is exactly when deg f < quot.npoints."""
+    points, which is exactly when deg f < quot.npoints.  With
+    M_u = (a / b) N (_int_power_sums), Tr(v u^k) = s_v (a / b)^k dots[k][v]
+    for v = 1 (s_1 tau's scale) and v = x_i (s_v = s_1 scale_i), so each
+    g_v is an integer polynomial times the one rational s_v / b^(deg - 1)."""
     n = quot.nvars
     tau, tscale = quot.tau
-    # v -> Tr(v), and v -> Tr(x_i v) = tau * M_{x_i} v
-    funcs = [(tau, tscale)] + [
-        (_row_times(tau, cols), tscale * s)
-        for cols, s in zip(quot.cols, quot.scales)
-    ]
     u = Poly(n, {tuple(int(i == k) for i in range(n)): c
                  for k, c in enumerate(form) if c})
-    # traces[k] = [Tr(u^k), Tr(x_1 u^k), ...]; the x_i only for k < npoints
-    traces = _power_traces(quot, quot.matrix(u), funcs, quot.npoints)
-    f = upoly_squarefree(upoly_primitive_int(_charpoly([t[0] for t in traces])))
+    rows = [tau] + [_row_times(tau, cols) for cols in quot.cols]
+    chi, (a, b), dots = _int_power_sums(quot, u, rows, quot.npoints)
+    f = upoly_squarefree(upoly_primitive_int(chi))
     deg = len(f) - 1
     if deg < quot.npoints:
         return None
 
-    def g(v):
+    def g(v, s):
         # sum_{k < deg} Tr(v u^k) Q_k(T), Q_k(T) = sum_{j > k} f_j T^(j-1-k)
-        return upoly_trim([
-            sum(traces[k][v] * f[m + 1 + k] for k in range(deg - m))
-            for m in range(deg)
-        ])
+        w = [dots[k][v] * a**k * b**(deg - 1 - k) for k in range(deg)]
+        s = s * tscale / b**(deg - 1)
+        return upoly_trim([s * sum(w[k] * f[m + 1 + k] for k in range(deg - m))
+                           for m in range(deg)])
 
-    return f, g(0), [g(1 + i) for i in range(quot.nvars)]
+    return f, g(0, QONE), [g(1 + i, s) for i, s in enumerate(quot.scales)]
 
 
-def _power_traces(quot, mat, funcs, full):
-    """[s * (row . u^k) for (row, s) in funcs] for k = 0 .. D, where mat
-    is M_u; only the first functional once k >= full."""
-    vec, scale = quot.one()
-    out = []
-    for k in range(quot.dim + 1):
+def _int_power_sums(quot, poly, rows, full=0):
+    """(chi, (a, b), dots) for M_p = (a / b) N, N = quot.matrix(poly)'s
+    integer matrix.  N^k 1 = c_k w_k, w_k primitive and c_k one running
+    integer; dots[k] = [c_k (r . w_k) for r in rows], k = 0 .. D, and only
+    rows[0] = tau once k >= full.  Tr(N^k) = c_k (tau . w_k) times tau's
+    scale is an integer, and Newton's identities for N divide exactly; a
+    remainder raises CertificateError.  chi = b^D det(T - M_p), ascending:
+    N's k-th coefficient times a^k b^(D-k)."""
+    D = quot.dim
+    tscale = quot.tau[1]
+    mat, scale = quot.matrix(poly)
+    vec, c = [1] + [0] * (D - 1), 1
+    dots, sums = [], []
+    for k in range(D + 1):
         if k:
-            vec, scale = quot.times(mat, vec, scale)
-        out.append([
-            s * scale * sum(a * b for a, b in zip(row, vec))
-            for row, s in (funcs if k < full else funcs[:1])
-        ])
-    return out
-
-
-def _charpoly(sums):
-    """The characteristic polynomial, ascending, from the power sums
-    Tr(u^k), k = 0 .. D, by Newton's identities."""
-    chi = [QONE]
-    for k in range(1, len(sums)):
-        chi.append(-sum(chi[k - i] * sums[i] for i in range(1, k + 1)) / k)
-    return chi[::-1]
+            vec, c = quot.times((mat, 1), vec, c)
+        dots.append([c * sum(x * y for x, y in zip(r, vec))
+                     for r in (rows if k < full else rows[:1])])
+        p, rest = divmod(tscale.numerator * dots[-1][0], tscale.denominator)
+        if rest:
+            raise CertificateError("a power sum of N is not an integer")
+        sums.append(p)
+    chi = [1]
+    for k in range(1, D + 1):
+        q, rest = divmod(-sum(chi[k - i] * sums[i] for i in range(1, k + 1)), k)
+        if rest:
+            raise CertificateError("Newton's identities do not divide exactly")
+        chi.append(q)
+    a, b = scale.numerator, scale.denominator
+    return ([x * a**k * b**(D - k) for k, x in enumerate(chi)][::-1], (a, b), dots)
 
 
 # ---------------------------------------------------------------------------
@@ -1041,10 +1066,10 @@ def eliminant(ideal, poly, pair_cap=DEFAULT_PAIR_CAP):
     Returns (e, basis, quot): e primitive integer, ascending; basis the
     reduced grevlex basis of the ideal; quot its _Quotient, or None when
     the ideal is not zero-dimensional.  With a quotient, e is the
-    squarefree part of the characteristic polynomial of M_poly, from the
-    power sums Tr(poly^k).  Without one, e comes from the first linear
-    dependency among the normal forms of 1, poly, poly^2, ..., which
-    exists when poly takes finitely many values on the zero set."""
+    squarefree part of the characteristic polynomial of M_poly = (a / b) N,
+    from the integer power sums Tr(N^k) (_int_power_sums).  Without one, e
+    comes from the first linear dependency among the normal forms of 1,
+    poly, poly^2, ..., which exists when poly takes finitely many values."""
     basis = groebner(ideal, pair_cap=pair_cap)
     try:
         quot = _Quotient(basis)
@@ -1053,10 +1078,9 @@ def eliminant(ideal, poly, pair_cap=DEFAULT_PAIR_CAP):
     if quot is None:
         e = _krylov_minpoly(_basis_entries(basis), poly)
     elif quot.dim:
-        traces = _power_traces(quot, quot.matrix(poly), [quot.tau], 0)
-        e = _charpoly([t[0] for t in traces])
+        e = _int_power_sums(quot, poly, [quot.tau[0]])[0]
     else:
-        e = [QONE]
+        e = [1]
     return upoly_squarefree(upoly_primitive_int(e)), basis, quot
 
 
@@ -1255,6 +1279,13 @@ class CyclotomicField(NumberField):
         imaginary parts (cyclotomic_parts)."""
         return complex(*(part.approx() for part in cyclotomic_parts(elem)))
 
+    @cached_property
+    def real_generator(self):
+        """zeta + zeta^-1 at the largest root of its minimal polynomial."""
+        z = self.generator()
+        psi = _minpoly_of_value(z + z.conjugate())
+        return NumberField(psi, isolate_real_roots(psi)[-1]).generator()
+
     def conjugate(self, elem):
         # zeta^i -> zeta^(-i) = zeta^(m - i)
         vec = [0] * self.m
@@ -1286,9 +1317,7 @@ def cyc_to_algvalue(v):
         raise ValueError("not a real cyclotomic number: %r" % (v,))
     if v.is_rational():
         return AlgValue.from_rational(v.as_rational())
-    z = v.field.generator()
-    psi = _minpoly_of_value(z + z.conjugate())
-    c = NumberField(psi, isolate_real_roots(psi)[-1]).generator()
+    c = v.field.real_generator
     prev, cur = c.field.from_rational(2), c
     value = c.field.from_rational(2 * v.vec[0])
     for a in v.vec[1:]:

@@ -13,6 +13,13 @@ division by the leading coefficient.  The reduced basis is unique, so
 the solver's fraction-free groebner must return the same Ideal, and each
 fraction-free normal form rem / mult must equal the rational one.
 
+NormalFormQuotient, power_traces, charpoly and rur build the solver's
+own quotient structure the straightforward way: every x_i b_j
+normal-formed from scratch, tau summed with deg(b_j) products per
+staircase monomial, and the power sums, Newton's identities and the RUR
+numerators with one rational per value.  The border recurrence, tau =
+T(1) and the integer power sums must give the same values exactly.
+
 The real-root layer is Sturm isolation with one rational per coefficient
 and per value: the chain by rational remainders, signs from p(x) by
 Horner, and interval Horner on rational endpoints.  The solver's integer
@@ -21,6 +28,7 @@ isolating intervals and interval images must equal these exactly.
 """
 
 import heapq
+import math
 import operator
 
 from charbounds import algsolve
@@ -635,3 +643,112 @@ def cyclotomic_conjugate(field, m, vec):
     for i, c in enumerate(vec):
         out[-i % m] = c
     return field.reduce(out)
+
+
+# ---------------------------------------------------------------------------
+# the quotient layer built monomial by monomial, with rational power sums
+
+
+class NormalFormQuotient:
+    """The solver's quotient structure computed the straightforward way:
+    the normal form of every x_i b_j reduced from scratch by the integer
+    kernel, the columns over one denominator per variable, and
+    tau = sum_j e_j^T prod N_i^(m_i), deg(b_j) row products per staircase
+    monomial.  cols, scales, monomials and tau are in the solver's
+    canonical form, so the two must be equal."""
+
+    def __init__(self, basis_ideal):
+        n = self.nvars = basis_ideal.nvars
+        pk = algsolve._packing(n)
+        basis = algsolve._basis_entries(basis_ideal)
+        mons = self.monomials = staircase([pk.unpack(lm) for lm, _, _ in basis], n)
+        index = {pk.pack(m): i for i, m in enumerate(mons)}
+        self.cols, self.scales = [], []
+        for i in range(n):
+            # (rem, mult) of x_i * b_j
+            qcols = [algsolve.normal_form({pk.pack(m[:i] + (m[i] + 1,) + m[i + 1:]): 1},
+                                          basis, pk.guard)
+                     for m in mons]
+            den = math.lcm(*(mult for _, mult in qcols))
+            cols = [[(index[mm], c * (den // mult)) for mm, c in r.items()]
+                    for r, mult in qcols]
+            g = math.gcd(den, *(c for col in cols for _, c in col))
+            self.cols.append([sorted((k, c // g) for k, c in col) for col in cols])
+            self.scales.append(qq(1, den // g))
+        self.tau = monomial_tau(mons, self.cols, self.scales)
+
+
+def monomial_tau(mons, cols, scales):
+    """(primitive integer row, scale) of tau = sum_j e_j^T M_{b_j}, each
+    M_{b_j} applied as deg(b_j) products with the N_i."""
+    D = len(mons)
+    total = [QZERO] * D
+    for j, mono in enumerate(mons):
+        row = [QZERO] * D
+        row[j] = QONE
+        for i, e in enumerate(mono):
+            for _ in range(e):
+                row = [scales[i] * sum(c * row[k] for k, c in col) for col in cols[i]]
+        total = [a + b for a, b in zip(total, row)]
+    ints = upoly_primitive_int(total)
+    # upoly_primitive_int makes the last entry positive; tau(1) = D > 0
+    if ints[0] < 0:
+        ints = [-c for c in ints]
+    return ints, qq(D, ints[0])
+
+
+def power_traces(quot, mat, funcs, full):
+    """[s * (row . u^k) for (row, s) in funcs] for k = 0 .. D with one
+    rational scale per power of u, where mat is M_u; only the first
+    functional once k >= full."""
+    vec, scale = [1] + [0] * (quot.dim - 1), QONE
+    out = []
+    for k in range(quot.dim + 1):
+        if k:
+            vec, scale = quot.times(mat, vec, scale)
+        out.append([
+            s * scale * sum(a * b for a, b in zip(row, vec))
+            for row, s in (funcs if k < full else funcs[:1])
+        ])
+    return out
+
+
+def charpoly(sums):
+    """The characteristic polynomial, ascending, from the power sums
+    Tr(u^k), k = 0 .. D, by Newton's identities over QQ."""
+    chi = [QONE]
+    for k in range(1, len(sums)):
+        chi.append(-sum(chi[k - i] * sums[i] for i in range(1, k + 1)) / k)
+    return chi[::-1]
+
+
+def eliminant_charpoly(quot, poly):
+    """The characteristic polynomial of M_poly on the solver's quotient,
+    from rational power sums."""
+    return charpoly([t[0] for t in power_traces(quot, quot.matrix(poly), [quot.tau], 0)])
+
+
+def rur(quot, form):
+    """The solver's rational univariate representation (f, g_1, g_x) for
+    u = sum form[k] x_k, every trace a rational, or None."""
+    n = quot.nvars
+    tau, tscale = quot.tau
+    funcs = [(tau, tscale)] + [
+        (algsolve._row_times(tau, cols), tscale * s)
+        for cols, s in zip(quot.cols, quot.scales)
+    ]
+    u = Poly(n, {tuple(int(i == k) for i in range(n)): c
+                 for k, c in enumerate(form) if c})
+    traces = power_traces(quot, quot.matrix(u), funcs, quot.npoints)
+    f = algsolve.upoly_squarefree(upoly_primitive_int(charpoly([t[0] for t in traces])))
+    deg = len(f) - 1
+    if deg < quot.npoints:
+        return None
+
+    def g(v):
+        return upoly_trim([
+            sum(traces[k][v] * f[m + 1 + k] for k in range(deg - m))
+            for m in range(deg)
+        ])
+
+    return f, g(0), [g(1 + i) for i in range(n)]

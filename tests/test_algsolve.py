@@ -894,6 +894,34 @@ def test_fibre_of_a_fractional_quotient_is_its_groebner_quotient(upoly, dim):
         algsolve._Quotient(base).fibre(x, [2, -3, 0, 1])
 
 
+def test_quotient_refuses_a_basis_that_is_not_inter_reduced():
+    # x^2 + y^2 - 2 and y^2 - 1 form a Groebner basis of <x^2 - 1, y^2 - 1>,
+    # but the tail y^2 of the first lies outside the staircase 1, y, x, xy
+    x, y = var(2, 0), var(2, 1)
+    basis = Ideal(2, (x * x + y * y - 2, y * y - 1))
+    with pytest.raises(CertificateError, match="not reduced"):
+        algsolve._Quotient(basis)
+    # inter-reduced, the same leading monomials give the quotient
+    quot = algsolve._Quotient(Ideal(2, (x * x - 1, y * y - 1)))
+    assert (quot.dim, quot.npoints) == (4, 4)
+
+
+@pytest.mark.parametrize("tau, match", [
+    # Tr(N) = 1/2 for N = M_x on Q[x]/(x^2 - 2)
+    (([1, 1], qq(1, 2)), "power sum"),
+    # Tr(N) = 1 and Tr(N^2) = 2: c_2 = (1 - 2) / 2
+    (([1, 1], qq(1)), "Newton"),
+], ids=["trace", "newton"])
+def test_int_power_sums_refuse_a_remainder(tau, match):
+    x = var(1, 0)
+    quot = algsolve._Quotient(groebner(Ideal.of(1, [x * x - 2])))
+    assert quot.tau == ([1, 0], qq(2))
+    assert algsolve._int_power_sums(quot, x, [quot.tau[0]])[0] == [-2, 0, 1]
+    quot.tau = tau
+    with pytest.raises(CertificateError, match=match):
+        algsolve._int_power_sums(quot, x, [quot.tau[0]])
+
+
 def test_real_roots_by_factor():
     # (2T - 1)(T^2 - 2)(T^2 + 1)
     e = [2, -4, 1, -2, -1, 2]

@@ -14,15 +14,16 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import fraction_oracle as oracle
-from charbounds import algsolve
+from charbounds import algsolve, branch, compactcert, su2asym
 from charbounds.algsolve import (
     Ideal,
     NotZeroDimensionalError,
     groebner,
     upoly_primitive_int,
+    upoly_squarefree,
 )
 from charbounds.charring import FundamentalPolynomial
-from charbounds.compactcert import adjoint_objective, critical_ideal
+from charbounds.compactcert import adjoint_objective, critical_ideal, extremum
 from charbounds.invder import derivation_matrix
 from charbounds.polynomials import QZERO, Poly, qq
 from charbounds.rootdata import build_root_datum
@@ -52,14 +53,22 @@ def assert_same_quotient_layer(ideal):
     the separating t and the real points."""
     gb = groebner(Ideal.of(ideal.nvars, ideal.gens))
     fast = algsolve._Quotient(gb)
+    assert_same_as_normal_forms(gb, fast)
     ref = oracle.Quotient(gb)
     assert fast.dim == ref.dim
+    # e(T) of the sum of the variables, from integer and rational power sums
+    total = sum((Poly.variable(ideal.nvars, i) for i in range(ideal.nvars)),
+                Poly.const(ideal.nvars, 0))
+    assert_same_charpoly(fast, total, algsolve._int_power_sums(fast, total, [fast.tau[0]]))
+    assert algsolve.eliminant(ideal, total)[0] == upoly_squarefree(
+        upoly_primitive_int(oracle.eliminant_charpoly(fast, total)))
     reduced = oracle.ReducedQuotient(ref)
     assert fast.npoints == reduced.dim
     n = ideal.nvars
     for t in itertools.count():
         form = [qq(t ** (n - 1 - k)) for k in range(n)]
         rur = algsolve.fglm_lex(fast, form)
+        assert rur == oracle.rur(fast, form)
         shape = oracle.fglm_lex(reduced, form)
         assert (rur is None) == (shape is None)
         if rur is not None:
@@ -83,6 +92,23 @@ def assert_same_quotient_layer(ideal):
                         mus.append(e)
                 assert mus == [p.multiplicity]
             return t, points
+
+
+def assert_same_as_normal_forms(gb, fast):
+    """The border recurrence and tau = T(1) give the columns, scales and
+    trace functional of the per-monomial normal forms, exactly."""
+    ref = oracle.NormalFormQuotient(gb)
+    assert (fast.monomials, fast.cols, fast.scales, fast.tau) == (
+        ref.monomials, ref.cols, ref.scales, ref.tau)
+
+
+def assert_same_charpoly(quot, poly, got):
+    """_int_power_sums' chi is b^D times the rational characteristic
+    polynomial of M_poly, b the denominator of M_poly's scale."""
+    chi, (a, b), _ = got
+    scale = quot.matrix(poly)[1]
+    assert (a, b) == (scale.numerator, scale.denominator)
+    assert chi == [b ** quot.dim * c for c in oracle.eliminant_charpoly(quot, poly)]
 
 
 # a factor x_i - c - sum_{j < i} a_j x_j; a repeated factor gives a
@@ -173,3 +199,84 @@ def test_fraction_free_groebner_matches_rational_oracle(letter, rank, objective,
     for var, (cols, scale) in enumerate(zip(fast.cols, fast.scales)):
         for j, col in enumerate(cols):
             assert {k: scale * c for k, c in col} == ref.mult_column(var, j)
+    # tau(b_m) = Tr(M_{b_m}), the trace of the oracle's rational tensor:
+    # the diagonal of b_m b_j over j
+    tau, scale = fast.tau
+    for m, mono in enumerate(ref.monomials):
+        diag = QZERO
+        for j in range(ref.dim):
+            vec = {j: qq(1)}
+            for var, e in enumerate(mono):
+                for _ in range(e):
+                    vec = ref.mult_apply(var, vec)
+            diag += vec.get(j, QZERO)
+        assert scale * tau[m] == diag
+
+
+# the extrema, branch routes and su2 minima of the benchmark's solve and
+# sweep request lists (perfbench/workloads.py); A3 adjoint and C3 f2 are
+# not zero-dimensional and raise before any quotient
+SOLVE = (("F", 4, "f1"), ("F", 4, "f2"), ("F", 4, "f3"), ("F", 4, "f4"),
+         ("D", 4, "adjoint"), ("B", 4, "f2"), ("C", 4, "f3"))
+SWEEP = (("A", 1, "adjoint"), ("A", 1, "f1"), ("A", 2, "adjoint"), ("A", 3, "f2"),
+         ("B", 2, "adjoint"), ("B", 2, "f1"), ("B", 2, "f2"),
+         ("B", 3, "adjoint"), ("B", 3, "f1"), ("B", 3, "f2"), ("B", 4, "f1"),
+         ("C", 3, "f1"), ("C", 3, "f3"), ("C", 4, "f1"),
+         ("G", 2, "adjoint"), ("G", 2, "f1"), ("G", 2, "f2"),
+         ("D", 4, "adjoint"), ("D", 4, "f1"), ("D", 4, "f2"), ("D", 4, "f3"),
+         ("D", 4, "f4"))
+
+
+@pytest.mark.parametrize("workload", ["solve", "sweep"])
+def test_benchmark_quotients_match_the_fraction_oracle(workload, monkeypatch, tmp_path):
+    """Every quotient the requests build, fibres included, has the
+    per-monomial columns, scales and tau; every characteristic polynomial
+    from integer power sums, e(T) among them, is b^D times the rational
+    one; and every RUR is the rational one."""
+    built, setups, sums, rurs = [], [], [], []
+    real_init, real_setup = algsolve._Quotient.__init__, algsolve._Quotient._setup
+    real_sums, real_rur = algsolve._int_power_sums, algsolve.fglm_lex
+
+    def init(self, basis_ideal):
+        real_init(self, basis_ideal)
+        built.append((basis_ideal, self))
+
+    def setup(self, *args):
+        real_setup(self, *args)
+        setups.append(self)
+
+    def power_sums(quot, poly, rows, full=0):
+        out = real_sums(quot, poly, rows, full)
+        sums.append((quot, poly, out))
+        return out
+
+    def rur(quot, form):
+        out = real_rur(quot, form)
+        rurs.append((quot, form, out))
+        return out
+
+    monkeypatch.setattr(algsolve._Quotient, "__init__", init)
+    monkeypatch.setattr(algsolve._Quotient, "_setup", setup)
+    monkeypatch.setattr(algsolve, "_int_power_sums", power_sums)
+    monkeypatch.setattr(algsolve, "fglm_lex", rur)
+    for letter, rank, objective in SOLVE if workload == "solve" else SWEEP:
+        datum = build_root_datum(letter, rank)
+        if objective == "adjoint":
+            fp = adjoint_objective(datum)
+        else:
+            fp = FundamentalPolynomial(datum, Poly.variable(rank, int(objective[1:]) - 1))
+        extremum(datum, fp, cache_dir=tmp_path)
+    if workload == "sweep":
+        for letter, rank in (("G", 2), ("B", 3)):
+            branch.branch_minimize(branch.adjoint_problem(build_root_datum(letter, rank)))
+        for d in range(1, 13):
+            su2asym.su2_min(d)
+    assert built and len(setups) > len(built) and sums and rurs
+    for basis_ideal, quot in built:
+        assert_same_as_normal_forms(basis_ideal, quot)
+    for quot in filter(lambda q: q.dim, setups):
+        assert quot.tau == oracle.monomial_tau(quot.monomials, quot.cols, quot.scales)
+    for quot, poly, got in sums:
+        assert_same_charpoly(quot, poly, got)
+    for quot, form, got in rurs:
+        assert got == oracle.rur(quot, form)
